@@ -10,8 +10,6 @@ output.
 
 from .linalg import (
     PAULI,
-    HermitianEig,
-    hermitian_eig,
     herm_power,
     kron,
     partial_trace,
@@ -38,7 +36,6 @@ from .channel import (
     stinespring_isometry,
 )
 from .capacity import (
-    BoundParams,
     CapacityResult,
     ConditioningState,
     OptimizerConfig,
@@ -52,7 +49,6 @@ from .capacity import (
 )
 from .fisher import (
     AvgQfiResult,
-    PriorSpec,
     QfiMatrix,
     QuadSpec,
     avg_trace_qfi,
@@ -73,8 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PAULI",
-    "HermitianEig",
-    "hermitian_eig",
     "herm_power",
     "kron",
     "partial_trace",
@@ -95,7 +89,6 @@ __all__ = [
     "choi_bf",
     "env_bloch_derivatives",
     "stinespring_isometry",
-    "BoundParams",
     "CapacityResult",
     "ConditioningState",
     "OptimizerConfig",
@@ -107,7 +100,6 @@ __all__ = [
     "one_shot_lower_bound",
     "renyi2_divergence",
     "AvgQfiResult",
-    "PriorSpec",
     "QfiMatrix",
     "QuadSpec",
     "avg_trace_qfi",

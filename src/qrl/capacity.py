@@ -53,21 +53,6 @@ class ConditioningState:
 
 
 @dataclass(frozen=True)
-class BoundParams:
-    epsilon: float
-    n: int
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if self.n < 1 or int(self.n) != self.n:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not 0.0 < self.delta < math.sqrt(self.epsilon / 2.0):
-            raise ValueError("delta must lie in (0, sqrt(epsilon/2))")
-
-
-@dataclass(frozen=True)
 class OptimizerConfig:
     """Grid sizes and simplex settings for the sigma and probe searches."""
 
@@ -76,7 +61,6 @@ class OptimizerConfig:
     restarts: int = 3
     tol: float = 1e-9
     max_iter: int = 400
-    seed: int = 0  # recorded for reproducibility; the search itself is deterministic
 
 
 DEFAULT_CONFIG = OptimizerConfig()
@@ -109,9 +93,6 @@ class CapacityResult:
     correction: float
     raw_bound: float
     clamped_bound: float
-    sigma_opt: ConditioningState
-    probe_opt: ProbeState
-    optimizer_trace: tuple
 
 
 def g_eps(x: float) -> float:
@@ -193,7 +174,8 @@ def h2_conditional(rho, config: OptimizerConfig = DEFAULT_CONFIG) -> H2Optimum:
         if best is None or res.fun < best.fun:
             best = res
     value = -math.log2(best.fun)
-    assert value <= 1.0 + 1e-9, f"H2 exceeded the dimension bound: {value}"
+    if value > 1.0 + 1e-9:
+        raise RuntimeError(f"H2 exceeded the dimension bound: {value}")
     return H2Optimum(
         value=value,
         sigma=ConditioningState(tuple(best.x)),
@@ -260,29 +242,13 @@ def correction_bits(epsilon: float) -> float:
     return g_eps(s - ds) + 4.0 * math.log2(1.0 / ds) + 2.0
 
 
-def one_shot_lower_bound(
-    h2: float,
-    epsilon: float,
-    n: int,
-    *,
-    sigma_opt: ConditioningState = None,
-    probe_opt: ProbeState = None,
-    optimizer_trace: tuple = (),
-) -> CapacityResult:
+def one_shot_lower_bound(h2: float, epsilon: float, n: int) -> CapacityResult:
     """Assemble the per-use lower bound h2 - correction/n and its clamp at 0."""
     if n < 1 or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     corr = correction_bits(epsilon)
     raw = h2 - corr / n
-    return CapacityResult(
-        h2=h2,
-        correction=corr,
-        raw_bound=raw,
-        clamped_bound=max(0.0, raw),
-        sigma_opt=sigma_opt,
-        probe_opt=probe_opt,
-        optimizer_trace=optimizer_trace,
-    )
+    return CapacityResult(h2=h2, correction=corr, raw_bound=raw, clamped_bound=max(0.0, raw))
 
 
 def _h2_for_probe(p: UnitaryParams, phi1: float, phi2: float, config: OptimizerConfig) -> H2Optimum:

@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 on success, 2 for invalid arguments (including tetrahedron
-ordering violations), 3 for numerical failures.  Log verbosity is taken from
-the QRL_LOG environment variable (error, info, debug); logs go to stderr so
-stdout stays machine readable.
+ordering violations), 3 when any row is non-converged or an internal
+numerical invariant fails.  Log verbosity is taken from the QRL_LOG
+environment variable (error, info, debug); logs go to stderr so stdout stays
+machine readable.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 
-from .capacity import DEFAULT_CONFIG, OptimizerConfig
-from .fisher import DEFAULT_ETA_SCHEDULE, QuadratureError, QuadSpec
+from .fisher import DEFAULT_ETA_SCHEDULE, QuadSpec
 from .harness import (
     CSV_HEADER,
+    NUMERICAL_ERRORS,
     SweepConfig,
     load_config,
     point_report,
@@ -79,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Readout limits of environment-parametrized two-qubit channels",
     )
     parser.add_argument("--config", help="INI file with [global] and per-command sections")
-    parser.add_argument("--seed", type=int, help="optimizer seed recorded in outputs")
     parser.add_argument("--workers", type=int, help="process count for sweeps")
     parser.add_argument("--eta-schedule", help="comma-separated radial cutoffs, largest first")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -139,19 +138,17 @@ def _emit(reports, out: str) -> None:
 
 def _run(args) -> int:
     file_cfg = load_config(args.config) if args.config else {}
-    seed = _merge(args, file_cfg, "seed", 0, int)
     workers = _merge(args, file_cfg, "workers", None, int)
     schedule = _merge(args, file_cfg, "eta-schedule", None, _floats)
     if schedule is None:
         schedule = _merge(args, file_cfg, "eta_schedule", DEFAULT_ETA_SCHEDULE, _floats)
-    h2_config = replace(DEFAULT_CONFIG, seed=seed)
 
     if args.command == "vertex":
         name = _require(_merge(args, file_cfg, "name"), "--name")
         epsilon = _merge(args, file_cfg, "epsilon", 0.05, float)
         n = _merge(args, file_cfg, "n", 1000, int)
         out = _merge(args, file_cfg, "out")
-        reports = run_vertex_report(name, epsilon, n, tuple(schedule), h2_config)
+        reports = run_vertex_report(name, epsilon, n, tuple(schedule))
         _emit(reports, out)
         return 3 if any(r.status == "non-converged" for r in reports) else 0
 
@@ -163,22 +160,23 @@ def _run(args) -> int:
             epsilon=_merge(args, file_cfg, "epsilon", 0.05, float),
             n=_merge(args, file_cfg, "n", 1000, int),
             eta_schedule=tuple(schedule),
-            seed=seed,
             workers=workers,
             out=_require(_merge(args, file_cfg, "out"), "--out"),
             svg=_merge(args, file_cfg, "svg"),
-            h2_config=h2_config,
         )
         reports = run_edge_sweep(cfg)
-        log.info("sweep %s/%s: %d points -> %s", cfg.edge, cfg.metric, len(reports), cfg.out)
-        return 3 if all(r.status == "non-converged" for r in reports) else 0
+        failed = sum(r.status == "non-converged" for r in reports)
+        log.log(logging.ERROR if failed else logging.INFO,
+                "sweep %s/%s: %d points, %d non-converged -> %s",
+                cfg.edge, cfg.metric, len(reports), failed, cfg.out)
+        return 3 if failed else 0
 
     if args.command == "bound":
         params = _alpha(_require(_merge(args, file_cfg, "alpha"), "--alpha"))
         epsilons = _floats(_require(_merge(args, file_cfg, "epsilons"), "--epsilons"))
         ns = _ints(_require(_merge(args, file_cfg, "ns"), "--ns"))
         out = _require(_merge(args, file_cfg, "out"), "--out")
-        table = run_bound_table(params, None, epsilons, ns, h2_config)
+        table = run_bound_table(params, None, epsilons, ns)
         write_bound_csv(table, out)
         log.info("bound table at h2=%.9g (probe %.6g,%.6g) -> %s",
                  table.h2, table.probe.phi1, table.probe.phi2, out)
@@ -198,14 +196,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
+    except NUMERICAL_ERRORS as exc:
+        log.error("%s", exc)
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, RuntimeError, ArithmeticError) as exc:
-        log.error("%s", exc)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

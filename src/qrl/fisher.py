@@ -51,21 +51,6 @@ class QuadSpec:
             raise ValueError("quadrature spec needs at least 2 nodes per axis")
 
 
-@dataclass(frozen=True)
-class PriorSpec:
-    """Environment prior sin(theta1/2)/(2 pi) on [0,1/2]x[0,pi]x[0,2pi],
-    with an optional radial cutoff eta for regularized integrals."""
-
-    eta: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= ETA_MAX:
-            raise ValueError(f"eta must lie in [0, {ETA_MAX}], got {self.eta!r}")
-
-    def weight(self, env: EnvState) -> float:
-        return prior_weight(env)
-
-
 def prior_weight(env: EnvState) -> float:
     """Prior density sin(theta1/2)/(2 pi); integrates to 1 over the domain."""
     return math.sin(env.theta1 / 2.0) / (2.0 * math.pi)
@@ -245,7 +230,7 @@ class AvgQfiResult:
         vals = [v for _, v in self.eta_trace]
         for prev, cur in zip(vals, vals[1:]):
             if cur < prev - 1e-8 * max(1.0, abs(prev)):
-                raise ValueError(
+                raise QuadratureError(
                     f"eta_trace not non-decreasing as eta shrinks: {prev!r} -> {cur!r}"
                 )
 

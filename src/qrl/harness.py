@@ -15,20 +15,11 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (
-    DEFAULT_CONFIG,
-    OptimizerConfig,
-    ProbeOptimum,
-    best_probe_h2,
-    correction_bits,
-    delta_star,
-    h2_conditional,
-    one_shot_lower_bound,
-)
+from .capacity import best_probe_h2, delta_star, h2_conditional, one_shot_lower_bound
 from .channel import ProbeState, choi_bf, stinespring_isometry
 from .fisher import (
     DEFAULT_ETA_SCHEDULE,
@@ -48,6 +39,10 @@ BOUND_HEADER = "epsilon,n,delta_star,correction,raw_bound,clamped_bound"
 
 METRICS = ("h2", "qfi", "bound")
 STATUSES = ("ok", "clamped", "divergent", "non-converged")
+
+# faults of the numerics rather than of the caller's input; LinAlgError is
+# also a ValueError, so handlers must test this tuple first
+NUMERICAL_ERRORS = (RuntimeError, ArithmeticError, np.linalg.LinAlgError)
 
 
 def _fmt(x) -> str:
@@ -114,11 +109,9 @@ class SweepConfig:
     epsilon: float = 0.05
     n: int = 1000
     eta_schedule: tuple = DEFAULT_ETA_SCHEDULE
-    seed: int = 0
     workers: int = None
     out: str = None
     svg: str = None
-    h2_config: OptimizerConfig = DEFAULT_CONFIG
     quad: QuadSpec = QuadSpec()
 
     def __post_init__(self):
@@ -129,88 +122,63 @@ class SweepConfig:
         edge_point(self.edge, 0.0)  # validates the edge name
 
 
-def _h2_report(edge: str, t: float, params: UnitaryParams, config: OptimizerConfig, started: float) -> MeritReport:
-    opt = best_probe_h2(params, config)
-    status = "ok" if opt.h2 > 0.0 else "clamped"
-    if not opt.converged:
-        status = "non-converged"
-    return MeritReport(
-        edge=edge,
-        t=t,
-        alpha=tuple(params.as_array()),
-        alpha_norm=params.norm,
-        metric="h2",
-        value=max(0.0, opt.h2),
-        status=status,
+def _status(ok: bool, otherwise: str, converged: bool) -> str:
+    if not converged:
+        return "non-converged"
+    return "ok" if ok else otherwise
+
+
+def _h2_fields(opt, metric: str, epsilon: float, n: int) -> dict:
+    """Row fields of an h2 or bound row from one probe optimum; the value is
+    clamped at 0 and the raw value sets the status."""
+    raw = opt.h2 if metric == "h2" else one_shot_lower_bound(opt.h2, epsilon, n).raw_bound
+    return dict(
+        value=max(0.0, raw),
+        status=_status(raw > 0.0, "clamped", opt.converged),
         probe=(opt.probe.phi1, opt.probe.phi2),
         sigma=opt.sigma.bloch,
-        wall_time_ms=(time.perf_counter() - started) * 1e3,
     )
 
 
-def _bound_report(edge: str, t: float, params: UnitaryParams, epsilon: float, n: int, config: OptimizerConfig, started: float) -> MeritReport:
-    opt = best_probe_h2(params, config)
-    res = one_shot_lower_bound(opt.h2, epsilon, n, sigma_opt=opt.sigma, probe_opt=opt.probe)
-    status = "ok" if res.raw_bound > 0.0 else "clamped"
-    if not opt.converged:
-        status = "non-converged"
-    return MeritReport(
-        edge=edge,
-        t=t,
-        alpha=tuple(params.as_array()),
-        alpha_norm=params.norm,
-        metric="bound",
-        value=res.clamped_bound,
-        status=status,
-        probe=(opt.probe.phi1, opt.probe.phi2),
-        sigma=opt.sigma.bloch,
-        wall_time_ms=(time.perf_counter() - started) * 1e3,
-    )
-
-
-def _qfi_report(edge: str, t: float, params: UnitaryParams, quad: QuadSpec, eta_schedule: tuple, started: float) -> MeritReport:
-    res = maximize_over_probe(params, quad, eta_schedule)
+def _qfi_fields(res) -> dict:
     divergent = res.classification == "divergent"
-    status = "divergent" if divergent else "ok"
-    if not res.converged:
-        status = "non-converged"
+    return dict(
+        value=None if divergent else res.value,
+        status=_status(not divergent, "divergent", res.converged),
+        probe=(res.probe_opt.phi1, res.probe_opt.phi2),
+    )
+
+
+def _row(edge: str, t: float, params: UnitaryParams, metric: str, started: float,
+         value=None, status="non-converged", probe=None, sigma=None) -> MeritReport:
+    """A row at `params` timed from `started`; without fields it is the
+    row of a failed evaluation."""
     return MeritReport(
         edge=edge,
         t=t,
         alpha=tuple(params.as_array()),
         alpha_norm=params.norm,
-        metric="qfi",
-        value=None if divergent else res.value,
+        metric=metric,
+        value=value,
         status=status,
-        probe=(res.probe_opt.phi1, res.probe_opt.phi2),
-        sigma=None,
+        probe=probe,
+        sigma=sigma,
         wall_time_ms=(time.perf_counter() - started) * 1e3,
     )
 
 
 def _eval_point(cfg: SweepConfig, t: float) -> MeritReport:
-    params, norm = edge_point(cfg.edge, t)
+    params, _ = edge_point(cfg.edge, t)
     started = time.perf_counter()
     try:
-        if cfg.metric == "h2":
-            return _h2_report(cfg.edge, t, params, cfg.h2_config, started)
-        if cfg.metric == "bound":
-            return _bound_report(cfg.edge, t, params, cfg.epsilon, cfg.n, cfg.h2_config, started)
-        return _qfi_report(cfg.edge, t, params, cfg.quad, cfg.eta_schedule, started)
-    except Exception:
+        if cfg.metric == "qfi":
+            fields = _qfi_fields(maximize_over_probe(params, cfg.quad, cfg.eta_schedule))
+        else:
+            fields = _h2_fields(best_probe_h2(params), cfg.metric, cfg.epsilon, cfg.n)
+    except NUMERICAL_ERRORS:
         log.exception("point evaluation failed: edge=%s t=%s metric=%s", cfg.edge, t, cfg.metric)
-        return MeritReport(
-            edge=cfg.edge,
-            t=t,
-            alpha=tuple(params.as_array()),
-            alpha_norm=norm,
-            metric=cfg.metric,
-            value=None,
-            status="non-converged",
-            probe=None,
-            sigma=None,
-            wall_time_ms=(time.perf_counter() - started) * 1e3,
-        )
+        fields = {}
+    return _row(cfg.edge, t, params, cfg.metric, started, **fields)
 
 
 def run_edge_sweep(cfg: SweepConfig) -> list:
@@ -240,19 +208,19 @@ def run_vertex_report(
     epsilon: float,
     n: int,
     eta_schedule: tuple = DEFAULT_ETA_SCHEDULE,
-    h2_config: OptimizerConfig = DEFAULT_CONFIG,
     quad: QuadSpec = QuadSpec(),
 ) -> list:
-    """H2, capacity bound and averaged-QFI rows for a named vertex."""
+    """H2, capacity bound and averaged-QFI rows for a named vertex; the h2
+    and bound rows share one probe search."""
     if vertex not in VERTICES:
         raise ValueError(f"vertex must be one of {sorted(VERTICES)}, got {vertex!r}")
     params = VERTICES[vertex]
     started = time.perf_counter()
-    rows = [_h2_report(vertex, 0.0, params, h2_config, started)]
+    opt = best_probe_h2(params)
+    rows = [_row(vertex, 0.0, params, m, started, **_h2_fields(opt, m, epsilon, n)) for m in ("h2", "bound")]
     started = time.perf_counter()
-    rows.append(_bound_report(vertex, 0.0, params, epsilon, n, h2_config, started))
-    started = time.perf_counter()
-    rows.append(_qfi_report(vertex, 0.0, params, quad, eta_schedule, started))
+    res = maximize_over_probe(params, quad, eta_schedule)
+    rows.append(_row(vertex, 0.0, params, "qfi", started, **_qfi_fields(res)))
     return rows
 
 
@@ -263,27 +231,20 @@ class BoundTable:
     rows: tuple  # (epsilon, n, delta_star, correction, raw, clamped)
 
 
-def run_bound_table(
-    p: UnitaryParams,
-    probe: ProbeState,
-    epsilons,
-    ns,
-    config: OptimizerConfig = DEFAULT_CONFIG,
-) -> BoundTable:
+def run_bound_table(p: UnitaryParams, probe: ProbeState, epsilons, ns) -> BoundTable:
     """Bound grid over (epsilon, n); probe=None optimizes the probe first."""
     if probe is None:
-        opt = best_probe_h2(p, config)
+        opt = best_probe_h2(p)
         h2, probe_used = opt.h2, opt.probe
     else:
-        opt = h2_conditional(choi_bf(stinespring_isometry(p, probe)), config)
+        opt = h2_conditional(choi_bf(stinespring_isometry(p, probe)))
         h2, probe_used = opt.value, probe
     rows = []
     for eps in epsilons:
         ds = delta_star(eps)
-        corr = correction_bits(eps)
         for n in ns:
-            raw = h2 - corr / n
-            rows.append((eps, int(n), ds, corr, raw, max(0.0, raw)))
+            res = one_shot_lower_bound(h2, eps, n)
+            rows.append((eps, int(n), ds, res.correction, res.raw_bound, res.clamped_bound))
     return BoundTable(h2=h2, probe=probe_used, rows=tuple(rows))
 
 
@@ -382,19 +343,4 @@ def point_report(
         res = maximize_over_probe(p, quad, eta_schedule)
     else:
         res = avg_qfi_at_probe(p, probe, quad, eta_schedule)
-    divergent = res.classification == "divergent"
-    status = "divergent" if divergent else "ok"
-    if not res.converged:
-        status = "non-converged"
-    return MeritReport(
-        edge="point",
-        t=0.0,
-        alpha=tuple(p.as_array()),
-        alpha_norm=p.norm,
-        metric="qfi",
-        value=None if divergent else res.value,
-        status=status,
-        probe=(res.probe_opt.phi1, res.probe_opt.phi2),
-        sigma=None,
-        wall_time_ms=(time.perf_counter() - started) * 1e3,
-    )
+    return _row("point", 0.0, p, "qfi", started, **_qfi_fields(res))

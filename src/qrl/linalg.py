@@ -105,20 +105,3 @@ def validate_density(m: np.ndarray) -> DensityDiagnostics:
         failures=tuple(failures),
     )
 
-
-@dataclass(frozen=True)
-class HermitianEig:
-    """Ascending eigenvalues and the matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.conj().T
-
-
-def hermitian_eig(m: np.ndarray) -> HermitianEig:
-    m = _check_hermitian(m)
-    w, q = np.linalg.eigh(m)
-    return HermitianEig(eigenvalues=w, eigenvectors=q)

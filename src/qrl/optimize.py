@@ -64,18 +64,6 @@ def nelder_mead(f, x0, step: float, tol: float = 1e-9, max_iter: int = 400, proj
     return OptResult(simplex[best], float(fv[best]), it, False)
 
 
-def refine_from_seeds(f, seeds, step: float, tol: float, max_iter: int, project=None):
-    """Run one Nelder-Mead per seed; return (best result, per-restart trace)."""
-    trace = []
-    best = None
-    for seed in seeds:
-        res = nelder_mead(f, seed, step, tol=tol, max_iter=max_iter, project=project)
-        trace.append(res)
-        if best is None or res.fun < best.fun:
-            best = res
-    return best, tuple(trace)
-
-
 def ball_grid(n: int, radius: float) -> np.ndarray:
     """Points of an n^3 axis grid on [-radius, radius]^3 kept inside the ball."""
     axis = np.linspace(-radius, radius, n)

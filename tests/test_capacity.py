@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+import qrl.capacity
 from qrl.capacity import (
     BLOCH_CAP,
-    BoundParams,
     ConditioningState,
     OptimizerConfig,
     best_probe_h2,
@@ -121,7 +121,7 @@ def test_renyi2_matches_quadratic_form():
 
 
 # ---------------------------------------------------------------------------
-# ConditioningState / BoundParams validation
+# ConditioningState validation
 
 
 def test_conditioning_state_validation():
@@ -133,17 +133,6 @@ def test_conditioning_state_validation():
     sigma = ConditioningState(np.array([0.2, -0.1, 0.3]))
     mat = sigma.matrix()
     assert np.allclose(mat, 0.5 * (I2 + 0.2 * PAULI[1] - 0.1 * PAULI[2] + 0.3 * PAULI[3]))
-
-
-def test_bound_params_validation():
-    BoundParams(0.05, 100, 0.1)
-    for eps, n, delta in [(0.0, 10, 0.01), (1.0, 10, 0.01), (0.05, 0, 0.01), (0.05, -3, 0.01)]:
-        with pytest.raises(ValueError):
-            BoundParams(eps, n, delta)
-    with pytest.raises(ValueError):
-        BoundParams(0.05, 10, np.sqrt(0.025) + 1e-6)  # delta past sqrt(eps/2)
-    with pytest.raises(ValueError):
-        BoundParams(0.05, 10, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +155,17 @@ def test_h2_swap_channel():
     opt = h2_conditional(rho)
     assert opt.value == pytest.approx(1.0, abs=1e-6)
     assert opt.converged
+
+
+def test_h2_dimension_bound_violation_raises(monkeypatch):
+    # a Gram matrix scaled below the physical one drives H2 past log2 dim(B)
+    gram = qrl.capacity._collision_gram
+    monkeypatch.setattr(qrl.capacity, "_collision_gram", lambda rho: 0.1 * gram(rho))
+    rho = choi_bf(
+        stinespring_isometry(UnitaryParams(np.pi / 2, np.pi / 2, np.pi / 2), ProbeState(0.0, 0.0))
+    )
+    with pytest.raises(RuntimeError, match="dimension bound"):
+        h2_conditional(rho)
 
 
 def test_h2_cnot_vertex_near_zero():

@@ -11,7 +11,6 @@ from qrl.channel import EnvState, ProbeState, apply_channel, env_bloch_derivativ
 from qrl.fisher import (
     DEFAULT_ETA_SCHEDULE,
     AvgQfiResult,
-    PriorSpec,
     QfiMatrix,
     QuadSpec,
     QuadratureError,
@@ -222,16 +221,6 @@ def test_prior_mass_is_one():
     assert mass == pytest.approx(1.0, abs=1e-8)
 
 
-def test_prior_spec_validation():
-    PriorSpec(0.0)
-    PriorSpec(0.4)
-    with pytest.raises(ValueError):
-        PriorSpec(-0.1)
-    with pytest.raises(ValueError):
-        PriorSpec(0.41)
-    assert PriorSpec(0.1).weight(EnvState(0.2, np.pi, 0.0)) == prior_weight(EnvState(0.2, np.pi, 0.0))
-
-
 def test_quad_spec_validation():
     QuadSpec(2, 2, 2)
     with pytest.raises(ValueError):
@@ -347,7 +336,7 @@ def test_avg_qfi_bad_schedule():
 def test_eta_trace_monotone_invariant():
     AvgQfiResult(1.0, ProbeState(0, 0), ((1e-2, 1.0), (1e-3, 1.0)), "finite", 4.0)
     AvgQfiResult(2.0, ProbeState(0, 0), ((1e-2, 1.0), (1e-3, 2.0)), "finite", 2.0)
-    with pytest.raises(ValueError, match="non-decreasing"):
+    with pytest.raises(QuadratureError, match="non-decreasing"):
         AvgQfiResult(1.0, ProbeState(0, 0), ((1e-2, 2.0), (1e-3, 1.0)), "finite", 4.0)
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import qrl.cli
-from qrl.capacity import OptimizerConfig
+import qrl.harness
+from qrl.capacity import ConditioningState, ProbeOptimum, one_shot_lower_bound
 from qrl.channel import ProbeState
 from qrl.cli import main
 from qrl.fisher import QuadratureError, QuadSpec
@@ -45,6 +46,19 @@ def make_report(**overrides):
     )
     base.update(overrides)
     return MeritReport(**base)
+
+
+def fake_optimum():
+    return ProbeOptimum(
+        h2=0.5, probe=ProbeState(0.1, 0.2), sigma=ConditioningState((0.0, 0.0, 0.3)), converged=True, trace=()
+    )
+
+
+def fails_at_identity(params, *args):
+    """Stand-in for best_probe_h2 whose search fails at the I end of an edge."""
+    if params.norm == 0.0:
+        raise QuadratureError("NaN integrand at node r=0.1")
+    return fake_optimum()
 
 
 def strip_wall(text: str) -> str:
@@ -113,6 +127,22 @@ def test_vertex_report_swap():
     assert qfi_row.value is None
 
 
+def test_vertex_report_runs_one_probe_search(monkeypatch):
+    calls = []
+
+    def counted(params, *args):
+        calls.append(params)
+        return fake_optimum()
+
+    monkeypatch.setattr(qrl.harness, "best_probe_h2", counted)
+    h2_row, bound_row, _ = run_vertex_report("C", 0.05, 1000, eta_schedule=FAST_ETA, quad=FAST_QUAD)
+    assert len(calls) == 1
+    assert h2_row.value == 0.5
+    assert bound_row.value == one_shot_lower_bound(0.5, 0.05, 1000).clamped_bound
+    assert h2_row.probe == bound_row.probe == (0.1, 0.2)
+    assert h2_row.sigma == bound_row.sigma == (0.0, 0.0, 0.3)
+
+
 def test_vertex_report_rejects_unknown_name():
     with pytest.raises(ValueError, match="vertex"):
         run_vertex_report("X", 0.05, 10)
@@ -126,6 +156,23 @@ def test_sweep_endpoints_match_vertex_rows():
     assert sweep[0].value == pytest.approx(d_row.value, abs=1e-6)
     assert sweep[1].value == pytest.approx(s_row.value, abs=1e-6)
     assert tuple(sweep[0].alpha) == tuple(VERTICES["D"].as_array())
+
+
+def test_sweep_numerical_failure_is_a_non_converged_row(monkeypatch):
+    monkeypatch.setattr(qrl.harness, "best_probe_h2", fails_at_identity)
+    failed, done = run_edge_sweep(SweepConfig(edge="IC", samples=2, workers=1))
+    assert (failed.status, failed.value, failed.probe, failed.sigma) == ("non-converged", None, None, None)
+    assert failed.alpha == (0.0, 0.0, 0.0)
+    assert (done.status, done.value) == ("ok", 0.5)
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    def broken(params, *args):
+        raise TypeError("bad call")
+
+    monkeypatch.setattr(qrl.harness, "best_probe_h2", broken)
+    with pytest.raises(TypeError, match="bad call"):
+        run_edge_sweep(SweepConfig(edge="IC", samples=2, workers=1))
 
 
 def test_sweep_deterministic_and_files(tmp_path):
@@ -302,6 +349,15 @@ def test_cli_numerical_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(qrl.cli, "point_report", boom)
     assert main(["qfi", "--alpha", "0.5,0.3,0.1"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_sweep_exits_3_on_one_failed_point(monkeypatch, tmp_path, caplog):
+    monkeypatch.setattr(qrl.harness, "best_probe_h2", fails_at_identity)
+    out = tmp_path / "ic.csv"
+    assert main(["--workers", "1", "sweep", "--edge", "IC", "--samples", "3", "--out", str(out)]) == 3
+    lines = out.read_text().strip().splitlines()
+    assert [line.split(",")[8] for line in lines[1:]] == ["non-converged", "ok", "ok"]
+    assert "3 points, 1 non-converged" in caplog.text
 
 
 def test_cli_config_file_merge(tmp_path):

@@ -6,9 +6,7 @@ from qrl.linalg import (
     SX,
     SY,
     SZ,
-    HermitianEig,
     herm_power,
-    hermitian_eig,
     kron,
     partial_trace,
     validate_density,
@@ -127,19 +125,6 @@ def test_validate_density_cases():
     assert bad.min_eigenvalue <= -0.5 + 1e-12
     bad = validate_density(np.array([[0.5, 0.2], [0.1, 0.5]], dtype=complex))
     assert not bad.ok and any("hermit" in f.lower() for f in bad.failures)
-
-
-def test_hermitian_eig_contract():
-    for n in (2, 4):
-        for _ in range(500):
-            m = random_hermitian(n)
-            eig = hermitian_eig(m)
-            assert isinstance(eig, HermitianEig)
-            w = np.asarray(eig.eigenvalues)
-            assert np.all(np.diff(w) >= -1e-14)  # ascending
-            q = np.asarray(eig.eigenvectors)
-            assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-12
-            assert np.abs(eig.reconstruct() - m).max() <= 1e-12
 
 
 def test_pauli_algebra_sanity():
