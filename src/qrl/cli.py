@@ -109,8 +109,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the config keys each command reads, from its own section or from [global]
+_GLOBAL_KEYS = ("workers", "eta-schedule", "eta_schedule")
+_COMMAND_KEYS = {
+    "vertex": ("name", "epsilon", "n", "out"),
+    "sweep": ("edge", "metric", "samples", "epsilon", "n", "out", "svg"),
+    "bound": ("alpha", "epsilons", "ns", "out"),
+    "qfi": ("alpha", "probe", "out"),
+}
+
+
+def _check_keys(file_cfg: dict, command: str) -> None:
+    """A key the command does not read is a typo or a stale setting: refuse
+    it rather than run on with the default."""
+    known = set(_GLOBAL_KEYS + _COMMAND_KEYS[command])
+    for section in (command, "global"):
+        unknown = sorted(set(file_cfg.get(section, {})) - known)
+        if unknown:
+            raise ValueError(
+                f"config section [{section}] has key(s) that '{command}' does not read: {', '.join(unknown)}"
+            )
+
+
 def _merge(args, file_cfg: dict, key: str, default=None, cast=None):
     """CLI flag, else [command] section, else [global] section, else default."""
+    if key not in _GLOBAL_KEYS + _COMMAND_KEYS[args.command]:
+        raise KeyError(f"config key {key!r} missing from the key table of '{args.command}'")
     cli_val = getattr(args, key.replace("-", "_"), None)
     if cli_val is not None:
         return cast(cli_val) if cast else cli_val
@@ -138,6 +162,7 @@ def _emit(reports, out: str) -> None:
 
 def _run(args) -> int:
     file_cfg = load_config(args.config) if args.config else {}
+    _check_keys(file_cfg, args.command)
     workers = _merge(args, file_cfg, "workers", None, int)
     schedule = _merge(args, file_cfg, "eta-schedule", None, _floats)
     if schedule is None:

@@ -1,15 +1,25 @@
 """Quantum Fisher information of the channel output and its Bayesian average.
 
 The channel is affine in the environment Bloch vector, so output states and
-their parameter derivatives reduce to one 3-vector offset and one 3x3 linear
-map per probe; the averaged trace-QFI is then a tensor-product Gauss-Legendre
-integral over the polar prior, evaluated radial-slice by radial-slice.
+their parameter derivatives reduce to one 3-vector offset t and one 3x3
+linear map M per probe.  Along each prior direction n the output Bloch vector
+is b = t + s M n with s = 2r, so the trace-QFI is a polynomial in s plus a
+quartic over the quadratic den = 1 - |b|^2.  The averaged trace-QFI
+therefore integrates the radius in closed form, up to the cutoff 1/2 - eta
+(eta = 0 included), and only the two angles use Gauss-Legendre nodes,
+vectorised over fixed-size blocks of angular nodes.
 
-Near the Bloch boundary the radial integrand can grow like 1/(1/2 - r), so
-regularized integrals cut the radius at 1/2 - eta and the r-axis nodes are
-placed in u = -ln(1/2 - r); a plain grid cannot resolve cutoffs below its
-endpoint spacing and would flatten the very growth the divergence
-classification is measuring.
+Both roots of den lie outside (-1, 1), because the outputs at the pure
+environment states +-n are states; a root on the cutoff is the logarithmic
+divergence the classification measures.  Inside the cutoff den is small
+only where the output is nearly pure, and the cross term is then small
+too; nothing is masked there, because dropping those nodes biased
+near-identity gates low.  The one exception is a pure offset
+(1 - |t|^2 <= 4 PURITY_TOL), which forces M = 0 and leaves no cross term.
+
+`QuadSpec.nr`, the radial node count, no longer enters the library's
+integral.  It stays part of the grid spec because the benchmark's tracer
+and the u-grid oracle in tests/oracles.py read it.
 """
 
 from __future__ import annotations
@@ -32,6 +42,10 @@ DEFAULT_ETA_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DIVERGENCE_SLOPE = 0.5
 _LADDER_CAP = 256
 _LADDER_RTOL = 1e-4
+_CHUNK = 4096  # angular nodes per vectorised block, bounds the temporaries
+_SERIES_X = 0.25  # |x| up to which G_k(x) is summed as a power series
+_SERIES_TERMS = 28  # 0.25**28 / 33 < 1e-18
+_ROOT_TOL = 1e-12  # u S this close to 1 is a root of den at the cutoff
 
 
 class QuadratureError(RuntimeError):
@@ -40,7 +54,8 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tensor Gauss-Legendre node counts (radial, polar, azimuthal)."""
+    """Gauss-Legendre node counts (radial, polar, azimuthal).  The library
+    integrates the radius exactly and reads only the two angular counts."""
 
     nr: int = 48
     n_theta1: int = 32
@@ -123,26 +138,21 @@ def _gl(a: float, b: float, n: int):
 
 @lru_cache(maxsize=32)
 def _angular_tables(n1: int, n2: int):
+    """Node angles, the direction n and its two angular partials stacked as
+    a (3, 3, nodes) array, and the prior-weighted angular weights."""
     t1, w1 = _gl(0.0, math.pi, n1)
     t2, w2 = _gl(0.0, 2.0 * math.pi, n2)
     T1 = np.repeat(t1, n2)
     T2 = np.tile(t2, n1)
     s1, c1 = np.sin(T1), np.cos(T1)
     s2, c2 = np.sin(T2), np.cos(T2)
-    nhat = np.stack([s1 * c2, s1 * s2, c1], axis=1)
-    dn1 = np.stack([c1 * c2, c1 * s2, -s1], axis=1)
-    dn2 = np.stack([-s1 * s2, s1 * c2, np.zeros_like(s1)], axis=1)
+    dirs = np.array([
+        [s1 * c2, s1 * s2, c1],
+        [c1 * c2, c1 * s2, -s1],
+        [-s1 * s2, s1 * c2, np.zeros_like(s1)],
+    ])
     weight = np.repeat(w1, n2) * np.tile(w2, n1) * np.sin(T1 / 2.0) / (2.0 * math.pi)
-    return T1, T2, nhat, dn1, dn2, weight
-
-
-@lru_cache(maxsize=256)
-def _radial_tables(nr: int, eta: float):
-    if eta == 0.0:
-        return _gl(0.0, 0.5, nr)
-    # u = -ln(1/2 - r): resolves the cutoff shell at any eta
-    u, wu = _gl(math.log(2.0), math.log(1.0 / eta), nr)
-    return 0.5 - np.exp(-u), wu * np.exp(-u)
+    return T1, T2, dirs, weight
 
 
 def _probe_affine(p: UnitaryParams, probe: ProbeState):
@@ -159,35 +169,100 @@ def _probe_affine(p: UnitaryParams, probe: ProbeState):
     return offset, np.stack(cols, axis=1)
 
 
+def _moments(x: np.ndarray) -> np.ndarray:
+    """G_k(x) = int_0^1 t^k / (1 - x t) dt for k = 0..4 and x < 1, stacked.
+
+    G_0 = -log1p(-x)/x, then the upward recurrence G_k = (G_{k-1} - 1/k)/x,
+    which loses a factor 1/|x| per step.  Where |x| <= _SERIES_X, G_4 comes
+    from its power series sum_j x^j/(j+5) instead and the lower G_k from the
+    downward recurrence G_{k-1} = x G_k + 1/k, which only shrinks errors.
+    """
+    x = x.ravel()
+    near = np.flatnonzero(np.abs(x) <= _SERIES_X)
+    far = x.copy()
+    far[near] = 0.5
+    inv = 1.0 / far
+    g = np.empty((5, x.size))
+    g[0] = -np.log1p(-far) * inv
+    for k in range(1, 5):
+        g[k] = (g[k - 1] - 1.0 / k) * inv
+    if near.size:
+        xs = x[near]
+        h = np.full_like(xs, 1.0 / (_SERIES_TERMS + 4))
+        for j in range(_SERIES_TERMS + 3, 4, -1):
+            h *= xs
+            h += 1.0 / j
+        g[4, near] = h
+        for k in range(4, 0, -1):
+            h = xs * h + 1.0 / k
+            g[k - 1, near] = h
+    return g
+
+
+def _radial_integral(offset, d0, vecs, big_s) -> np.ndarray:
+    """int_0^S tr F ds per angular node, S = 1 - 2 eta; vecs stacks
+    a = M n and the partials b1 = M dn/dtheta1, b2 = M dn/dtheta2.
+
+    With b = t + s a the trace is 4|a|^2 + s^2 (|b1|^2 + |b2|^2) plus
+    cross/den, where cross is a quartic in s and den = 1 - |b|^2 =
+    d0 (1 - u s)(1 - v s) with u >= 0 >= v, both in [-1, 1] because the
+    outputs at s = +-1 are states.  Partial fractions give
+    int_0^S s^k/den ds = S^(k+1) [w_u G_k(uS) + w_v G_k(vS)] / d0 with
+    w_u = u/(u - v) = u d0 / (2 sq), w_v = 1 - w_u: a convex mix of
+    positive terms, so nothing cancels.
+    """
+    aa, ab1, ab2 = np.einsum("jk,ijk->ik", vecs[0], vecs)
+    poly = 4.0 * big_s * aa + big_s**3 / 3.0 * np.einsum("ijk,ijk->k", vecs[1:], vecs[1:])
+    if d0 <= 4.0 * PURITY_TOL:
+        # a pure offset admits only M = 0, so the output carries no cross term
+        return poly
+    ta, tb1, tb2 = offset @ vecs
+    # roots of d0 rho^2 - 2 ta rho - aa: the larger one from |ta| + sq, which
+    # cannot cancel, the other from their product -aa/d0
+    sq = np.sqrt(ta * ta + d0 * aa)
+    big = np.abs(ta) + sq
+    small = aa / np.maximum(big, 1e-300)
+    big /= d0
+    pos = ta >= 0.0
+    u = np.where(pos, big, small)
+    v_abs = np.where(pos, small, big)
+    w_u = u * (0.5 * d0) / np.maximum(sq, 1e-300)  # u = v = 0 when sq = 0
+    # a root at the cutoff (only reachable at S = 1) is a log divergence:
+    # cross > 0 there whenever a != 0
+    root = u * big_s >= 1.0 - _ROOT_TOL
+    g = _moments(np.stack([np.where(root, 0.0, u * big_s), -big_s * v_abs])).reshape(5, 2, -1)
+    mix = g[:, 1] + w_u * (g[:, 0] - g[:, 1])
+    coeffs = (
+        4.0 * ta * ta,
+        8.0 * ta * aa,
+        4.0 * aa * aa + tb1 * tb1 + tb2 * tb2,
+        2.0 * (tb1 * ab1 + tb2 * ab2),
+        ab1 * ab1 + ab2 * ab2,
+    )
+    cross = sum(c * (big_s ** (k + 1) / d0) * mix[k] for k, c in enumerate(coeffs))
+    return np.where(root, np.inf, poly + cross)
+
+
 def avg_trace_qfi(p: UnitaryParams, probe: ProbeState, quad: QuadSpec, eta: float) -> float:
-    """Regularized average of tr F over the prior, radius cut at 1/2 - eta."""
+    """Regularized average of tr F over the prior, radius cut at 1/2 - eta.
+
+    The radial integral is exact; only the angular axes use quad's nodes.
+    eta = 0 gives the uncut average, +inf where the integrand diverges.
+    """
     if not 0.0 <= eta <= ETA_MAX:
         raise ValueError(f"eta must lie in [0, {ETA_MAX}], got {eta!r}")
-    T1, T2, nhat, dn1, dn2, w_ang = _angular_tables(quad.n_theta1, quad.n_theta2)
-    r_nodes, w_r = _radial_tables(quad.nr, float(eta))
+    T1, T2, dirs, w_ang = _angular_tables(quad.n_theta1, quad.n_theta2)
     offset, m = _probe_affine(p, probe)
-    a = nhat @ m.T
-    b1 = dn1 @ m.T
-    b2 = dn2 @ m.T
-    ur_sq = 4.0 * np.einsum("kj,kj->k", a, a)
-    b1_sq = np.einsum("kj,kj->k", b1, b1)
-    b2_sq = np.einsum("kj,kj->k", b2, b2)
-    slices = np.empty(r_nodes.size)
-    for i, r in enumerate(r_nodes):
-        b = offset + (2.0 * r) * a
-        den = 1.0 - np.einsum("kj,kj->k", b, b)
-        cross = 4.0 * np.einsum("kj,kj->k", b, a) ** 2
-        cross += (2.0 * r) ** 2 * (np.einsum("kj,kj->k", b, b1) ** 2 + np.einsum("kj,kj->k", b, b2) ** 2)
-        mixed = den >= 4.0 * PURITY_TOL
-        tr_f = ur_sq + (2.0 * r) ** 2 * (b1_sq + b2_sq)
-        tr_f = tr_f + np.where(mixed, cross / np.where(mixed, den, 1.0), 0.0)
-        if np.isnan(tr_f).any():
-            k = int(np.flatnonzero(np.isnan(tr_f))[0])
-            raise QuadratureError(
-                f"NaN integrand at node r={r!r}, theta1={T1[k]!r}, theta2={T2[k]!r}"
-            )
-        slices[i] = w_r[i] * float(tr_f @ w_ang)
-    return float(np.sum(slices))
+    d0 = 1.0 - float(offset @ offset)
+    big_s = 1.0 - 2.0 * eta
+    total = 0.0
+    for lo in range(0, T1.size, _CHUNK):
+        radial = _radial_integral(offset, d0, m @ dirs[:, :, lo:lo + _CHUNK], big_s)
+        if np.isnan(radial).any():
+            k = lo + int(np.flatnonzero(np.isnan(radial))[0])
+            raise QuadratureError(f"NaN integrand at node theta1={T1[k]!r}, theta2={T2[k]!r}")
+        total += 0.5 * float(radial @ w_ang[lo:lo + _CHUNK])  # dr = ds/2
+    return total
 
 
 def _aitken(seq):
@@ -201,11 +276,12 @@ def _aitken(seq):
     return x2 - d2 * d2 / (d2 - d1)
 
 
-def _refined_avg(p: UnitaryParams, probe: ProbeState, quad: QuadSpec, eta: float) -> float:
-    """Angular-doubling ladder until the value moves < 1e-4 relative, then
-    Aitken extrapolation of the ladder tail."""
+def _refined_avg(p: UnitaryParams, probe: ProbeState, quad: QuadSpec, eta: float, base: float) -> float:
+    """Angular-doubling ladder from `base`, the value on quad itself, until
+    the value moves < 1e-4 relative, then Aitken extrapolation of the
+    ladder tail."""
     n1, n2 = quad.n_theta1, quad.n_theta2
-    values = [avg_trace_qfi(p, probe, quad, eta)]
+    values = [base]
     while max(n1, n2) < _LADDER_CAP:
         n1, n2 = 2 * n1, 2 * n2
         cur = avg_trace_qfi(p, probe, QuadSpec(quad.nr, n1, n2), eta)
@@ -266,7 +342,7 @@ def avg_qfi_at_probe(
     if classification == "divergent":
         value, cr = math.inf, 0.0
     else:
-        refined = [_refined_avg(p, probe, quad, eta) for eta in schedule[-3:]]
+        refined = [_refined_avg(p, probe, quad, eta, base) for eta, base in trace[-3:]]
         value = _aitken(refined)
         cr = math.inf if value <= 1e-12 else 4.0 / value
     return AvgQfiResult(

@@ -1,7 +1,9 @@
 """Package-wide contracts: no asserts in the library, and the benchmark's
-tracer still finds every module attribute it wraps."""
+tracer still finds every module attribute it wraps and still sees the
+averaged QFI's base and ladder calls."""
 
 import ast
+import math
 from pathlib import Path
 
 import qrl
@@ -38,3 +40,24 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     for m, b in zip(modules, before):
         assert vars(m).keys() == b.keys()
         assert all(vars(m)[k] is v for k, v in b.items()), m.__name__
+
+
+def test_benchmark_tracer_sees_base_and_ladder_calls(monkeypatch):
+    # the traced benchmark reads (nr, n1, n2) from each avg_trace_qfi call;
+    # a changed signature or a dropped QuadSpec field must fail here too
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    tr = tracer.Tracer()
+    tr.install(qrl)
+    try:
+        qrl.fisher.avg_qfi_at_probe(qrl.VERTICES["C"], qrl.ProbeState(math.pi, 0.0))
+    finally:
+        tr.uninstall()
+    base = qrl.QuadSpec()
+    grid = (base.nr, base.n_theta1, base.n_theta2)
+    infos = [info for name, *_, info in tr.spans if name == "fisher.avg_trace_qfi"]
+    assert infos and all(len(info) == 3 and info[0] == base.nr for info in infos)
+    metrics, _, _ = tracer.analyse(tr.spans, 1, grid, 0)
+    assert metrics["fisher.avg_trace_qfi.base.calls"][0] > 0
+    assert metrics["fisher.avg_trace_qfi.ladder.calls"][0] > 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
+import qrl.fisher
 from qrl.channel import EnvState, ProbeState, apply_channel, env_bloch_derivatives, stinespring_isometry
 from qrl.fisher import (
     DEFAULT_ETA_SCHEDULE,
@@ -21,7 +22,8 @@ from qrl.fisher import (
     prior_weight,
     qfi_matrix,
 )
-from qrl.unitary import UnitaryParams
+from qrl.unitary import UnitaryParams, edge_point
+from oracles import avg_trace_qfi_ugrid
 
 rng = np.random.default_rng(77)
 
@@ -303,8 +305,93 @@ def test_nan_integrand_names_the_node():
     bad = object.__new__(ProbeState)
     object.__setattr__(bad, "phi1", float("nan"))
     object.__setattr__(bad, "phi2", 0.0)
-    with pytest.raises(QuadratureError, match="node r="):
+    with pytest.raises(QuadratureError, match="node theta1="):
         avg_trace_qfi(SWAP, bad, QuadSpec(4, 4, 4), 1e-2)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form radial integral against the u-grid oracle
+
+
+@pytest.mark.parametrize("n", (32, 128))
+def test_closed_form_matches_ugrid_oracle(n):
+    local = np.random.default_rng(2024)
+    quad = QuadSpec(48, n, n)
+    for _ in range(4):
+        ax = local.uniform(0.05, np.pi / 2)
+        ay = local.uniform(0.0, ax)
+        p = UnitaryParams(ax, ay, local.uniform(0.0, ay))
+        probe = ProbeState(local.uniform(0, np.pi), local.uniform(0, 2 * np.pi))
+        for eta in (1e-2, 1e-4, 1e-6):
+            ref = avg_trace_qfi_ugrid(p, probe, quad, eta, mask=False)
+            assert avg_trace_qfi(p, probe, quad, eta) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def test_radial_moments_match_their_power_series():
+    # G_k(x) = int_0^1 t^k/(1 - x t) dt = sum_j x^j/(j+k+1); tiny |x| is the
+    # case the upward recurrence from log1p cannot reach (G_0 - 1 rounds to 0)
+    x = np.array([-0.99, -0.6, -0.26, -0.25, -0.1, -1e-8, -1e-20, 0.0, 1e-300, 1e-12, 0.2, 0.3, 0.7, 0.99])
+    powers = x[None, :] ** np.arange(6000)[:, None]
+    got = qrl.fisher._moments(x)
+    for k in range(5):
+        ref = (powers / (np.arange(6000)[:, None] + k + 1)).sum(axis=0)
+        assert np.allclose(got[k], ref, rtol=1e-13, atol=0.0), k
+
+
+def test_near_identity_keeps_nearly_pure_nodes():
+    # the output is nearly pure at every node (1 - |t|^2 ~ 5e-6); the old
+    # per-node purity mask dropped some nodes and read 1.9% low
+    p = edge_point("ID", 1e-3)[0]
+    probe = ProbeState(3.02962, 3.91878)
+    got = avg_trace_qfi(p, probe, QuadSpec(48, 12, 12), 1e-6)
+    ref = avg_trace_qfi_ugrid(p, probe, QuadSpec(96, 12, 12), 1e-6, mask=False)
+    assert got == pytest.approx(ref, rel=1e-7, abs=0.0)
+    assert got == pytest.approx(2.220406e-5, rel=1e-6)
+    masked = avg_trace_qfi_ugrid(p, probe, QuadSpec(48, 12, 12), 1e-6, mask=True)
+    assert (got - masked) / got > 0.015
+
+
+def test_small_map_near_identity_vertex():
+    # IC at t = 1e-4: |M| ~ 1e-4 and 1 - |t|^2 down to 1e-9, whose float
+    # rounding (1e-16 absolute) bounds the agreement of any method to ~1e-7
+    p = edge_point("IC", 1e-4)[0]
+    for probe in (ProbeState(0.3, 1.0), ProbeState(1.5, 0.2), ProbeState(np.pi, 0.0)):
+        for eta in (1e-2, 1e-6):
+            got = avg_trace_qfi(p, probe, QuadSpec(), eta)
+            ref = avg_trace_qfi_ugrid(p, probe, QuadSpec(96, 32, 32), eta, mask=False)
+            assert 0.0 < got < 1e-6
+            assert got == pytest.approx(ref, rel=1e-6, abs=0.0)
+
+
+def test_eta_zero_is_the_exact_limit():
+    c = avg_trace_qfi(CNOTV, ProbeState(np.pi, 0.0), QuadSpec(48, 64, 64), 0.0)
+    assert math.isfinite(c)
+    near = avg_trace_qfi(CNOTV, ProbeState(np.pi, 0.0), QuadSpec(48, 64, 64), 1e-9)
+    assert near == pytest.approx(c, abs=1e-6)
+    assert c == pytest.approx(1.76108, abs=5e-3)
+    # S diverges at every probe, D at a pole probe only
+    assert avg_trace_qfi(SWAP, ProbeState(1.1, 0.4), QuadSpec(), 0.0) == math.inf
+    assert avg_trace_qfi(DCNOT, ProbeState(0.0, 0.0), QuadSpec(), 0.0) == math.inf
+    assert math.isfinite(avg_trace_qfi(DCNOT, ProbeState(1.1, 0.4), QuadSpec(), 0.0))
+    assert avg_trace_qfi(IDENT, ProbeState(1.1, 0.4), QuadSpec(), 0.0) == 0.0
+
+
+def test_refinement_reuses_the_base_values(monkeypatch):
+    # base-grid values come from the eta trace; only the ladder recomputes
+    calls = []
+    inner = qrl.fisher.avg_trace_qfi
+
+    def counting(p, probe, quad, eta):
+        calls.append((quad.n_theta1, quad.n_theta2, eta))
+        return inner(p, probe, quad, eta)
+
+    monkeypatch.setattr(qrl.fisher, "avg_trace_qfi", counting)
+    res = avg_qfi_at_probe(CNOTV, ProbeState(np.pi, 0.0))
+    assert res.classification == "finite"
+    base = [c for c in calls if c[:2] == (32, 32)]
+    assert [c[2] for c in base] == list(DEFAULT_ETA_SCHEDULE)
+    assert len(calls) > len(base)
+    assert all(c[0] > 32 for c in calls[len(base):])
 
 
 # ---------------------------------------------------------------------------

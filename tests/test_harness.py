@@ -374,6 +374,24 @@ def test_cli_config_file_merge(tmp_path):
     assert all(line.split(",")[8] == "divergent" for line in lines[1:])
 
 
+def test_cli_config_rejects_unknown_keys(tmp_path, capsys):
+    # a misspelt key must not fall back to the default schedule silently
+    ini = tmp_path / "typo.ini"
+    ini.write_text("[global]\neta_shedule = 1e-2\nseed = 5\n")
+    assert main(["--config", str(ini), "qfi", "--alpha", "0,0,0", "--probe", "0,0"]) == 2
+    err = capsys.readouterr().err
+    assert "eta_shedule" in err and "seed" in err and "[global]" in err
+
+
+def test_cli_config_rejects_keys_of_other_commands(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[qfi]\nalpha = 0,0,0\nprobe = 0,0\nsamples = 3\n")
+    assert main(["--config", str(ini), "qfi"]) == 2
+    assert "samples" in capsys.readouterr().err
+    ini.write_text("[qfi]\nalpha = 0,0,0\nprobe = 0,0\n\n[sweep]\nsamples = 3\n")
+    assert main(["--config", str(ini), "qfi"]) == 0
+
+
 def test_cli_flag_overrides_config(tmp_path):
     ini = tmp_path / "run.ini"
     out = tmp_path / "short.csv"
