@@ -3,14 +3,12 @@
 Two figures of merit for reading a qubit stored in the environment of a
 two-qubit interaction, evaluated over the tetrahedron of entangling
 unitaries: a one-shot quantum capacity lower bound built on the conditional
-Renyi-2 entropy of the complementary Choi state, and a Bayesian Cramer-Rao
-scalar built on the prior-averaged quantum Fisher information of the channel
-output.
+Renyi-2 entropy of the complementary Choi state, and the prior-averaged
+quantum Fisher information of the channel output.
 """
 
 from .linalg import (
     PAULI,
-    herm_power,
     kron,
     partial_trace,
     validate_density,
@@ -21,8 +19,6 @@ from .unitary import (
     UnitaryParams,
     build_unitary,
     edge_point,
-    eigenphases,
-    magic_basis_reconstruction,
 )
 from .channel import (
     BipartiteState,
@@ -32,7 +28,6 @@ from .channel import (
     apply_channel,
     apply_complement,
     choi_bf,
-    env_bloch_derivatives,
     stinespring_isometry,
 )
 from .capacity import (
@@ -41,21 +36,15 @@ from .capacity import (
     OptimizerConfig,
     best_probe_h2,
     delta_star,
-    delta_star_closed_form,
     g_eps,
     h2_conditional,
     one_shot_lower_bound,
-    renyi2_divergence,
 )
 from .fisher import (
     AvgQfiResult,
-    QfiMatrix,
     QuadSpec,
     avg_trace_qfi,
-    channel_qfi,
     maximize_over_probe,
-    prior_weight,
-    qfi_matrix,
 )
 from .harness import (
     MeritReport,
@@ -69,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PAULI",
-    "herm_power",
     "kron",
     "partial_trace",
     "validate_density",
@@ -78,8 +66,6 @@ __all__ = [
     "UnitaryParams",
     "build_unitary",
     "edge_point",
-    "eigenphases",
-    "magic_basis_reconstruction",
     "BipartiteState",
     "ChannelIsometry",
     "EnvState",
@@ -87,26 +73,19 @@ __all__ = [
     "apply_channel",
     "apply_complement",
     "choi_bf",
-    "env_bloch_derivatives",
     "stinespring_isometry",
     "CapacityResult",
     "ConditioningState",
     "OptimizerConfig",
     "best_probe_h2",
     "delta_star",
-    "delta_star_closed_form",
     "g_eps",
     "h2_conditional",
     "one_shot_lower_bound",
-    "renyi2_divergence",
     "AvgQfiResult",
-    "QfiMatrix",
     "QuadSpec",
     "avg_trace_qfi",
-    "channel_qfi",
     "maximize_over_probe",
-    "prior_weight",
-    "qfi_matrix",
     "MeritReport",
     "SweepConfig",
     "run_bound_table",

@@ -70,20 +70,6 @@ class EnvState:
         return 0.5 * (I2 + bx * SX + by * SY + bz * SZ)
 
 
-def env_bloch_derivatives(env: EnvState):
-    """Exact partials of the realized matrix wrt (r, theta1, theta2).
-
-    Each is traceless Hermitian; together with channel linearity they give
-    analytic output derivatives for the Fisher information.
-    """
-    s1, c1 = math.sin(env.theta1), math.cos(env.theta1)
-    s2, c2 = math.sin(env.theta2), math.cos(env.theta2)
-    d_r = s1 * c2 * SX + s1 * s2 * SY + c1 * SZ
-    d_t1 = env.r * (c1 * c2 * SX + c1 * s2 * SY - s1 * SZ)
-    d_t2 = env.r * (-s1 * s2 * SX + s1 * c2 * SY)
-    return d_r, d_t1, d_t2
-
-
 @dataclass(frozen=True)
 class ChannelIsometry:
     """4x2 isometry V: E -> B (x) F for a fixed probe and unitary."""
@@ -116,7 +102,7 @@ def _env_matrix(env) -> np.ndarray:
 
 def apply_channel(iso: ChannelIsometry, env) -> np.ndarray:
     """Output-side action Tr_F[V theta V^dag]; linear, so raw 2x2 operators
-    (e.g. Bloch derivatives) are accepted alongside EnvState."""
+    (e.g. Pauli matrices) are accepted alongside EnvState."""
     joint = iso.v @ _env_matrix(env) @ iso.v.conj().T
     return partial_trace(joint, keep="first")
 

@@ -201,7 +201,7 @@ def _run(args) -> int:
         epsilons = _floats(_require(_merge(args, file_cfg, "epsilons"), "--epsilons"))
         ns = _ints(_require(_merge(args, file_cfg, "ns"), "--ns"))
         out = _require(_merge(args, file_cfg, "out"), "--out")
-        table = run_bound_table(params, None, epsilons, ns)
+        table = run_bound_table(params, epsilons, ns)
         write_bound_csv(table, out)
         log.info("bound table at h2=%.9g (probe %.6g,%.6g) -> %s",
                  table.h2, table.probe.phi1, table.probe.phi2, out)

@@ -5,9 +5,9 @@ their parameter derivatives reduce to one 3-vector offset t and one 3x3
 linear map M per probe.  Along each prior direction n the output Bloch vector
 is b = t + s M n with s = 2r, so the trace-QFI is a polynomial in s plus a
 quartic over the quadratic den = 1 - |b|^2.  The averaged trace-QFI
-therefore integrates the radius in closed form, up to the cutoff 1/2 - eta
-(eta = 0 included), and only the two angles use Gauss-Legendre nodes,
-vectorised over fixed-size blocks of angular nodes.
+therefore integrates the radius in closed form, up to the cutoff 1/2 - eta,
+and only the two angles use Gauss-Legendre nodes, vectorised over
+fixed-size blocks of angular nodes.
 
 Both roots of den lie outside (-1, 1), because the outputs at the pure
 environment states +-n are states; a root on the cutoff is the logarithmic
@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .channel import EnvState, ProbeState, apply_channel, env_bloch_derivatives, stinespring_isometry
+from .channel import ProbeState, apply_channel, stinespring_isometry
 from .linalg import PAULI
 from .optimize import nelder_mead, rect_grid
 from .unitary import UnitaryParams
@@ -64,69 +64,6 @@ class QuadSpec:
     def __post_init__(self):
         if min(self.nr, self.n_theta1, self.n_theta2) < 2:
             raise ValueError("quadrature spec needs at least 2 nodes per axis")
-
-
-def prior_weight(env: EnvState) -> float:
-    """Prior density sin(theta1/2)/(2 pi); integrates to 1 over the domain."""
-    return math.sin(env.theta1 / 2.0) / (2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class QfiMatrix:
-    """3x3 Fisher matrix over (r, theta1, theta2)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"QfiMatrix expects 3x3 entries, got {m.shape}")
-        if np.max(np.abs(m - m.T)) > 1e-10:
-            raise ValueError("QFI matrix is not symmetric")
-        if np.min(np.diag(m)) < -1e-10:
-            raise ValueError("QFI diagonal has a negative entry")
-        object.__setattr__(self, "entries", 0.5 * (m + m.T))
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.entries, dtype=dtype)
-
-    def trace(self) -> float:
-        return float(np.trace(self.entries))
-
-
-def qfi_matrix(rho: np.ndarray, derivs, purity_tol: float = PURITY_TOL) -> QfiMatrix:
-    """Single-qubit QFI from a state and its parameter derivatives.
-
-    Mixed branch tr[dA dB] + tr[rho dA rho dB]/det(rho) when det(rho) clears
-    purity_tol, pure branch 2 tr[dA dB] otherwise.  det from the closed 2x2
-    formula, which stays accurate where the state approaches purity.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    d = [np.asarray(x, dtype=complex) for x in derivs]
-    det = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
-    n = len(d)
-    out = np.empty((n, n), dtype=float)
-    for a in range(n):
-        for b in range(a, n):
-            collision = np.trace(d[a] @ d[b]).real
-            if det >= purity_tol:
-                val = collision + np.trace(rho @ d[a] @ rho @ d[b]).real / det
-            else:
-                val = 2.0 * collision
-            out[a, b] = out[b, a] = val
-    return QfiMatrix(entries=out)
-
-
-def channel_qfi(p: UnitaryParams, probe: ProbeState, env: EnvState, purity_tol: float = PURITY_TOL) -> QfiMatrix:
-    """QFI of the channel output wrt (r, theta1, theta2), analytic derivatives.
-
-    The channel is linear in the environment operator, so the output
-    derivatives are the channel applied to the environment Bloch partials.
-    """
-    iso = stinespring_isometry(p, probe)
-    rho = apply_channel(iso, env)
-    derivs = [apply_channel(iso, d) for d in env_bloch_derivatives(env)]
-    return qfi_matrix(rho, derivs, purity_tol=purity_tol)
 
 
 # --- Bayesian average -------------------------------------------------------
@@ -247,7 +184,12 @@ def avg_trace_qfi(p: UnitaryParams, probe: ProbeState, quad: QuadSpec, eta: floa
     """Regularized average of tr F over the prior, radius cut at 1/2 - eta.
 
     The radial integral is exact; only the angular axes use quad's nodes.
-    eta = 0 gives the uncut average, +inf where the integrand diverges.
+    At eta = 0 a node whose root of den lies within _ROOT_TOL of s = 1
+    counts as divergent and the average reads +inf.  That flags a divergent
+    average (S at any probe, D at a pole probe), but also averages that are
+    finite: near a pole probe some nodes sit that close to a root whose log
+    singularity is integrable (ID t = 0.5 at probe (pi, 0.5) reads inf on
+    64x64, 5.2710 at eta = 1e-12).  The cutoff schedules never reach eta = 0.
     """
     if not 0.0 <= eta <= ETA_MAX:
         raise ValueError(f"eta must lie in [0, {ETA_MAX}], got {eta!r}")
@@ -298,7 +240,6 @@ class AvgQfiResult:
     probe_opt: ProbeState
     eta_trace: tuple
     classification: str
-    cr_scalar: float
     converged: bool = True
 
     def __post_init__(self):
@@ -325,6 +266,14 @@ def _classify(eta_trace) -> str:
     return "divergent" if slope > DIVERGENCE_SLOPE else "finite"
 
 
+def _schedule(eta_schedule) -> list:
+    """Distinct cutoffs, widest first, each in (0, ETA_MAX]."""
+    schedule = sorted({float(e) for e in eta_schedule}, reverse=True)
+    if not schedule or schedule[-1] <= 0.0 or schedule[0] > ETA_MAX:
+        raise ValueError("eta schedule must contain cutoffs in (0, 0.4]")
+    return schedule
+
+
 def avg_qfi_at_probe(
     p: UnitaryParams,
     probe: ProbeState,
@@ -334,23 +283,18 @@ def avg_qfi_at_probe(
 ) -> AvgQfiResult:
     """Regularized trace at each cutoff, divergence classification, and for
     finite cases an eta -> 0 extrapolation of ladder-refined values."""
-    schedule = sorted({float(e) for e in eta_schedule}, reverse=True)
-    if not schedule or schedule[-1] <= 0.0 or schedule[0] > ETA_MAX:
-        raise ValueError("eta schedule must contain cutoffs in (0, 0.4]")
-    trace = tuple((eta, avg_trace_qfi(p, probe, quad, eta)) for eta in schedule)
+    trace = tuple((eta, avg_trace_qfi(p, probe, quad, eta)) for eta in _schedule(eta_schedule))
     classification = _classify(trace)
     if classification == "divergent":
-        value, cr = math.inf, 0.0
+        value = math.inf
     else:
         refined = [_refined_avg(p, probe, quad, eta, base) for eta, base in trace[-3:]]
         value = _aitken(refined)
-        cr = math.inf if value <= 1e-12 else 4.0 / value
     return AvgQfiResult(
         value=value,
         probe_opt=probe,
         eta_trace=trace,
         classification=classification,
-        cr_scalar=cr,
         converged=converged,
     )
 
@@ -363,9 +307,7 @@ def maximize_over_probe(
 ) -> AvgQfiResult:
     """Probe maximization of the averaged trace-QFI at the widest cutoff,
     then the full cutoff schedule at the optimum."""
-    schedule = sorted({float(e) for e in eta_schedule}, reverse=True)
-    if not schedule or schedule[-1] <= 0.0 or schedule[0] > ETA_MAX:
-        raise ValueError("eta schedule must contain cutoffs in (0, 0.4]")
+    schedule = _schedule(eta_schedule)
     eta0 = schedule[0]
 
     def neg_avg(q):

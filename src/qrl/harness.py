@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import best_probe_h2, delta_star, h2_conditional, one_shot_lower_bound
-from .channel import ProbeState, choi_bf, stinespring_isometry
+from .capacity import best_probe_h2, delta_star, one_shot_lower_bound
+from .channel import ProbeState
 from .fisher import (
     DEFAULT_ETA_SCHEDULE,
     QuadSpec,
@@ -231,21 +231,16 @@ class BoundTable:
     rows: tuple  # (epsilon, n, delta_star, correction, raw, clamped)
 
 
-def run_bound_table(p: UnitaryParams, probe: ProbeState, epsilons, ns) -> BoundTable:
-    """Bound grid over (epsilon, n); probe=None optimizes the probe first."""
-    if probe is None:
-        opt = best_probe_h2(p)
-        h2, probe_used = opt.h2, opt.probe
-    else:
-        opt = h2_conditional(choi_bf(stinespring_isometry(p, probe)))
-        h2, probe_used = opt.value, probe
+def run_bound_table(p: UnitaryParams, epsilons, ns) -> BoundTable:
+    """Bound grid over (epsilon, n) at the probe that maximizes H2."""
+    opt = best_probe_h2(p)
     rows = []
     for eps in epsilons:
         ds = delta_star(eps)
         for n in ns:
-            res = one_shot_lower_bound(h2, eps, n)
+            res = one_shot_lower_bound(opt.h2, eps, n)
             rows.append((eps, int(n), ds, res.correction, res.raw_bound, res.clamped_bound))
-    return BoundTable(h2=h2, probe=probe_used, rows=tuple(rows))
+    return BoundTable(h2=opt.h2, probe=opt.probe, rows=tuple(rows))
 
 
 # --- file output -------------------------------------------------------------

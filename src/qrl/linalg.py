@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
-EIG_FLOOR_DEFAULT = 1e-9
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -41,30 +40,6 @@ def partial_trace(m: np.ndarray, keep: str) -> np.ndarray:
     if keep == "second":
         return np.einsum("afag->fg", blk)
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
-
-
-def _check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    asym = np.max(np.abs(m - m.conj().T))
-    if asym > tol:
-        raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e} > {tol:.1e})")
-    return m
-
-
-def herm_power(m: np.ndarray, p: float, floor: float = EIG_FLOOR_DEFAULT) -> np.ndarray:
-    """Fractional power of a Hermitian PSD matrix with spectral flooring.
-
-    Eigenvalues below `floor` are replaced by `floor` before exponentiation,
-    which keeps inverse powers finite on rank-deficient inputs.  No
-    renormalization is applied.
-    """
-    if floor <= 0:
-        raise ValueError("floor must be positive")
-    m = _check_hermitian(m)
-    w, q = np.linalg.eigh(m)
-    w = np.maximum(w, floor)
-    out = (q * w ** p) @ q.conj().T
-    return 0.5 * (out + out.conj().T)
 
 
 @dataclass(frozen=True)

@@ -56,19 +56,6 @@ VERTICES = {
 EDGE_IDS = ("IC", "IS", "ID", "CS", "CD", "DS")
 
 
-def eigenphases(p: UnitaryParams) -> np.ndarray:
-    """The four eigenphases lambda_1..4; they sum to zero."""
-    ax, ay, az = p.alpha_x, p.alpha_y, p.alpha_z
-    return np.array(
-        [
-            (ax - ay + az) / 2.0,
-            (-ax + ay + az) / 2.0,
-            -(ax + ay + az) / 2.0,
-            (ax + ay - az) / 2.0,
-        ]
-    )
-
-
 def build_unitary(p: UnitaryParams) -> np.ndarray:
     """Canonical-basis matrix of the unitary: an XX-form block structure.
 
@@ -89,32 +76,6 @@ def build_unitary(p: UnitaryParams) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-_SQ2 = 1.0 / math.sqrt(2.0)
-# magic basis columns Lambda_1..4 over {00, 01, 10, 11}
-MAGIC_BASIS = np.array(
-    [
-        [_SQ2, -1j * _SQ2, 0.0, 0.0],
-        [0.0, 0.0, _SQ2, -1j * _SQ2],
-        [0.0, 0.0, -_SQ2, -1j * _SQ2],
-        [_SQ2, 1j * _SQ2, 0.0, 0.0],
-    ],
-    dtype=complex,
-)
-
-
-def magic_basis_reconstruction(p: UnitaryParams) -> np.ndarray:
-    """Rebuild the unitary as sum_k e^{-i lambda_k} |L_k><L_k|.
-
-    The projector sum has unit determinant while the canonical-basis matrix
-    carries det e^{2i alpha_z}; the spectral route therefore differs by the
-    global phase e^{-i alpha_z/2}, which is reapplied here so the two
-    constructions agree entrywise.
-    """
-    lam = eigenphases(p)
-    u = (MAGIC_BASIS * np.exp(-1j * lam)) @ MAGIC_BASIS.conj().T
-    return np.exp(0.5j * p.alpha_z) * u
 
 
 _EDGE_TABLE = {

@@ -9,11 +9,11 @@ from qrl.channel import (
     apply_channel,
     apply_complement,
     choi_bf,
-    env_bloch_derivatives,
     stinespring_isometry,
 )
 from qrl.linalg import I2, SZ, kron, validate_density
 from qrl.unitary import VERTICES, UnitaryParams
+from oracles import env_bloch_derivatives
 
 rng = np.random.default_rng(99)
 

@@ -1,6 +1,7 @@
-"""Package-wide contracts: no asserts in the library, and the benchmark's
-tracer still finds every module attribute it wraps and still sees the
-averaged QFI's base and ladder calls."""
+"""Package-wide contracts: no asserts in the library, no definition that only
+tests use, a public API that is exactly what the package imports, and the
+benchmark's tracer still finds every module attribute it wraps and still
+sees the averaged QFI's base and ladder calls."""
 
 import ast
 import math
@@ -21,6 +22,47 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _names_read(node) -> set:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_definition_is_used_by_the_package():
+    # reference routes live in tests/oracles.py; a def or class that only
+    # tests call does not belong in the library.  The console entry is the
+    # one definition the package itself need not call.
+    stmts = [
+        (path.stem, stmt)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    reads = [_names_read(stmt) for _, stmt in stmts]
+    unused = [
+        f"{mod}.{stmt.name}"
+        for i, (mod, stmt) in enumerate(stmts)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and (mod, stmt.name) != ("cli", "main")
+        and not any(stmt.name in r for j, r in enumerate(reads) if j != i)
+    ]
+    assert unused == []
+
+
+def test_public_api_is_what_the_package_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(qrl.__all__) == sorted(imported)
+    assert len(set(qrl.__all__)) == len(qrl.__all__)
 
 
 def test_benchmark_tracer_installs_and_restores(monkeypatch):

@@ -50,7 +50,7 @@ def make_report(**overrides):
 
 def fake_optimum():
     return ProbeOptimum(
-        h2=0.5, probe=ProbeState(0.1, 0.2), sigma=ConditioningState((0.0, 0.0, 0.3)), converged=True, trace=()
+        h2=0.5, probe=ProbeState(0.1, 0.2), sigma=ConditioningState((0.0, 0.0, 0.3)), converged=True
     )
 
 
@@ -219,9 +219,7 @@ def test_reports_csv_round_trip(tmp_path):
 
 
 def test_bound_table_swap():
-    table = run_bound_table(
-        VERTICES["S"], ProbeState(0.0, 0.0), (0.01, 0.05, 0.1, 0.3), (10, 100)
-    )
+    table = run_bound_table(VERTICES["S"], (0.01, 0.05, 0.1, 0.3), (10, 100))
     assert table.h2 == pytest.approx(1.0, abs=1e-3)
     corrs = [table.rows[i][3] for i in range(0, len(table.rows), 2)]
     assert corrs == sorted(corrs, reverse=True)  # looser epsilon, smaller correction
@@ -230,14 +228,14 @@ def test_bound_table_swap():
 
 
 def test_bound_table_identity_all_clamped():
-    table = run_bound_table(VERTICES["I"], None, (0.05,), (10, 1000))
+    table = run_bound_table(VERTICES["I"], (0.05,), (10, 1000))
     assert table.h2 < 0.0
     assert all(row[5] == 0.0 for row in table.rows)
     assert all(row[4] < 0.0 for row in table.rows)
 
 
 def test_bound_csv(tmp_path):
-    table = run_bound_table(VERTICES["S"], ProbeState(0.0, 0.0), (0.05,), (10, 100))
+    table = run_bound_table(VERTICES["S"], (0.05,), (10, 100))
     path = tmp_path / "bound.csv"
     write_bound_csv(table, str(path))
     lines = path.read_text().strip().splitlines()

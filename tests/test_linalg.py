@@ -6,11 +6,11 @@ from qrl.linalg import (
     SX,
     SY,
     SZ,
-    herm_power,
     kron,
     partial_trace,
     validate_density,
 )
+from oracles import herm_power
 
 rng = np.random.default_rng(2026)
 

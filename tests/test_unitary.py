@@ -7,9 +7,8 @@ from qrl.unitary import (
     UnitaryParams,
     build_unitary,
     edge_point,
-    eigenphases,
-    magic_basis_reconstruction,
 )
+from oracles import eigenphases, magic_basis_reconstruction
 
 HALF_PI = np.pi / 2
 rng = np.random.default_rng(7)
