@@ -26,7 +26,6 @@ from .channel import (
     EnvState,
     ProbeState,
     apply_channel,
-    apply_complement,
     choi_bf,
     stinespring_isometry,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "EnvState",
     "ProbeState",
     "apply_channel",
-    "apply_complement",
     "choi_bf",
     "stinespring_isometry",
     "CapacityResult",

@@ -5,7 +5,10 @@ sandwiched Renyi-2 divergence from I (x) sigma_F.  The supremum for the
 strongly entangling unitaries sits on the Bloch boundary (rank-deficient
 sigma), so the search ball is capped at radius 1 - 1e-7 and inverse powers
 are floored at 1e-9; the reported maximum then sits within about
-2*floor/ln2 bits of the supremum.
+2*floor/ln2 bits of the supremum.  The objective is convex in sigma^{-1/2},
+so the search needs no seed cube and no restarts: the direction of sigma is
+solved exactly at each radius, and one 1-D Nelder-Mead finds the radius
+(`h2_conditional`).
 
 The capacity lower bound per channel use is h2 - correction/n with
 correction = g(sqrt(eps/2) - delta*) + 4 log2(1/delta*) + 2.  delta* is the
@@ -17,17 +20,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .channel import BipartiteState, ProbeState, choi_bf, stinespring_isometry
 from .linalg import I2, PAULI, kron
-from .optimize import ball_grid, ball_projector, nelder_mead, rect_grid
+from .optimize import nelder_mead, rect_grid
 from .unitary import UnitaryParams
 
 LAMBDA_FLOOR = 1e-9
 BLOCH_CAP = 1.0 - 1e-7
+# the sigma search runs over the log-radius x = -ln(1 - |p|) in [0, _X_CAP];
+# the seeds cover the interior optima (|p| up to about 0.9) finely and
+# include the cap, where the S/D optimum sits
+_X_CAP = -math.log(1.0 - BLOCH_CAP)
+_RADIAL_SEEDS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, _X_CAP)
+_RADIAL_STEP = 0.5
+_SECULAR_MAX_ITER = 100
+_EPS = np.finfo(float).eps
 
 # I (x) sigma_k stacked over k = 0..3
 _KRON_F = np.stack([kron(I2, s) for s in PAULI])
@@ -56,11 +66,9 @@ class ConditioningState:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Grid sizes and simplex settings for the sigma and probe searches."""
+    """Probe grid size and simplex settings for the sigma and probe searches."""
 
-    sigma_grid: int = 9
     probe_grid: int = 13
-    restarts: int = 3
     tol: float = 1e-9
     max_iter: int = 400
 
@@ -68,8 +76,8 @@ class OptimizerConfig:
 DEFAULT_CONFIG = OptimizerConfig()
 # staged settings used while scanning probes; the final answer is always
 # recomputed at the caller's config
-_COARSE = OptimizerConfig(restarts=1, tol=1e-6, max_iter=120)
-_MEDIUM = OptimizerConfig(restarts=1, tol=1e-8, max_iter=250)
+_COARSE = OptimizerConfig(tol=1e-6, max_iter=120)
+_MEDIUM = OptimizerConfig(tol=1e-8, max_iter=250)
 
 
 @dataclass(frozen=True)
@@ -130,43 +138,132 @@ def _inv_sqrt_coeffs(p: np.ndarray) -> np.ndarray:
     return np.array([mean, s * p[0], s * p[1], s * p[2]])
 
 
-@lru_cache(maxsize=8)
-def _seed_grid(n: int):
-    grid = ball_grid(n, BLOCH_CAP)
-    coeffs = np.stack([_inv_sqrt_coeffs(p) for p in grid])
-    return grid, coeffs
+class _RadialProfile:
+    """The sigma objective minimized over directions at each radius.
+
+    With X = sigma^{-1/2} = m I + h n.sigma, where |p| = 1 - e^{-x},
+    m = (a + b)/2, h = (a - b)/2 and a, b the inverse square roots of the
+    eigenvalues (1 +- |p|)/2, the objective is
+    c^T G c = m^2 G00 + 2 m h g.n + h^2 n^T A n, with g = G[0, 1:] and
+    A = G[1:, 1:].  At fixed x that is the boundary case of the trust-region
+    subproblem in the unit vector n, solved exactly in the eigenbasis of A
+    (More & Sorensen 1983).  phi(x), its minimum, is unimodal in x: see
+    `h2_conditional`.
+    """
+
+    def __init__(self, gram: np.ndarray):
+        d, q = np.linalg.eigh(gram[1:, 1:])
+        self.q = q
+        self.g00 = float(gram[0, 0])
+        self.d = [float(v) for v in d]
+        self.g = (q.T @ gram[0, 1:]).tolist()
+        self.e1, self.e2 = self.d[1] - self.d[0], self.d[2] - self.d[0]
+
+    def _point(self, x: float):
+        """(m, h, n in the eigenbasis of A) of the best sigma at log-radius x."""
+        r = -math.expm1(-x)
+        # on [0, _X_CAP] both eigenvalues stay above LAMBDA_FLOOR
+        a, b = ((1.0 + r) / 2.0) ** -0.5, ((1.0 - r) / 2.0) ** -0.5
+        m, h = (a + b) / 2.0, (a - b) / 2.0
+        if h == 0.0:
+            return m, h, (1.0, 0.0, 0.0)
+        t = m / h
+        g0, g1, g2 = self.g
+        return m, h, _unit_minimizer(self.e1, self.e2, t * g0, t * g1, t * g2)
+
+    def __call__(self, x: float) -> float:
+        m, h, (n0, n1, n2) = self._point(x)
+        g0, g1, g2 = self.g
+        d0, d1, d2 = self.d
+        gn = g0 * n0 + g1 * n1 + g2 * n2
+        an = d0 * n0 * n0 + d1 * n1 * n1 + d2 * n2 * n2
+        return m * m * self.g00 + 2.0 * m * h * gn + h * h * an
+
+    def bloch(self, x: float) -> np.ndarray:
+        _, _, n = self._point(x)
+        return -math.expm1(-x) * (self.q @ np.array(n))
+
+
+def _unit_minimizer(e1: float, e2: float, w0: float, w1: float, w2: float) -> tuple:
+    """Unit vector n minimizing e1 n1^2 + e2 n2^2 + 2 w.n, 0 <= e1 <= e2.
+
+    n_i = -w_i / (mu + e_i), with mu >= 0 the root of |n(mu)| = 1, found by
+    Newton's method on the concave 1/|n(mu)| - 1 from the lower end of a
+    bracket, with bisection as the safeguard.  In the hard case, w0 = 0
+    with |n(0)| <= 1, there is no root and the remaining length goes on the
+    lowest eigenvector; w = 0, as at rho = I/4, returns that eigenvector.
+    Where rounding leaves w0 tiny but not zero, as at pole probes, vertices
+    and product states, the root is tiny and gives the same point.
+    """
+    hi = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+    if hi == 0.0:
+        return 1.0, 0.0, 0.0
+    lo = abs(w0)
+    if lo == 0.0 and (w1 == 0.0 or e1 > 0.0) and (w2 == 0.0 or e2 > 0.0):
+        n1 = -w1 / e1 if w1 != 0.0 else 0.0
+        n2 = -w2 / e2 if w2 != 0.0 else 0.0
+        rest = n1 * n1 + n2 * n2
+        if rest <= 1.0:
+            return math.sqrt(1.0 - rest), n1, n2
+    # at the root no single term, nor |w|^2 / (mu + e2)^2, exceeds 1
+    lo = max(lo, abs(w1) - e1, abs(w2) - e2, hi - e2)
+    mu = lo if lo > 0.0 else 0.5 * hi
+    for _ in range(_SECULAR_MAX_ITER):
+        q0, q1, q2 = w0 / mu, w1 / (mu + e1), w2 / (mu + e2)
+        s2 = q0 * q0 + q1 * q1 + q2 * q2
+        inv = 1.0 / math.sqrt(s2)
+        if inv < 1.0:
+            lo = mu
+        elif inv > 1.0:
+            hi = mu
+        else:
+            break
+        s3 = q0 * q0 / mu + q1 * q1 / (mu + e1) + q2 * q2 / (mu + e2)
+        new = mu - (inv - 1.0) * s2 / (inv * s3)
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        done = abs(new - mu) <= 4.0 * _EPS * mu
+        mu = new
+        if done:
+            break
+    n0, n1, n2 = -w0 / mu, -w1 / (mu + e1), -w2 / (mu + e2)
+    nrm = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+    return n0 / nrm, n1 / nrm, n2 / nrm
+
+
+def _clip_radius(v: np.ndarray) -> np.ndarray:
+    return v if 0.0 <= v[0] <= _X_CAP else np.array([min(max(float(v[0]), 0.0), _X_CAP)])
 
 
 def h2_conditional(rho, config: OptimizerConfig = DEFAULT_CONFIG) -> H2Optimum:
     """Maximize -D2(rho || I (x) sigma) over the conditioning Bloch ball.
 
-    Coarse grid seeding, then Nelder-Mead from the best seeds.  The value is
-    bounded by log2 dim(B) = 1; non-convergence of every restart is flagged
-    and the best point found is still returned.
+    With X = sigma^{-1/2}, the objective Tr[rho X rho X] = c^T G c is a
+    convex quadratic in the Pauli coefficients c of X, homogeneous of degree
+    2, and Tr X^{-2} = Tr sigma = 1 bounds the convex set Tr X^{-2} <= 1.
+    Scaling a point of that set out to its boundary lowers the objective,
+    so every local minimum on the constraint surface is the global one.
+    The directions are minimized exactly at each radius (`_RadialProfile`),
+    which leaves a unimodal 1-D search over x = -ln(1 - |p|) on
+    [0, -ln(1 - BLOCH_CAP)]: Nelder-Mead from the best of a few fixed
+    seeds, its first step pointing into the interval.  The value is
+    evaluated at the reported sigma and is bounded by log2 dim(B) = 1.
     """
     r = _as_rho(rho)
     gram = _collision_gram(r)
-    grid, coeffs = _seed_grid(config.sigma_grid)
-    seed_vals = np.einsum("nk,kl,nl->n", coeffs, gram, coeffs)
-    order = np.argsort(seed_vals)
-
-    def objective(p):
-        c = _inv_sqrt_coeffs(p)
-        return c @ gram @ c
-
-    project = ball_projector(BLOCH_CAP)
-    best, converged = None, False
-    for idx in order[: config.restarts]:
-        res = nelder_mead(
-            objective, grid[idx], 0.12, tol=config.tol, max_iter=config.max_iter, project=project
-        )
-        converged = converged or res.converged
-        if best is None or res.fun < best.fun:
-            best = res
-    value = -math.log2(best.fun)
+    phi = _RadialProfile(gram)
+    seed_vals = [phi(x) for x in _RADIAL_SEEDS]
+    x0 = _RADIAL_SEEDS[min(range(len(_RADIAL_SEEDS)), key=seed_vals.__getitem__)]
+    step = _RADIAL_STEP if x0 + _RADIAL_STEP <= _X_CAP else -_RADIAL_STEP
+    res = nelder_mead(
+        lambda v: phi(float(v[0])), [x0], step, tol=config.tol, max_iter=config.max_iter, project=_clip_radius
+    )
+    p = phi.bloch(float(res.x[0]))
+    c = _inv_sqrt_coeffs(p)
+    value = -math.log2(c @ gram @ c)
     if value > 1.0 + 1e-9:
         raise RuntimeError(f"H2 exceeded the dimension bound: {value}")
-    return H2Optimum(value=value, sigma=ConditioningState(tuple(best.x)), converged=converged)
+    return H2Optimum(value=value, sigma=ConditioningState(tuple(p)), converged=res.converged)
 
 
 def delta_star(epsilon: float) -> float:
@@ -222,8 +319,16 @@ def best_probe_h2(p: UnitaryParams, config: OptimizerConfig = DEFAULT_CONFIG) ->
     Probe grid scan with a cheap inner sigma search, simplex refinement of
     the probe at intermediate accuracy, then a final full-accuracy sigma
     optimization at the selected probe.
+
+    P (x) P commutes with U for P = X, Y, Z, and H2(B|F) ignores local
+    unitaries, so H2 takes the same value at the probe images
+    (phi1, phi2 + pi), (pi - phi1, -phi2) and (pi - phi1, pi - phi2).  The
+    scan covers only their fundamental domain [0, pi/2] x [0, pi), at the
+    phi1 spacing of a probe_grid x probe_grid scan of the sphere; the
+    refinement moves on the whole sphere.
     """
-    probe_pts = rect_grid(config.probe_grid, config.probe_grid, 0.0, math.pi, 0.0, 2.0 * math.pi)
+    k = (config.probe_grid + 1) // 2
+    probe_pts = rect_grid(k, k, 0.0, math.pi / 2.0, 0.0, math.pi)
     best_val, best_pt = -math.inf, probe_pts[0]
     for phi1, phi2 in probe_pts:
         val = _h2_for_probe(p, phi1, phi2, _COARSE).value

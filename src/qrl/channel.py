@@ -107,12 +107,6 @@ def apply_channel(iso: ChannelIsometry, env) -> np.ndarray:
     return partial_trace(joint, keep="first")
 
 
-def apply_complement(iso: ChannelIsometry, env) -> np.ndarray:
-    """Environment-side action Tr_B[V theta V^dag]."""
-    joint = iso.v @ _env_matrix(env) @ iso.v.conj().T
-    return partial_trace(joint, keep="second")
-
-
 @dataclass(frozen=True)
 class BipartiteState:
     """rho_BF on (reference copy of E) (x) F; reference marginal is I/2."""
@@ -129,13 +123,8 @@ class BipartiteState:
 
 
 def choi_bf(iso: ChannelIsometry) -> BipartiteState:
-    """Send half of the maximally entangled state through the complement."""
-    rho = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            e_ij = np.zeros((2, 2), dtype=complex)
-            e_ij[i, j] = 1.0
-            rho[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = 0.5 * apply_complement(iso, e_ij)
-    # numerical hermitization only; entries are exact up to rounding
-    rho = 0.5 * (rho + rho.conj().T)
+    """Send half of the maximally entangled state through the complement:
+    rho[(i, f), (j, g)] = 1/2 sum_b V[(b, f), i] conj(V[(b, g), j])."""
+    v = iso.v.reshape(2, 2, 2)
+    rho = 0.5 * np.einsum("bfi,bgj->ifjg", v, v.conj()).reshape(4, 4)
     return BipartiteState(rho_bf=rho)

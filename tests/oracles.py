@@ -17,6 +17,13 @@ tests check the library against them.
   closed form `qrl.capacity.delta_star` replaced.
 - `magic_basis_reconstruction` builds the gate from its eigenphases in the
   magic basis, against `qrl.unitary.build_unitary`.
+- `h2_conditional_simplex` is the sigma search that the exact direction
+  solve of `qrl.capacity.h2_conditional` replaced: a 3-D Nelder-Mead over
+  the Bloch ball from the best points of a seed cube, with restarts.
+- `nelder_mead_numpy` is the array form of `qrl.optimize.nelder_mead`.
+- `choi_bf_loop` builds the Choi state block by block from
+  `apply_complement`, the loop route that the single contraction of
+  `qrl.channel.choi_bf` replaced.
 """
 
 import math
@@ -25,10 +32,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from qrl.capacity import LAMBDA_FLOOR, g_eps
-from qrl.channel import BipartiteState, EnvState, apply_channel, stinespring_isometry
+from qrl.capacity import (
+    BLOCH_CAP,
+    LAMBDA_FLOOR,
+    ConditioningState,
+    H2Optimum,
+    _as_rho,
+    _collision_gram,
+    _inv_sqrt_coeffs,
+    g_eps,
+)
+from qrl.channel import BipartiteState, EnvState, _env_matrix, apply_channel, stinespring_isometry
 from qrl.fisher import PURITY_TOL, _angular_tables, _gl, _probe_affine
-from qrl.linalg import HERMITICITY_TOL, I2, SX, SY, SZ, kron
+from qrl.linalg import HERMITICITY_TOL, I2, SX, SY, SZ, kron, partial_trace
+from qrl.optimize import OptResult
 
 
 @lru_cache(maxsize=64)
@@ -250,3 +267,115 @@ def magic_basis_reconstruction(p) -> np.ndarray:
     lam = eigenphases(p)
     u = (MAGIC_BASIS * np.exp(-1j * lam)) @ MAGIC_BASIS.conj().T
     return np.exp(0.5j * p.alpha_z) * u
+
+
+# --- Choi state block by block ------------------------------------------------
+
+
+def apply_complement(iso, env) -> np.ndarray:
+    """Environment-side action Tr_B[V theta V^dag]."""
+    joint = iso.v @ _env_matrix(env) @ iso.v.conj().T
+    return partial_trace(joint, keep="second")
+
+
+def choi_bf_loop(iso) -> BipartiteState:
+    """Send half of the maximally entangled state through the complement,
+    one block |i><j| (x) Tr_B[V |i><j| V^dag] / 2 at a time."""
+    rho = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            e_ij = np.zeros((2, 2), dtype=complex)
+            e_ij[i, j] = 1.0
+            rho[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = 0.5 * apply_complement(iso, e_ij)
+    rho = 0.5 * (rho + rho.conj().T)
+    return BipartiteState(rho_bf=rho)
+
+
+# --- Nelder-Mead on arrays and the 3-D sigma search -----------------------------
+
+
+def nelder_mead_numpy(f, x0, step, tol=1e-9, max_iter=400, project=None) -> OptResult:
+    """Nelder-Mead with the simplex as one array and numpy reductions."""
+    if project is None:
+        project = lambda x: x
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    simplex = [project(x0.copy())]
+    for i in range(n):
+        x = x0.copy()
+        x[i] += step
+        simplex.append(project(x))
+    simplex = np.array(simplex, dtype=float)
+    fv = np.array([f(x) for x in simplex])
+    it = 0
+    while it < max_iter:
+        order = np.argsort(fv)
+        simplex, fv = simplex[order], fv[order]
+        diam = np.max(np.linalg.norm(simplex[1:] - simplex[0], axis=1))
+        if diam < tol:
+            return OptResult(simplex[0], float(fv[0]), it, True)
+        centroid = simplex[:-1].mean(axis=0)
+        xr = project(centroid + (centroid - simplex[-1]))
+        fr = f(xr)
+        if fr < fv[0]:
+            xe = project(centroid + 2.0 * (centroid - simplex[-1]))
+            fe = f(xe)
+            simplex[-1], fv[-1] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < fv[-2]:
+            simplex[-1], fv[-1] = xr, fr
+        else:
+            xc = project(centroid + 0.5 * (simplex[-1] - centroid))
+            fc = f(xc)
+            if fc < fv[-1]:
+                simplex[-1], fv[-1] = xc, fc
+            else:
+                simplex[1:] = [project(simplex[0] + 0.5 * (s - simplex[0])) for s in simplex[1:]]
+                fv[1:] = [f(x) for x in simplex[1:]]
+        it += 1
+    best = int(np.argmin(fv))
+    return OptResult(simplex[best], float(fv[best]), it, False)
+
+
+def ball_grid(n: int, radius: float) -> np.ndarray:
+    """Points of an n^3 axis grid on [-radius, radius]^3 kept inside the ball."""
+    axis = np.linspace(-radius, radius, n)
+    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    return pts[np.linalg.norm(pts, axis=1) <= radius]
+
+
+def ball_projector(radius: float):
+    def project(x):
+        nrm = np.linalg.norm(x)
+        return x * (radius / nrm) if nrm > radius else x
+
+    return project
+
+
+@lru_cache(maxsize=8)
+def _seed_grid(n: int):
+    grid = ball_grid(n, BLOCH_CAP)
+    coeffs = np.stack([_inv_sqrt_coeffs(p) for p in grid])
+    return grid, coeffs
+
+
+def h2_conditional_simplex(rho, sigma_grid=9, restarts=3, tol=1e-9, max_iter=400) -> H2Optimum:
+    """Maximize -D2(rho || I (x) sigma) by a 3-D simplex search: seed the
+    Bloch ball with a sigma_grid^3 cube, run Nelder-Mead from the best
+    `restarts` seeds and keep the best end point."""
+    gram = _collision_gram(_as_rho(rho))
+    grid, coeffs = _seed_grid(sigma_grid)
+    seed_vals = np.einsum("nk,kl,nl->n", coeffs, gram, coeffs)
+    order = np.argsort(seed_vals)
+
+    def objective(p):
+        c = _inv_sqrt_coeffs(p)
+        return c @ gram @ c
+
+    project = ball_projector(BLOCH_CAP)
+    best, converged = None, False
+    for idx in order[:restarts]:
+        res = nelder_mead_numpy(objective, grid[idx], 0.12, tol=tol, max_iter=max_iter, project=project)
+        converged = converged or res.converged
+        if best is None or res.fun < best.fun:
+            best = res
+    return H2Optimum(value=-math.log2(best.fun), sigma=ConditioningState(tuple(best.x)), converged=converged)

@@ -17,8 +17,8 @@ from qrl.capacity import (
 )
 from qrl.channel import BipartiteState, ProbeState, choi_bf, stinespring_isometry
 from qrl.linalg import PAULI
-from qrl.unitary import UnitaryParams, edge_point
-from oracles import delta_star_golden, renyi2_divergence
+from qrl.unitary import VERTICES, UnitaryParams, edge_point
+from oracles import delta_star_golden, h2_conditional_simplex, renyi2_divergence
 
 rng = np.random.default_rng(424242)
 
@@ -211,6 +211,111 @@ def test_h2_beats_grid_oracle():
         assert refined >= _grid_oracle(rho, 21) - 1e-4
 
 
+def _sigma_test_states():
+    """Random gates and probes, then the degenerate inputs of the exact
+    solve: I/4, a Bell state, product states, pole probes at the vertices,
+    and S/D away from the poles, where sigma sits at the cap."""
+    local = np.random.default_rng(77)
+    states = []
+    for _ in range(24):
+        ax = local.uniform(0.05, np.pi / 2)
+        ay = local.uniform(0.0, ax)
+        params = UnitaryParams(ax, ay, local.uniform(0.0, ay))
+        probe = ProbeState(local.uniform(0, np.pi), local.uniform(0, 2 * np.pi))
+        states.append(choi_bf(stinespring_isometry(params, probe)).rho_bf)
+    states += [np.eye(4, dtype=complex) / 4.0, PHI.astype(complex)]
+    for _ in range(3):
+        b, f = (local.normal(size=3) for _ in range(2))
+        rho_b = _bloch_density(0.8 * b / np.linalg.norm(b))
+        sig_f = _bloch_density(0.6 * f / np.linalg.norm(f))
+        states.append(np.kron(rho_b, sig_f).astype(complex))
+    for v in "ICSD":
+        for probe in (ProbeState(0.0, 0.0), ProbeState(np.pi, 0.4)):
+            states.append(choi_bf(stinespring_isometry(VERTICES[v], probe)).rho_bf)
+    for v in "SD":
+        for probe in (ProbeState(1.309, 2.693), ProbeState(0.264, 4.499)):
+            states.append(choi_bf(stinespring_isometry(VERTICES[v], probe)).rho_bf)
+    return states
+
+
+# each stage of best_probe_h2 against the seed-cube search at the settings
+# that stage ran with before the exact solve
+SIGMA_STAGES = (
+    (qrl.capacity._COARSE, dict(restarts=1, tol=1e-6, max_iter=120)),
+    (qrl.capacity._MEDIUM, dict(restarts=1, tol=1e-8, max_iter=250)),
+    (qrl.capacity.DEFAULT_CONFIG, dict(restarts=3, tol=1e-9, max_iter=400)),
+)
+
+
+def test_h2_at_least_the_simplex_oracle():
+    # the exact direction solve never does worse than the 3-D simplex search
+    # beyond the round-off of the quadratic form near the cap
+    for rho in _sigma_test_states():
+        for config, old in SIGMA_STAGES:
+            exact = h2_conditional(rho, config).value
+            oracle = h2_conditional_simplex(rho, **old).value
+            assert exact >= oracle - 2e-9, (config, exact, oracle)
+
+
+def test_h2_value_is_the_objective_at_the_reported_sigma():
+    from qrl.capacity import _collision_gram, _inv_sqrt_coeffs
+
+    for rho in _sigma_test_states():
+        opt = h2_conditional(rho)
+        c = _inv_sqrt_coeffs(np.array(opt.sigma.bloch))
+        assert opt.value == -np.log2(float(c @ _collision_gram(rho) @ c))
+        # the literal sandwiched divergence agrees to the round-off of the
+        # Pauli quadratic form, eps |c|^2 |G| with |c|^2 = 2 / (1 - |p|^2)
+        bound = 2e-14 / (1.0 - np.linalg.norm(opt.sigma.bloch) ** 2)
+        assert abs(opt.value + renyi2_divergence(rho, opt.sigma)) <= bound
+
+
+def test_unit_minimizer_against_a_sphere_scan():
+    # min of e1 n1^2 + e2 n2^2 + 2 w.n over the unit sphere: the secular
+    # root, the hard case (w0 = 0 with a short remainder), a near-hard case,
+    # a degenerate lowest pair, and w = 0
+    from qrl.capacity import _unit_minimizer
+
+    k = np.arange(200000) + 0.5
+    z = 1.0 - 2.0 * k / k.size
+    az = np.pi * (1.0 + 5.0**0.5) * k
+    sphere = np.stack([z, np.sqrt(1.0 - z * z) * np.cos(az), np.sqrt(1.0 - z * z) * np.sin(az)])
+    cases = [
+        (0.3, 1.2, 0.4, -0.2, 0.7),
+        (0.3, 1.2, 0.0, 0.1, -0.3),
+        (0.3, 1.2, 1e-17, 0.1, -0.3),
+        (0.0, 0.8, 0.0, 0.0, 0.5),
+        (0.0, 0.8, 0.2, -0.3, 0.1),
+        (0.5, 0.5, 0.0, 0.0, 0.0),
+        (0.0, 0.0, 0.0, 0.0, 0.0),
+    ]
+    for e1, e2, *w in cases:
+        quad = lambda n: e1 * n[1] ** 2 + e2 * n[2] ** 2 + 2.0 * (w[0] * n[0] + w[1] * n[1] + w[2] * n[2])
+        n = np.array(_unit_minimizer(e1, e2, *w))
+        assert abs(np.linalg.norm(n) - 1.0) <= 1e-15
+        assert quad(n) <= quad(sphere).min() + 1e-14, (e1, e2, w)
+
+
+def test_radial_profile_is_unimodal():
+    # phi(x), the objective minimized over directions at log-radius x, falls
+    # to one minimum and then rises: any rise before it or fall after it
+    # stays within the round-off of c^T G c, 8 eps |c|^2 |G| with
+    # |c|^2 = 2 / (1 - r^2) at radius r
+    from qrl.capacity import _X_CAP, _RadialProfile, _collision_gram
+
+    xs = np.linspace(0.0, _X_CAP, 2000)
+    radius = -np.expm1(-xs)
+    for rho in _sigma_test_states():
+        gram = _collision_gram(rho)
+        phi = _RadialProfile(gram)
+        vals = np.array([phi(x) for x in xs])
+        slack = 8.0 * np.finfo(float).eps * np.abs(gram).sum() * 2.0 / (1.0 - radius**2)
+        k = int(np.argmin(vals))
+        steps = np.diff(vals)
+        assert np.all(steps[:k] <= slack[1 : k + 1] + slack[:k])
+        assert np.all(steps[k:] >= -(slack[k + 1 :] + slack[k:-1]))
+
+
 def test_h2_bounded():
     for _ in range(20):
         rho = choi_bf(stinespring_isometry(random_params(), random_probe()))
@@ -233,7 +338,7 @@ def test_h2_same_at_the_probe_images():
 def test_h2_continuity_in_alpha():
     # nearby gates give nearby probe-optimized entropies; coarse optimizer
     # config keeps this cheap without hurting the 0.05 window
-    coarse = OptimizerConfig(sigma_grid=5, probe_grid=5, restarts=1, tol=1e-5, max_iter=150)
+    coarse = OptimizerConfig(probe_grid=5, tol=1e-5, max_iter=150)
     checked = 0
     while checked < 100:
         params = random_params()

@@ -7,13 +7,12 @@ from qrl.channel import (
     EnvState,
     ProbeState,
     apply_channel,
-    apply_complement,
     choi_bf,
     stinespring_isometry,
 )
 from qrl.linalg import I2, SZ, kron, validate_density
 from qrl.unitary import VERTICES, UnitaryParams
-from oracles import env_bloch_derivatives
+from oracles import apply_complement, choi_bf_loop, env_bloch_derivatives
 
 rng = np.random.default_rng(99)
 
@@ -177,6 +176,22 @@ def test_choi_reference_marginal():
         state = choi_bf(stinespring_isometry(random_params(), random_probe()))
         assert isinstance(state, BipartiteState)
         assert validate_density(state.rho_bf).ok
+
+
+def test_choi_matches_the_block_loop():
+    # the single contraction against the block-by-block route through the
+    # complement, on random gates and probes, vertices and pole probes
+    local = np.random.default_rng(15)
+    cases = []
+    for _ in range(200):
+        ax = local.uniform(0, np.pi / 2)
+        ay = local.uniform(0, ax)
+        params = UnitaryParams(ax, ay, local.uniform(0, ay))
+        cases.append((params, ProbeState(local.uniform(0, np.pi), local.uniform(0, 2 * np.pi))))
+    cases += [(VERTICES[v], ProbeState(phi1, 0.3)) for v in "ICSD" for phi1 in (0.0, np.pi / 2, np.pi)]
+    for params, probe in cases:
+        iso = stinespring_isometry(params, probe)
+        assert np.abs(choi_bf(iso).rho_bf - choi_bf_loop(iso).rho_bf).max() <= 1e-15
 
 
 def test_bipartite_state_rejects_bad_marginal():

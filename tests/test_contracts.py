@@ -103,3 +103,31 @@ def test_benchmark_tracer_sees_base_and_ladder_calls(monkeypatch):
     metrics, _, _ = tracer.analyse(tr.spans, 1, grid, 0)
     assert metrics["fisher.avg_trace_qfi.base.calls"][0] > 0
     assert metrics["fisher.avg_trace_qfi.ladder.calls"][0] > 0
+
+
+def _must_enter(workload: str) -> tuple:
+    """The benchmark's MUST_ENTER entry, read from the source: importing
+    perfbench/run.py would pin the BLAS thread variables of this process."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "MUST_ENTER" for t in node.targets):
+            return ast.literal_eval(node.value)[workload]
+    raise LookupError("perfbench/run.py defines no MUST_ENTER")
+
+
+def test_benchmark_tracer_enters_every_h2_layer(monkeypatch):
+    # a traced h2-sweep run is incorrect when a MUST_ENTER metric reads 0,
+    # for instance when the sigma solve stops calling capacity.nelder_mead
+    names = _must_enter("h2-sweep")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    tr = tracer.Tracer()
+    tr.install(qrl)
+    try:
+        qrl.harness.best_probe_h2(qrl.edge_point("CS", 0.5)[0])
+    finally:
+        tr.uninstall()
+    base = qrl.QuadSpec()
+    metrics, _, _ = tracer.analyse(tr.spans, 1, (base.nr, base.n_theta1, base.n_theta2), 0)
+    assert names and [n for n in names if not metrics[n][0] > 0] == []
