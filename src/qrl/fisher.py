@@ -6,8 +6,16 @@ linear map M per probe.  Along each prior direction n the output Bloch vector
 is b = t + s M n with s = 2r, so the trace-QFI is a polynomial in s plus a
 quartic over the quadratic den = 1 - |b|^2.  The averaged trace-QFI
 therefore integrates the radius in closed form, up to the cutoff 1/2 - eta,
-and only the two angles use Gauss-Legendre nodes, vectorised over
-fixed-size blocks of angular nodes.
+and only the two angles use Gauss-Legendre nodes.  One kernel, `_averages`,
+evaluates a batch of probes in blocks of at most _CHUNK probe x node
+elements; `avg_trace_qfi` is that kernel applied to one probe.
+
+For a fixed gate the output is linear in the probe density, so t and M are
+affine in the probe Bloch vector q.  The probe search builds that
+probe-affine table once per gate from four probes (|0>, |1>, |+>, |+i>) and
+then reads (t, M) for any probe off it: its probe scan (13x13 by
+default) is one batched kernel call and each Nelder-Mead evaluation a
+one-probe call, with no isometry or channel work per probe.
 
 Both roots of den lie outside (-1, 1), because the outputs at the pure
 environment states +-n are states; a root on the cutoff is the logarithmic
@@ -42,7 +50,7 @@ DEFAULT_ETA_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DIVERGENCE_SLOPE = 0.5
 _LADDER_CAP = 256
 _LADDER_RTOL = 1e-4
-_CHUNK = 4096  # angular nodes per vectorised block, bounds the temporaries
+_CHUNK = 4096  # probe x node elements per vectorised block, bounds the temporaries
 _SERIES_X = 0.25  # |x| up to which G_k(x) is summed as a power series
 _SERIES_TERMS = 28  # 0.25**28 / 33 < 1e-18
 _ROOT_TOL = 1e-12  # u S this close to 1 is a root of den at the cutoff
@@ -106,6 +114,39 @@ def _probe_affine(p: UnitaryParams, probe: ProbeState):
     return offset, np.stack(cols, axis=1)
 
 
+# probe Bloch vectors +z, -z, +x, +y
+_TABLE_PROBES = (
+    ProbeState(0.0, 0.0),
+    ProbeState(math.pi, 0.0),
+    ProbeState(0.5 * math.pi, 0.0),
+    ProbeState(0.5 * math.pi, 0.5 * math.pi),
+)
+
+
+def _affine_table(p: UnitaryParams) -> np.ndarray:
+    """Rows A0, Ax, Ay, Az of (t, M) flattened to 12 numbers, such that the
+    probe with Bloch vector q has (t, M) = A0 + qx Ax + qy Ay + qz Az.
+
+    The output state is linear in the probe density (1 + q.sigma)/2, so t
+    and M are affine in q; the rows come from _probe_affine at |0>, |1>,
+    |+> and |+i>.
+    """
+    affine = [_probe_affine(p, q) for q in _TABLE_PROBES]
+    up, down, plus, plus_i = (np.concatenate([t, m.ravel()]) for t, m in affine)
+    mid = 0.5 * (up + down)
+    return np.stack([mid, plus - mid, plus_i - mid, 0.5 * (up - down)])
+
+
+def _affine_at(table: np.ndarray, probes: np.ndarray):
+    """Offsets (P, 3) and maps (P, 3, 3) at probes, rows (phi1, phi2)."""
+    s1 = np.sin(probes[:, 0])
+    coef = np.stack(
+        [np.ones_like(s1), s1 * np.cos(probes[:, 1]), s1 * np.sin(probes[:, 1]), np.cos(probes[:, 0])], axis=1
+    )
+    flat = coef @ table
+    return flat[:, :3], flat[:, 3:].reshape(-1, 3, 3)
+
+
 def _moments(x: np.ndarray) -> np.ndarray:
     """G_k(x) = int_0^1 t^k / (1 - x t) dt for k = 0..4 and x < 1, stacked.
 
@@ -136,10 +177,13 @@ def _moments(x: np.ndarray) -> np.ndarray:
     return g
 
 
-def _radial_integral(offset, d0, vecs, big_s) -> np.ndarray:
-    """int_0^S tr F ds per angular node, S = 1 - 2 eta; vecs stacks
-    a = M n and the partials b1 = M dn/dtheta1, b2 = M dn/dtheta2.
+def _radial_integral(offsets, d0, inv_d0, vecs, big_s) -> np.ndarray:
+    """int_0^S tr F ds per probe and angular node, S = 1 - 2 eta.
 
+    offsets is (P, 3); d0 = 1 - |t|^2 and inv_d0 = 1/d0 are (P, 1), except
+    that a pure offset has d0 = 1 and inv_d0 = 0, and inv_d0 is None when
+    every probe has one (see _averages).  vecs (3, P, 3, nodes) stacks
+    a = M n and the partials b1 = M dn/dtheta1, b2 = M dn/dtheta2.
     With b = t + s a the trace is 4|a|^2 + s^2 (|b1|^2 + |b2|^2) plus
     cross/den, where cross is a quartic in s and den = 1 - |b|^2 =
     d0 (1 - u s)(1 - v s) with u >= 0 >= v, both in [-1, 1] because the
@@ -148,12 +192,11 @@ def _radial_integral(offset, d0, vecs, big_s) -> np.ndarray:
     w_u = u/(u - v) = u d0 / (2 sq), w_v = 1 - w_u: a convex mix of
     positive terms, so nothing cancels.
     """
-    aa, ab1, ab2 = np.einsum("jk,ijk->ik", vecs[0], vecs)
-    poly = 4.0 * big_s * aa + big_s**3 / 3.0 * np.einsum("ijk,ijk->k", vecs[1:], vecs[1:])
-    if d0 <= 4.0 * PURITY_TOL:
-        # a pure offset admits only M = 0, so the output carries no cross term
+    aa, ab1, ab2 = np.einsum("pjk,ipjk->ipk", vecs[0], vecs)
+    poly = 4.0 * big_s * aa + big_s**3 / 3.0 * np.einsum("ipjk,ipjk->pk", vecs[1:], vecs[1:])
+    if inv_d0 is None:
         return poly
-    ta, tb1, tb2 = offset @ vecs
+    ta, tb1, tb2 = (offsets[:, None, :] @ vecs)[:, :, 0]
     # roots of d0 rho^2 - 2 ta rho - aa: the larger one from |ta| + sq, which
     # cannot cancel, the other from their product -aa/d0
     sq = np.sqrt(ta * ta + d0 * aa)
@@ -167,7 +210,7 @@ def _radial_integral(offset, d0, vecs, big_s) -> np.ndarray:
     # a root at the cutoff (only reachable at S = 1) is a log divergence:
     # cross > 0 there whenever a != 0
     root = u * big_s >= 1.0 - _ROOT_TOL
-    g = _moments(np.stack([np.where(root, 0.0, u * big_s), -big_s * v_abs])).reshape(5, 2, -1)
+    g = _moments(np.stack([np.where(root, 0.0, u * big_s), -big_s * v_abs])).reshape(5, 2, *u.shape)
     mix = g[:, 1] + w_u * (g[:, 0] - g[:, 1])
     coeffs = (
         4.0 * ta * ta,
@@ -176,8 +219,53 @@ def _radial_integral(offset, d0, vecs, big_s) -> np.ndarray:
         2.0 * (tb1 * ab1 + tb2 * ab2),
         ab1 * ab1 + ab2 * ab2,
     )
-    cross = sum(c * (big_s ** (k + 1) / d0) * mix[k] for k, c in enumerate(coeffs))
+    cross = big_s * coeffs[0] * mix[0]
+    for k in range(1, 5):
+        cross += big_s ** (k + 1) * coeffs[k] * mix[k]
+    cross *= inv_d0
     return np.where(root, np.inf, poly + cross)
+
+
+def _averages(probes: np.ndarray, offsets: np.ndarray, maps: np.ndarray, quad: QuadSpec, eta: float) -> np.ndarray:
+    """Regularized averages of tr F over the prior for a batch of probes,
+    radius cut at 1/2 - eta; probe i has output Bloch b = offsets[i] +
+    maps[i] e.  `probes`, rows (phi1, phi2), only names a probe in errors.
+
+    Each block holds at most _CHUNK probe x node elements: several probes
+    per block on grids up to 64x64, node blocks of one probe above.
+    """
+    T1, T2, dirs, w_ang = _angular_tables(quad.n_theta1, quad.n_theta2)
+    nodes = T1.size
+    d0 = 1.0 - (offsets[:, None, :] @ offsets[:, :, None])[:, 0]
+    # a pure offset admits only M = 0, so the output carries no cross term:
+    # its inv_d0 reads 0, and d0 = 1 keeps the dropped term finite
+    pure = d0 <= 4.0 * PURITY_TOL
+    if not pure.any():
+        inv_d0 = 1.0 / d0
+    elif pure.all():
+        inv_d0 = None
+    else:
+        d0 = np.where(pure, 1.0, d0)
+        inv_d0 = np.where(pure, 0.0, 1.0 / d0)
+    big_s = 1.0 - 2.0 * eta
+    per_block, span = max(1, _CHUNK // nodes), min(nodes, _CHUNK)
+    total = np.zeros(len(offsets))
+    maps, dirs = maps[None], dirs[:, None]
+    for p0 in range(0, len(offsets), per_block):
+        batch = slice(p0, p0 + per_block)
+        t, d, inv = offsets[batch], d0[batch], None if inv_d0 is None else inv_d0[batch]
+        for lo in range(0, nodes, span):
+            radial = _radial_integral(t, d, inv, maps[:, batch] @ dirs[..., lo:lo + span], big_s)
+            nan = np.isnan(radial)
+            if nan.any():
+                i, k = np.argwhere(nan)[0]
+                phi1, phi2 = probes[p0 + i]
+                raise QuadratureError(
+                    f"NaN integrand at probe phi1={float(phi1)!r}, phi2={float(phi2)!r}, "
+                    f"node theta1={float(T1[lo + k])!r}, theta2={float(T2[lo + k])!r}"
+                )
+            total[batch] += radial @ w_ang[lo:lo + span]
+    return 0.5 * total  # dr = ds/2
 
 
 def avg_trace_qfi(p: UnitaryParams, probe: ProbeState, quad: QuadSpec, eta: float) -> float:
@@ -193,18 +281,8 @@ def avg_trace_qfi(p: UnitaryParams, probe: ProbeState, quad: QuadSpec, eta: floa
     """
     if not 0.0 <= eta <= ETA_MAX:
         raise ValueError(f"eta must lie in [0, {ETA_MAX}], got {eta!r}")
-    T1, T2, dirs, w_ang = _angular_tables(quad.n_theta1, quad.n_theta2)
     offset, m = _probe_affine(p, probe)
-    d0 = 1.0 - float(offset @ offset)
-    big_s = 1.0 - 2.0 * eta
-    total = 0.0
-    for lo in range(0, T1.size, _CHUNK):
-        radial = _radial_integral(offset, d0, m @ dirs[:, :, lo:lo + _CHUNK], big_s)
-        if np.isnan(radial).any():
-            k = lo + int(np.flatnonzero(np.isnan(radial))[0])
-            raise QuadratureError(f"NaN integrand at node theta1={T1[k]!r}, theta2={T2[k]!r}")
-        total += 0.5 * float(radial @ w_ang[lo:lo + _CHUNK])  # dr = ds/2
-    return total
+    return float(_averages(np.array([[probe.phi1, probe.phi2]]), offset[None], m[None], quad, eta)[0])
 
 
 def _aitken(seq):
@@ -306,21 +384,25 @@ def maximize_over_probe(
     probe_grid: int = 13,
 ) -> AvgQfiResult:
     """Probe maximization of the averaged trace-QFI at the widest cutoff,
-    then the full cutoff schedule at the optimum."""
+    then the full cutoff schedule at the optimum.
+
+    The gate's probe-affine table is built once; the probe_grid^2 scan is one
+    batched call of the averaging kernel and each Nelder-Mead evaluation one
+    single-probe call, both reading (t, M) off the table.
+    """
     schedule = _schedule(eta_schedule)
     eta0 = schedule[0]
+    table = _affine_table(p)
 
-    def neg_avg(q):
-        probe = ProbeState(min(max(q[0], 0.0), math.pi), q[1])
-        return -avg_trace_qfi(p, probe, quad, eta0)
+    def averages(pts):
+        return _averages(pts, *_affine_at(table, pts), quad, eta0)
 
     pts = rect_grid(probe_grid, probe_grid, 0.0, math.pi, 0.0, 2.0 * math.pi)
-    vals = [neg_avg(q) for q in pts]
-    start = pts[int(np.argmin(vals))]
+    start = pts[int(np.argmax(averages(pts)))]
 
-    def clamp(q):
+    def clamp(q):  # nelder_mead evaluates projected points only
         return np.array([min(max(q[0], 0.0), math.pi), q[1]])
 
-    res = nelder_mead(neg_avg, start, 0.15, tol=1e-7, max_iter=200, project=clamp)
+    res = nelder_mead(lambda q: -float(averages(q[None])[0]), start, 0.15, tol=1e-7, max_iter=200, project=clamp)
     probe = ProbeState(min(max(res.x[0], 0.0), math.pi), res.x[1])
     return avg_qfi_at_probe(p, probe, quad, schedule, converged=res.converged)

@@ -1,7 +1,8 @@
 """Package-wide contracts: no asserts in the library, no definition that only
 tests use, a public API that is exactly what the package imports, and the
 benchmark's tracer still finds every module attribute it wraps and still
-sees the averaged QFI's base and ladder calls."""
+sees the averaged QFI's base and ladder calls, and a traced qfi run enters
+every layer the benchmark requires."""
 
 import ast
 import math
@@ -131,3 +132,32 @@ def test_benchmark_tracer_enters_every_h2_layer(monkeypatch):
     base = qrl.QuadSpec()
     metrics, _, _ = tracer.analyse(tr.spans, 1, (base.nr, base.n_theta1, base.n_theta2), 0)
     assert names and [n for n in names if not metrics[n][0] > 0] == []
+
+
+def test_benchmark_tracer_enters_every_qfi_layer(monkeypatch):
+    # a traced qfi run is incorrect when a MUST_ENTER metric reads 0 or when
+    # a traced row differs from its untraced twin.  The probe scan and the
+    # simplex evaluate the batched kernel directly, so the base-grid calls
+    # must still come through avg_qfi_at_probe
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    cfg = qrl.harness.SweepConfig(edge="CS", metric="qfi", samples=2, workers=1)
+    runs = {
+        "qfi-sweep": lambda: qrl.harness._eval_point(cfg, 0.5),
+        "qfi-fixed-probe": lambda: qrl.harness.point_report(qrl.VERTICES["C"], qrl.ProbeState(math.pi, 0.0)),
+    }
+    base = qrl.QuadSpec()
+    for workload, run in runs.items():
+        plain = run()
+        tr = tracer.Tracer()
+        tr.install(qrl)
+        try:
+            traced = run()
+        finally:
+            tr.uninstall()
+        assert traced.status == "ok", workload
+        assert traced.csv_fields()[:-1] == plain.csv_fields()[:-1], workload  # all but wall_time_ms
+        metrics, _, _ = tracer.analyse(tr.spans, 1, (base.nr, base.n_theta1, base.n_theta2), 0)
+        names = _must_enter(workload)
+        assert names and [n for n in names if not metrics[n][0] > 0] == [], workload

@@ -322,6 +322,66 @@ def test_nan_integrand_names_the_node():
         avg_trace_qfi(SWAP, bad, QuadSpec(4, 4, 4), 1e-2)
 
 
+def test_nan_in_a_batch_names_the_probe_and_the_node():
+    # one NaN slot among good probes in one block: the error names that
+    # probe, not a neighbour, and the node
+    bad = object.__new__(ProbeState)
+    object.__setattr__(bad, "phi1", float("nan"))
+    object.__setattr__(bad, "phi2", 0.25)
+    probes = [ProbeState(0.4, 1.0), bad, ProbeState(1.2, 2.0), ProbeState(2.0, 5.0)]
+    offsets, maps = zip(*(qrl.fisher._probe_affine(CNOTV, q) for q in probes))
+    coords = np.array([[q.phi1, q.phi2] for q in probes])
+    with pytest.raises(QuadratureError, match=r"probe phi1=nan, phi2=0\.25, node theta1=\S+, theta2=\S+"):
+        qrl.fisher._averages(coords, np.array(offsets), np.array(maps), QuadSpec(48, 32, 32), 1e-2)
+
+
+# ---------------------------------------------------------------------------
+# Probe-affine table and the batched kernel
+
+EDGES = ("IC", "IS", "ID", "CS", "CD", "DS")
+
+
+def test_affine_table_reproduces_probe_affine():
+    # t and M are affine in the probe Bloch vector; the table built from
+    # four probes gives every other one, poles included
+    local = np.random.default_rng(31)
+    coords = np.column_stack([local.uniform(0, np.pi, 200), local.uniform(0, 2 * np.pi, 200)])
+    coords = np.vstack([coords, [[0.0, 0.0], [0.0, 2.1], [np.pi, 0.0], [np.pi, 4.4]]])
+    for edge in EDGES:
+        p = edge_point(edge, local.uniform(0.05, 0.95))[0]
+        offsets, maps = qrl.fisher._affine_at(qrl.fisher._affine_table(p), coords)
+        for (phi1, phi2), t, m in zip(coords, offsets, maps):
+            t_ref, m_ref = qrl.fisher._probe_affine(p, ProbeState(phi1, phi2))
+            assert np.max(np.abs(t - t_ref)) <= 1e-14
+            assert np.max(np.abs(m - m_ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", (12, 32, 128))
+def test_batched_kernel_equals_single_probe_calls(n):
+    # 12^2 and 32^2 put several probes in one block, 128^2 splits each probe
+    # into node blocks.  The batch mixes finite gates, a pure offset (I)
+    # and S, whose average at eta = 0 is inf in its own slot only
+    cases = [
+        (CNOTV, ProbeState(1.1, 0.4)),
+        (edge_point("CS", 0.5)[0], ProbeState(1.5708, 1.047)),
+        (IDENT, ProbeState(0.7, 0.3)),
+        (SWAP, ProbeState(1.1, 0.4)),
+        (edge_point("ID", 0.3)[0], ProbeState(2.2, 5.1)),
+        (edge_point("CD", 0.6)[0], ProbeState(0.9, 3.3)),
+        (UnitaryParams(1.3, 0.8, 0.2), ProbeState(2.7, 1.9)),
+    ]
+    quad = QuadSpec(48, n, n)
+    offsets, maps = zip(*(qrl.fisher._probe_affine(p, q) for p, q in cases))
+    coords = np.array([[q.phi1, q.phi2] for _, q in cases])
+    for eta in (1e-2, 0.0):
+        got = qrl.fisher._averages(coords, np.array(offsets), np.array(maps), quad, eta)
+        ref = [avg_trace_qfi(p, q, quad, eta) for p, q in cases]
+        assert got[2] == ref[2] == 0.0
+        assert [k for k, v in enumerate(got) if not math.isfinite(v)] == ([3] if eta == 0.0 else [])
+        for g, r in zip(got, ref):
+            assert g == pytest.approx(r, rel=1e-13, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form radial integral against the u-grid oracle
 
