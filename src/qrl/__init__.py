@@ -23,7 +23,6 @@ from .unitary import (
 from .channel import (
     BipartiteState,
     ChannelIsometry,
-    EnvState,
     ProbeState,
     apply_channel,
     choi_bf,
@@ -67,7 +66,6 @@ __all__ = [
     "edge_point",
     "BipartiteState",
     "ChannelIsometry",
-    "EnvState",
     "ProbeState",
     "apply_channel",
     "choi_bf",

@@ -10,6 +10,11 @@ so the search needs no seed cube and no restarts: the direction of sigma is
 solved exactly at each radius, and one 1-D Nelder-Mead finds the radius
 (`h2_conditional`).
 
+rho_BF is linear in the probe density, so the probe search
+(`best_probe_h2`) builds one table of rho_BF per gate from four probes
+(`channel.probe_table`) and reads rho_BF at every probe it tries off that
+table; it builds no isometry or Choi state per probe.
+
 The capacity lower bound per channel use is h2 - correction/n with
 correction = g(sqrt(eps/2) - delta*) + 4 log2(1/delta*) + 2.  delta* is the
 closed-form stationary point of that correction; the golden-section search
@@ -23,9 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BipartiteState, ProbeState, choi_bf, stinespring_isometry
+from .channel import (
+    BipartiteState, ProbeState, choi_bf, clamp_probe, probe_scan, probe_table, stinespring_isometry, table_at,
+)
 from .linalg import I2, PAULI, kron
-from .optimize import nelder_mead, rect_grid
+from .optimize import nelder_mead
 from .unitary import UnitaryParams
 
 LAMBDA_FLOOR = 1e-9
@@ -59,16 +66,11 @@ class ConditioningState:
             )
         object.__setattr__(self, "bloch", tuple(float(x) for x in p))
 
-    def matrix(self) -> np.ndarray:
-        p1, p2, p3 = self.bloch
-        return 0.5 * (I2 + p1 * PAULI[1] + p2 * PAULI[2] + p3 * PAULI[3])
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Probe grid size and simplex settings for the sigma and probe searches."""
+    """Simplex settings for the sigma and probe searches."""
 
-    probe_grid: int = 13
     tol: float = 1e-9
     max_iter: int = 400
 
@@ -308,47 +310,39 @@ def one_shot_lower_bound(h2: float, epsilon: float, n: int) -> CapacityResult:
     return CapacityResult(h2=h2, correction=corr, raw_bound=raw, clamped_bound=max(0.0, raw))
 
 
-def _h2_for_probe(p: UnitaryParams, phi1: float, phi2: float, config: OptimizerConfig) -> H2Optimum:
-    probe = ProbeState(min(max(phi1, 0.0), math.pi), phi2)
-    return h2_conditional(choi_bf(stinespring_isometry(p, probe)), config)
-
-
 def best_probe_h2(p: UnitaryParams, config: OptimizerConfig = DEFAULT_CONFIG) -> ProbeOptimum:
     """Maximize H2(B|F) over the probe.
 
     Probe grid scan with a cheap inner sigma search, simplex refinement of
     the probe at intermediate accuracy, then a final full-accuracy sigma
-    optimization at the selected probe.
+    optimization at the selected probe.  Every rho_BF comes off the gate's
+    rho_BF table, built from four probes.
 
     P (x) P commutes with U for P = X, Y, Z, and H2(B|F) ignores local
     unitaries, so H2 takes the same value at the probe images
     (phi1, phi2 + pi), (pi - phi1, -phi2) and (pi - phi1, pi - phi2).  The
     scan covers only their fundamental domain [0, pi/2] x [0, pi), at the
-    phi1 spacing of a probe_grid x probe_grid scan of the sphere; the
-    refinement moves on the whole sphere.
+    phi1 spacing of a 13 x 13 scan of the sphere and with the pole phi1 = 0
+    once: 43 probes.  The refinement moves on the whole sphere.
     """
-    k = (config.probe_grid + 1) // 2
-    probe_pts = rect_grid(k, k, 0.0, math.pi / 2.0, 0.0, math.pi)
+    table = probe_table(lambda probe: choi_bf(stinespring_isometry(p, probe)).rho_bf)
+    probe_pts = probe_scan(7, 7, math.pi / 2.0, math.pi)
     best_val, best_pt = -math.inf, probe_pts[0]
-    for phi1, phi2 in probe_pts:
-        val = _h2_for_probe(p, phi1, phi2, _COARSE).value
+    for pt, rho in zip(probe_pts, table_at(table, probe_pts)):
+        val = h2_conditional(rho, _COARSE).value
         if val > best_val:
-            best_val, best_pt = val, (phi1, phi2)
+            best_val, best_pt = val, pt
 
     def neg_h2(q):
-        return -_h2_for_probe(p, q[0], q[1], _MEDIUM).value
-
-    def clamp(q):
-        return np.array([min(max(q[0], 0.0), math.pi), q[1]])
+        return -h2_conditional(table_at(table, q[None])[0], _MEDIUM).value
 
     probe_tol = max(1e-7, 10.0 * config.tol)
     probe_iter = min(200, config.max_iter)
-    probe_res = nelder_mead(neg_h2, np.asarray(best_pt), 0.15, tol=probe_tol, max_iter=probe_iter, project=clamp)
-    final = _h2_for_probe(p, probe_res.x[0], probe_res.x[1], config)
-    probe = ProbeState(min(max(probe_res.x[0], 0.0), math.pi), probe_res.x[1])
+    probe_res = nelder_mead(neg_h2, best_pt, 0.15, tol=probe_tol, max_iter=probe_iter, project=clamp_probe)
+    final = h2_conditional(table_at(table, probe_res.x[None])[0], config)
     return ProbeOptimum(
         h2=final.value,
-        probe=probe,
+        probe=ProbeState(*probe_res.x),
         sigma=final.sigma,
         converged=probe_res.converged and final.converged,
     )

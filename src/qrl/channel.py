@@ -1,10 +1,17 @@
-"""Probe/environment states and the environment-to-output channel.
+"""Probe states, the environment-to-output channel, and probe-affine tables.
 
 For a fixed probe |phi> on A, V|e> := U(|phi> (x) |e>) is an isometry from
 the environment E into B (x) F.  Tracing F gives the channel seen at the
 output B; tracing B gives its complement into F.  The bipartite state
 rho_BF sends half of a maximally entangled state through the complement and
 is the object conditioned in the capacity bound.
+
+V is linear in the probe ket, so everything built from V and V^dag, such as
+the channel's Bloch map or rho_BF, is linear in the probe density
+(1 + q.sigma)/2 and hence affine in the probe Bloch vector q.  Both probe
+searches use that: `probe_table` evaluates such a quantity at four probes
+once per gate, `table_at` reads it at any batch of probes, and
+`probe_scan` is the grid both searches start from.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, SX, SY, SZ, kron, partial_trace, validate_density
+from .linalg import I2, kron, partial_trace, validate_density
 from .unitary import UnitaryParams, build_unitary
 
 ANGLE_TOL = 1e-12
@@ -45,38 +52,10 @@ class ProbeState:
 
 
 @dataclass(frozen=True)
-class EnvState:
-    """Environment qubit in spherical Bloch coordinates, radius r <= 1/2."""
-
-    r: float
-    theta1: float
-    theta2: float
-
-    def __post_init__(self):
-        if not -ANGLE_TOL <= self.r <= 0.5 + ANGLE_TOL:
-            raise ValueError(f"r must lie in [0, 1/2], got {self.r!r}")
-        if not -ANGLE_TOL <= self.theta1 <= math.pi + ANGLE_TOL:
-            raise ValueError(f"theta1 must lie in [0, pi], got {self.theta1!r}")
-        object.__setattr__(self, "theta2", float(self.theta2) % TWO_PI)
-
-    def bloch(self) -> np.ndarray:
-        s1 = math.sin(self.theta1)
-        return 2.0 * self.r * np.array(
-            [s1 * math.cos(self.theta2), s1 * math.sin(self.theta2), math.cos(self.theta1)]
-        )
-
-    def matrix(self) -> np.ndarray:
-        bx, by, bz = self.bloch()
-        return 0.5 * (I2 + bx * SX + by * SY + bz * SZ)
-
-
-@dataclass(frozen=True)
 class ChannelIsometry:
     """4x2 isometry V: E -> B (x) F for a fixed probe and unitary."""
 
     v: np.ndarray
-    probe: ProbeState
-    params: UnitaryParams
 
     def __post_init__(self):
         gram = self.v.conj().T @ self.v
@@ -88,22 +67,16 @@ class ChannelIsometry:
 def stinespring_isometry(p: UnitaryParams, probe: ProbeState) -> ChannelIsometry:
     u = build_unitary(p)
     v = u @ kron(probe.ket().reshape(2, 1), I2)
-    return ChannelIsometry(v=v, probe=probe, params=p)
+    return ChannelIsometry(v=v)
 
 
-def _env_matrix(env) -> np.ndarray:
-    if isinstance(env, EnvState):
-        return env.matrix()
-    m = np.asarray(env, dtype=complex)
+def apply_channel(iso: ChannelIsometry, op) -> np.ndarray:
+    """Output-side action Tr_F[V op V^dag] on a 2x2 environment operator;
+    linear, so the Pauli matrices give the channel's Bloch map."""
+    m = np.asarray(op, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"environment operator must be 2x2, got {m.shape}")
-    return m
-
-
-def apply_channel(iso: ChannelIsometry, env) -> np.ndarray:
-    """Output-side action Tr_F[V theta V^dag]; linear, so raw 2x2 operators
-    (e.g. Pauli matrices) are accepted alongside EnvState."""
-    joint = iso.v @ _env_matrix(env) @ iso.v.conj().T
+    joint = iso.v @ m @ iso.v.conj().T
     return partial_trace(joint, keep="first")
 
 
@@ -128,3 +101,47 @@ def choi_bf(iso: ChannelIsometry) -> BipartiteState:
     v = iso.v.reshape(2, 2, 2)
     rho = 0.5 * np.einsum("bfi,bgj->ifjg", v, v.conj()).reshape(4, 4)
     return BipartiteState(rho_bf=rho)
+
+
+# probe Bloch vectors +z, -z, +x, +y
+_TABLE_PROBES = (
+    ProbeState(0.0, 0.0),
+    ProbeState(math.pi, 0.0),
+    ProbeState(0.5 * math.pi, 0.0),
+    ProbeState(0.5 * math.pi, 0.5 * math.pi),
+)
+
+
+def probe_table(f) -> np.ndarray:
+    """Rows A0, Ax, Ay, Az such that f at the probe with Bloch vector q is
+    A0 + qx Ax + qy Ay + qz Az, for any array-valued f(probe) that is linear
+    in the probe density; f is evaluated at |0>, |1>, |+> and |+i>."""
+    up, down, plus, plus_i = (f(q) for q in _TABLE_PROBES)
+    mid = 0.5 * (up + down)
+    return np.stack([mid, plus - mid, plus_i - mid, 0.5 * (up - down)])
+
+
+def table_at(table: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """The tabulated quantity at probes with rows (phi1, phi2), stacked on
+    a leading axis: the (1, q) coefficient rows times the table."""
+    s1 = np.sin(probes[:, 0])
+    coef = np.stack(
+        [np.ones_like(s1), s1 * np.cos(probes[:, 1]), s1 * np.sin(probes[:, 1]), np.cos(probes[:, 0])], axis=1
+    )
+    return (coef @ table.reshape(4, -1)).reshape(-1, *table.shape[1:])
+
+
+def probe_scan(n1: int, n2: int, phi1_max: float, phi2_max: float) -> np.ndarray:
+    """Scan grid, rows (phi1, phi2): n1 values of phi1 on [0, phi1_max]
+    times n2 of phi2 on [0, phi2_max), in row order, except that a pole row
+    (phi1 = 0 or pi) holds only phi2 = 0, since all its points name one
+    probe."""
+    a = np.linspace(0.0, phi1_max, n1)
+    b = np.linspace(0.0, phi2_max, n2, endpoint=False)
+    pts = np.stack(np.meshgrid(a, b, indexing="ij"), axis=-1).reshape(-1, 2)
+    return pts[(pts[:, 1] == 0.0) | ((pts[:, 0] != 0.0) & (pts[:, 0] != math.pi))]
+
+
+def clamp_probe(q: np.ndarray) -> np.ndarray:
+    """Projection of a probe search's point (phi1, phi2) onto phi1 in [0, pi]."""
+    return np.array([min(max(q[0], 0.0), math.pi), q[1]])

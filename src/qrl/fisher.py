@@ -12,10 +12,11 @@ elements; `avg_trace_qfi` is that kernel applied to one probe.
 
 For a fixed gate the output is linear in the probe density, so t and M are
 affine in the probe Bloch vector q.  The probe search builds that
-probe-affine table once per gate from four probes (|0>, |1>, |+>, |+i>) and
-then reads (t, M) for any probe off it: its probe scan (13x13 by
-default) is one batched kernel call and each Nelder-Mead evaluation a
-one-probe call, with no isometry or channel work per probe.
+probe-affine table once per gate (`channel.probe_table`, four probes) and
+then reads (t, M) for any probe off it: its probe scan, 145 probes of a
+13x13 grid whose pole rows hold one probe each, is one batched kernel call
+and each Nelder-Mead evaluation a one-probe call, with no isometry or
+channel work per probe.
 
 Both roots of den lie outside (-1, 1), because the outputs at the pure
 environment states +-n are states; a root on the cutoff is the logarithmic
@@ -33,15 +34,15 @@ and the u-grid oracle in tests/oracles.py read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .channel import ProbeState, apply_channel, stinespring_isometry
+from .channel import ProbeState, apply_channel, clamp_probe, probe_scan, probe_table, stinespring_isometry, table_at
 from .linalg import PAULI
-from .optimize import nelder_mead, rect_grid
+from .optimize import nelder_mead
 from .unitary import UnitaryParams
 
 PURITY_TOL = 1e-10
@@ -112,39 +113,6 @@ def _probe_affine(p: UnitaryParams, probe: ProbeState):
     offset = bloch_of(apply_channel(iso, 0.5 * PAULI[0]))
     cols = [0.5 * bloch_of(apply_channel(iso, PAULI[k])) for k in (1, 2, 3)]
     return offset, np.stack(cols, axis=1)
-
-
-# probe Bloch vectors +z, -z, +x, +y
-_TABLE_PROBES = (
-    ProbeState(0.0, 0.0),
-    ProbeState(math.pi, 0.0),
-    ProbeState(0.5 * math.pi, 0.0),
-    ProbeState(0.5 * math.pi, 0.5 * math.pi),
-)
-
-
-def _affine_table(p: UnitaryParams) -> np.ndarray:
-    """Rows A0, Ax, Ay, Az of (t, M) flattened to 12 numbers, such that the
-    probe with Bloch vector q has (t, M) = A0 + qx Ax + qy Ay + qz Az.
-
-    The output state is linear in the probe density (1 + q.sigma)/2, so t
-    and M are affine in q; the rows come from _probe_affine at |0>, |1>,
-    |+> and |+i>.
-    """
-    affine = [_probe_affine(p, q) for q in _TABLE_PROBES]
-    up, down, plus, plus_i = (np.concatenate([t, m.ravel()]) for t, m in affine)
-    mid = 0.5 * (up + down)
-    return np.stack([mid, plus - mid, plus_i - mid, 0.5 * (up - down)])
-
-
-def _affine_at(table: np.ndarray, probes: np.ndarray):
-    """Offsets (P, 3) and maps (P, 3, 3) at probes, rows (phi1, phi2)."""
-    s1 = np.sin(probes[:, 0])
-    coef = np.stack(
-        [np.ones_like(s1), s1 * np.cos(probes[:, 1]), s1 * np.sin(probes[:, 1]), np.cos(probes[:, 0])], axis=1
-    )
-    flat = coef @ table
-    return flat[:, :3], flat[:, 3:].reshape(-1, 3, 3)
 
 
 def _moments(x: np.ndarray) -> np.ndarray:
@@ -357,7 +325,6 @@ def avg_qfi_at_probe(
     probe: ProbeState,
     quad: QuadSpec = QuadSpec(),
     eta_schedule=DEFAULT_ETA_SCHEDULE,
-    converged: bool = True,
 ) -> AvgQfiResult:
     """Regularized trace at each cutoff, divergence classification, and for
     finite cases an eta -> 0 extrapolation of ladder-refined values."""
@@ -368,41 +335,32 @@ def avg_qfi_at_probe(
     else:
         refined = [_refined_avg(p, probe, quad, eta, base) for eta, base in trace[-3:]]
         value = _aitken(refined)
-    return AvgQfiResult(
-        value=value,
-        probe_opt=probe,
-        eta_trace=trace,
-        classification=classification,
-        converged=converged,
-    )
+    return AvgQfiResult(value=value, probe_opt=probe, eta_trace=trace, classification=classification)
 
 
 def maximize_over_probe(
     p: UnitaryParams,
     quad: QuadSpec = QuadSpec(),
     eta_schedule=DEFAULT_ETA_SCHEDULE,
-    probe_grid: int = 13,
 ) -> AvgQfiResult:
     """Probe maximization of the averaged trace-QFI at the widest cutoff,
     then the full cutoff schedule at the optimum.
 
-    The gate's probe-affine table is built once; the probe_grid^2 scan is one
-    batched call of the averaging kernel and each Nelder-Mead evaluation one
-    single-probe call, both reading (t, M) off the table.
+    The gate's probe-affine table is built once; the scan of 145 probes is
+    one batched call of the averaging kernel and each Nelder-Mead evaluation
+    one single-probe call, both reading (t, M) off the table.
     """
     schedule = _schedule(eta_schedule)
     eta0 = schedule[0]
-    table = _affine_table(p)
+    table = probe_table(lambda probe: np.concatenate([a.ravel() for a in _probe_affine(p, probe)]))
 
     def averages(pts):
-        return _averages(pts, *_affine_at(table, pts), quad, eta0)
+        flat = table_at(table, pts)
+        return _averages(pts, flat[:, :3], flat[:, 3:].reshape(-1, 3, 3), quad, eta0)
 
-    pts = rect_grid(probe_grid, probe_grid, 0.0, math.pi, 0.0, 2.0 * math.pi)
+    pts = probe_scan(13, 13, math.pi, 2.0 * math.pi)
     start = pts[int(np.argmax(averages(pts)))]
-
-    def clamp(q):  # nelder_mead evaluates projected points only
-        return np.array([min(max(q[0], 0.0), math.pi), q[1]])
-
-    res = nelder_mead(lambda q: -float(averages(q[None])[0]), start, 0.15, tol=1e-7, max_iter=200, project=clamp)
-    probe = ProbeState(min(max(res.x[0], 0.0), math.pi), res.x[1])
-    return avg_qfi_at_probe(p, probe, quad, schedule, converged=res.converged)
+    # nelder_mead evaluates projected points only
+    res = nelder_mead(lambda q: -float(averages(q[None])[0]), start, 0.15, tol=1e-7, max_iter=200, project=clamp_probe)
+    probe = ProbeState(*res.x)
+    return replace(avg_qfi_at_probe(p, probe, quad, schedule), converged=res.converged)

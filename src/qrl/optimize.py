@@ -79,9 +79,3 @@ def nelder_mead(f, x0, step: float, tol: float = 1e-9, max_iter: int = 400, proj
     best = min(range(n + 1), key=fv.__getitem__)
     return OptResult(simplex[best], float(fv[best]), it, False)
 
-
-def rect_grid(n1: int, n2: int, lo1: float, hi1: float, lo2: float, hi2: float) -> np.ndarray:
-    """n1 x n2 grid, closed in the first coordinate, periodic-open in the second."""
-    a = np.linspace(lo1, hi1, n1)
-    b = np.linspace(lo2, hi2, n2, endpoint=False)
-    return np.stack(np.meshgrid(a, b, indexing="ij"), axis=-1).reshape(-1, 2)

@@ -12,7 +12,8 @@ tests check the library against them.
   analytic environment derivatives `env_bloch_derivatives`; `prior_weight`
   is the prior density the average integrates against.
 - `renyi2_divergence` evaluates the sandwiched divergence with matrix
-  powers (`herm_power`), the route the Gram form of `qrl.capacity` replaced.
+  powers (`herm_power`), the route the Gram form of `qrl.capacity` replaced;
+  `renyi2_divergence_grid` is the same formula over a batch of sigmas.
 - `delta_star_golden` is the golden-section search for delta*, which the
   closed form `qrl.capacity.delta_star` replaced.
 - `magic_basis_reconstruction` builds the gate from its eigenphases in the
@@ -24,6 +25,9 @@ tests check the library against them.
 - `choi_bf_loop` builds the Choi state block by block from
   `apply_complement`, the loop route that the single contraction of
   `qrl.channel.choi_bf` replaced.
+- `EnvState` is a pure-or-mixed environment qubit in the prior's spherical
+  coordinates; the library works with Bloch vectors and Pauli matrices and
+  has no use for it.
 """
 
 import math
@@ -42,10 +46,41 @@ from qrl.capacity import (
     _inv_sqrt_coeffs,
     g_eps,
 )
-from qrl.channel import BipartiteState, EnvState, _env_matrix, apply_channel, stinespring_isometry
+from qrl.channel import ANGLE_TOL, TWO_PI, BipartiteState, apply_channel, stinespring_isometry
 from qrl.fisher import PURITY_TOL, _angular_tables, _gl, _probe_affine
 from qrl.linalg import HERMITICITY_TOL, I2, SX, SY, SZ, kron, partial_trace
 from qrl.optimize import OptResult
+
+
+@dataclass(frozen=True)
+class EnvState:
+    """Environment qubit in spherical Bloch coordinates, radius r <= 1/2."""
+
+    r: float
+    theta1: float
+    theta2: float
+
+    def __post_init__(self):
+        if not -ANGLE_TOL <= self.r <= 0.5 + ANGLE_TOL:
+            raise ValueError(f"r must lie in [0, 1/2], got {self.r!r}")
+        if not -ANGLE_TOL <= self.theta1 <= math.pi + ANGLE_TOL:
+            raise ValueError(f"theta1 must lie in [0, pi], got {self.theta1!r}")
+        object.__setattr__(self, "theta2", float(self.theta2) % TWO_PI)
+
+    def bloch(self) -> np.ndarray:
+        s1 = math.sin(self.theta1)
+        return 2.0 * self.r * np.array(
+            [s1 * math.cos(self.theta2), s1 * math.sin(self.theta2), math.cos(self.theta1)]
+        )
+
+    def matrix(self) -> np.ndarray:
+        bx, by, bz = self.bloch()
+        return 0.5 * (I2 + bx * SX + by * SY + bz * SZ)
+
+
+def _env_matrix(env) -> np.ndarray:
+    """The 2x2 operator of an EnvState; other operators pass through."""
+    return env.matrix() if isinstance(env, EnvState) else np.asarray(env, dtype=complex)
 
 
 @lru_cache(maxsize=64)
@@ -155,7 +190,7 @@ def channel_qfi(p, probe, env: EnvState, purity_tol: float = PURITY_TOL) -> QfiM
     derivatives are the channel applied to the environment Bloch partials.
     """
     iso = stinespring_isometry(p, probe)
-    rho = apply_channel(iso, env)
+    rho = apply_channel(iso, env.matrix())
     derivs = [apply_channel(iso, d) for d in env_bloch_derivatives(env)]
     return qfi_matrix(rho, derivs, purity_tol=purity_tol)
 
@@ -189,13 +224,33 @@ def herm_power(m: np.ndarray, p: float, floor: float = EIG_FLOOR_DEFAULT) -> np.
     return 0.5 * (out + out.conj().T)
 
 
+def sigma_matrix(sigma: ConditioningState) -> np.ndarray:
+    """sigma_F = (I + p.sigma)/2 as a 2x2 matrix."""
+    p1, p2, p3 = sigma.bloch
+    return 0.5 * (I2 + p1 * SX + p2 * SY + p3 * SZ)
+
+
 def renyi2_divergence(rho, sigma) -> float:
     """Sandwiched q=2 divergence D2(rho || I (x) sigma) in bits, evaluated
     literally: log2 Tr{[(I (x) s)^{-1/4} rho (I (x) s)^{-1/4}]^2}."""
     r = rho.rho_bf if isinstance(rho, BipartiteState) else np.asarray(rho, dtype=complex)
-    quarter = herm_power(kron(I2, sigma.matrix()), -0.25, LAMBDA_FLOOR)
+    quarter = herm_power(kron(I2, sigma_matrix(sigma)), -0.25, LAMBDA_FLOOR)
     sandwich = quarter @ r @ quarter
     return float(np.log2(np.trace(sandwich @ sandwich).real))
+
+
+def renyi2_divergence_grid(rho, blochs) -> np.ndarray:
+    """renyi2_divergence at each sigma Bloch vector, rows of `blochs`: one
+    batched eigh of the sigmas, the same floored -1/4 power, applied as
+    I (x) sigma^{-1/4}, and the same sandwiched trace."""
+    r = rho.rho_bf if isinstance(rho, BipartiteState) else np.asarray(rho, dtype=complex)
+    b = np.asarray(blochs, dtype=float)[:, :, None, None]
+    w, q = np.linalg.eigh(0.5 * (I2 + b[:, 0] * SX + b[:, 1] * SY + b[:, 2] * SZ))
+    quarter = (q * np.maximum(w, LAMBDA_FLOOR)[:, None, :] ** -0.25) @ q.conj().transpose(0, 2, 1)
+    quarter = 0.5 * (quarter + quarter.conj().transpose(0, 2, 1))
+    big = np.einsum("ij,nkl->nikjl", I2, quarter).reshape(-1, 4, 4)
+    sandwich = big @ r @ big
+    return np.log2(np.einsum("nij,nji->n", sandwich, sandwich).real)
 
 
 # --- delta* by search ---------------------------------------------------------

@@ -25,7 +25,6 @@ from qrl.capacity import (
     ConditioningState,
 )
 from qrl.channel import (
-    EnvState,
     ProbeState,
     apply_channel,
     choi_bf,
@@ -45,7 +44,15 @@ from qrl.unitary import (
     build_unitary,
     edge_point,
 )
-from oracles import channel_qfi, delta_star_golden, magic_basis_reconstruction, qfi_matrix, renyi2_divergence
+from oracles import (
+    EnvState,
+    channel_qfi,
+    delta_star_golden,
+    magic_basis_reconstruction,
+    qfi_matrix,
+    renyi2_divergence,
+    renyi2_divergence_grid,
+)
 
 rng = np.random.default_rng(20260814)
 
@@ -279,20 +286,21 @@ def test_criterion_6_sd_edge_and_ordering():
 
 
 def test_criterion_7_optimizer_and_derivative_oracles():
-    # refined sigma search against an exhaustive Bloch-ball grid
+    # refined sigma search against an exhaustive Bloch-ball grid, evaluated
+    # by the batched literal divergence; a sample of its points is checked
+    # against the scalar literal divergence
     axis = np.linspace(-BLOCH_CAP, BLOCH_CAP, 21)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    grid = grid[np.linalg.norm(grid, axis=1) <= BLOCH_CAP]
     worst_gap = -math.inf
-    for _ in range(50):
+    for k in range(50):
         rho = choi_bf(stinespring_isometry(random_params(), random_probe())).rho_bf
         refined = h2_conditional(rho).value
-        best = -math.inf
-        for bx in axis:
-            for by in axis:
-                for bz in axis:
-                    b = np.array([bx, by, bz])
-                    if np.linalg.norm(b) > BLOCH_CAP:
-                        continue
-                    best = max(best, -renyi2_divergence(rho, ConditioningState(b)))
+        literal = renyi2_divergence_grid(rho, grid)
+        if k < 5:
+            for i in range(k, len(grid), 41):
+                assert abs(literal[i] - renyi2_divergence(rho, ConditioningState(grid[i]))) <= 1e-12
+        best = -float(np.min(literal))
         worst_gap = max(worst_gap, best - refined)
         assert refined >= best - 1e-4
 
@@ -313,9 +321,10 @@ def test_criterion_7_optimizer_and_derivative_oracles():
             up, dn = coords.copy(), coords.copy()
             up[axis_i] += h
             dn[axis_i] -= h
-            fd.append((apply_channel(iso, EnvState(*up)) - apply_channel(iso, EnvState(*dn))) / (2 * h))
+            rho_up, rho_dn = (apply_channel(iso, EnvState(*x).matrix()) for x in (up, dn))
+            fd.append((rho_up - rho_dn) / (2 * h))
         diff = np.max(
-            np.abs(channel_qfi(p, probe, env).entries - qfi_matrix(apply_channel(iso, env), fd).entries)
+            np.abs(channel_qfi(p, probe, env).entries - qfi_matrix(apply_channel(iso, env.matrix()), fd).entries)
         )
         worst_fd = max(worst_fd, float(diff))
         assert diff < 1e-6
@@ -330,7 +339,7 @@ def test_criterion_8_structural_invariants():
             for probe in (ProbeState(0.0, 0.0), ProbeState(1.1, 0.7)):
                 iso = stinespring_isometry(params, probe)
                 state = choi_bf(iso)  # construction validates density + marginal
-                out = apply_channel(iso, EnvState(0.3, 1.0, 2.0))
+                out = apply_channel(iso, EnvState(0.3, 1.0, 2.0).matrix())
                 assert validate_density(out).ok
                 marg = partial_trace(state.rho_bf, keep="first")
                 assert np.max(np.abs(marg - 0.5 * I2)) < 1e-12

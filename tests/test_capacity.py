@@ -18,7 +18,7 @@ from qrl.capacity import (
 from qrl.channel import BipartiteState, ProbeState, choi_bf, stinespring_isometry
 from qrl.linalg import PAULI
 from qrl.unitary import VERTICES, UnitaryParams, edge_point
-from oracles import delta_star_golden, h2_conditional_simplex, renyi2_divergence
+from oracles import delta_star_golden, h2_conditional_simplex, renyi2_divergence, sigma_matrix
 
 rng = np.random.default_rng(424242)
 
@@ -130,7 +130,7 @@ def test_conditioning_state_validation():
     with pytest.raises(ValueError):
         ConditioningState(np.array([1.0, 1.0]))
     sigma = ConditioningState(np.array([0.2, -0.1, 0.3]))
-    mat = sigma.matrix()
+    mat = sigma_matrix(sigma)
     assert np.allclose(mat, 0.5 * (I2 + 0.2 * PAULI[1] - 0.1 * PAULI[2] + 0.3 * PAULI[3]))
 
 
@@ -338,7 +338,7 @@ def test_h2_same_at_the_probe_images():
 def test_h2_continuity_in_alpha():
     # nearby gates give nearby probe-optimized entropies; coarse optimizer
     # config keeps this cheap without hurting the 0.05 window
-    coarse = OptimizerConfig(probe_grid=5, tol=1e-5, max_iter=150)
+    coarse = OptimizerConfig(tol=1e-5, max_iter=150)
     checked = 0
     while checked < 100:
         params = random_params()
@@ -474,3 +474,18 @@ def test_best_probe_deterministic():
     b = best_probe_h2(params)
     assert a.h2 == b.h2
     assert a.probe == b.probe
+
+
+def test_best_probe_builds_four_channels(monkeypatch):
+    # rho_BF is read off a table built from four probes: no isometry or
+    # Choi state per probe that the scan and the simplex try
+    calls = {"stinespring_isometry": 0, "choi_bf": 0}
+    for name in calls:
+
+        def counted(*args, _fn=getattr(qrl.capacity, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(qrl.capacity, name, counted)
+    best_probe_h2(edge_point("CS", 0.4)[0])
+    assert calls == {"stinespring_isometry": 4, "choi_bf": 4}

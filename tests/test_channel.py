@@ -4,7 +4,6 @@ import pytest
 from qrl.channel import (
     BipartiteState,
     ChannelIsometry,
-    EnvState,
     ProbeState,
     apply_channel,
     choi_bf,
@@ -12,7 +11,7 @@ from qrl.channel import (
 )
 from qrl.linalg import I2, SZ, kron, validate_density
 from qrl.unitary import VERTICES, UnitaryParams
-from oracles import apply_complement, choi_bf_loop, env_bloch_derivatives
+from oracles import EnvState, apply_complement, choi_bf_loop, env_bloch_derivatives
 
 rng = np.random.default_rng(99)
 
@@ -97,21 +96,23 @@ def test_apply_channel_swap_is_identity_map():
     iso = stinespring_isometry(VERTICES["S"], random_probe())
     for _ in range(20):
         env = random_env()
-        assert np.abs(apply_channel(iso, env) - env.matrix()).max() <= 1e-12
+        assert np.abs(apply_channel(iso, env.matrix()) - env.matrix()).max() <= 1e-12
+    with pytest.raises(ValueError, match="2x2"):
+        apply_channel(iso, np.eye(4))
 
 
 def test_apply_channel_identity_returns_probe():
     probe = random_probe()
     iso = stinespring_isometry(VERTICES["I"], probe)
     for _ in range(10):
-        assert np.abs(apply_channel(iso, random_env()) - probe.density()).max() <= 1e-12
+        assert np.abs(apply_channel(iso, random_env().matrix()) - probe.density()).max() <= 1e-12
 
 
 def test_apply_channel_c_vertex_probe00():
     iso = stinespring_isometry(VERTICES["C"], ProbeState(0.0, 0.0))
     for _ in range(20):
         env = random_env()
-        out = apply_channel(iso, env)
+        out = apply_channel(iso, env.matrix())
         c = env.r * np.sin(env.theta1) * np.cos(env.theta2)
         assert abs(out[0, 0] - 0.5) <= 1e-12 and abs(out[1, 1] - 0.5) <= 1e-12
         assert abs(out[0, 1] - 1j * c) <= 1e-12
@@ -132,7 +133,7 @@ def test_channel_and_complement_trace_one():
     for _ in range(30):
         iso = stinespring_isometry(random_params(), random_probe())
         env = random_env()
-        assert abs(np.trace(apply_channel(iso, env)) - 1) <= 1e-12
+        assert abs(np.trace(apply_channel(iso, env.matrix())) - 1) <= 1e-12
         assert abs(np.trace(apply_complement(iso, env)) - 1) <= 1e-12
 
 
@@ -144,7 +145,7 @@ def test_channel_linearity_on_mixtures():
         w /= w.sum()
         mix = sum(wi * e.matrix() for wi, e in zip(w, envs))
         direct = apply_channel(iso, mix)
-        mixed = sum(wi * apply_channel(iso, e) for wi, e in zip(w, envs))
+        mixed = sum(wi * apply_channel(iso, e.matrix()) for wi, e in zip(w, envs))
         assert np.abs(direct - mixed).max() <= 1e-12
 
 
@@ -202,7 +203,7 @@ def test_bipartite_state_rejects_bad_marginal():
 
 def test_isometry_type_rejects_non_isometry():
     with pytest.raises(ValueError):
-        ChannelIsometry(np.ones((4, 2), dtype=complex), ProbeState(0, 0), VERTICES["I"])
+        ChannelIsometry(np.ones((4, 2), dtype=complex))
 
 
 def test_env_derivatives_examples():

@@ -1,8 +1,8 @@
 """Package-wide contracts: no asserts in the library, no definition that only
 tests use, a public API that is exactly what the package imports, and the
 benchmark's tracer still finds every module attribute it wraps and still
-sees the averaged QFI's base and ladder calls, and a traced qfi run enters
-every layer the benchmark requires."""
+sees the averaged QFI's base and ladder calls, and traced h2 and qfi runs
+enter every layer the benchmark requires and match their untraced rows."""
 
 import ast
 import math
@@ -118,17 +118,22 @@ def _must_enter(workload: str) -> tuple:
 
 def test_benchmark_tracer_enters_every_h2_layer(monkeypatch):
     # a traced h2-sweep run is incorrect when a MUST_ENTER metric reads 0,
-    # for instance when the sigma solve stops calling capacity.nelder_mead
+    # for instance when the sigma solve stops calling capacity.nelder_mead,
+    # or when a traced row differs from its untraced twin
     names = _must_enter("h2-sweep")
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracer
 
+    cfg = qrl.harness.SweepConfig(edge="CS", metric="h2", samples=2, workers=1)
+    plain = qrl.harness._eval_point(cfg, 0.5)
     tr = tracer.Tracer()
     tr.install(qrl)
     try:
-        qrl.harness.best_probe_h2(qrl.edge_point("CS", 0.5)[0])
+        traced = qrl.harness._eval_point(cfg, 0.5)
     finally:
         tr.uninstall()
+    assert traced.status == "ok"
+    assert traced.csv_fields()[:-1] == plain.csv_fields()[:-1]  # all but wall_time_ms
     base = qrl.QuadSpec()
     metrics, _, _ = tracer.analyse(tr.spans, 1, (base.nr, base.n_theta1, base.n_theta2), 0)
     assert names and [n for n in names if not metrics[n][0] > 0] == []

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
 import qrl.fisher
-from qrl.channel import EnvState, ProbeState, apply_channel, stinespring_isometry
+from qrl.channel import ProbeState, apply_channel, choi_bf, probe_scan, probe_table, stinespring_isometry, table_at
 from qrl.fisher import (
     DEFAULT_ETA_SCHEDULE,
     AvgQfiResult,
@@ -19,7 +19,7 @@ from qrl.fisher import (
     maximize_over_probe,
 )
 from qrl.unitary import UnitaryParams, edge_point
-from oracles import QfiMatrix, avg_trace_qfi_ugrid, channel_qfi, prior_weight, qfi_matrix
+from oracles import EnvState, QfiMatrix, avg_trace_qfi_ugrid, channel_qfi, prior_weight, qfi_matrix
 
 rng = np.random.default_rng(77)
 
@@ -127,15 +127,15 @@ def test_channel_qfi_matches_finite_differences():
     for _ in range(200):
         p, probe, env = random_params(), random_probe(), random_env(r_lo=1e-3)
         iso = stinespring_isometry(p, probe)
-        rho = apply_channel(iso, env)
+        rho = apply_channel(iso, env.matrix())
         fd = []
         for axis in range(3):
             coords = np.array([env.r, env.theta1, env.theta2])
             up, dn = coords.copy(), coords.copy()
             up[axis] += h
             dn[axis] -= h
-            rho_up = apply_channel(iso, EnvState(*up))
-            rho_dn = apply_channel(iso, EnvState(*dn))
+            rho_up = apply_channel(iso, EnvState(*up).matrix())
+            rho_dn = apply_channel(iso, EnvState(*dn).matrix())
             fd.append((rho_up - rho_dn) / (2.0 * h))
         analytic = channel_qfi(p, probe, env).entries
         numeric = qfi_matrix(rho, fd).entries
@@ -342,18 +342,37 @@ EDGES = ("IC", "IS", "ID", "CS", "CD", "DS")
 
 
 def test_affine_table_reproduces_probe_affine():
-    # t and M are affine in the probe Bloch vector; the table built from
-    # four probes gives every other one, poles included
+    # t, M and rho_BF are affine in the probe Bloch vector; the table built
+    # from four probes gives every other one, poles included
     local = np.random.default_rng(31)
     coords = np.column_stack([local.uniform(0, np.pi, 200), local.uniform(0, 2 * np.pi, 200)])
     coords = np.vstack([coords, [[0.0, 0.0], [0.0, 2.1], [np.pi, 0.0], [np.pi, 4.4]]])
     for edge in EDGES:
         p = edge_point(edge, local.uniform(0.05, 0.95))[0]
-        offsets, maps = qrl.fisher._affine_at(qrl.fisher._affine_table(p), coords)
-        for (phi1, phi2), t, m in zip(coords, offsets, maps):
-            t_ref, m_ref = qrl.fisher._probe_affine(p, ProbeState(phi1, phi2))
-            assert np.max(np.abs(t - t_ref)) <= 1e-14
-            assert np.max(np.abs(m - m_ref)) <= 1e-14
+        affine = probe_table(lambda q: np.concatenate([a.ravel() for a in qrl.fisher._probe_affine(p, q)]))
+        flat = table_at(affine, coords)
+        rhos = table_at(probe_table(lambda q: choi_bf(stinespring_isometry(p, q)).rho_bf), coords)
+        for (phi1, phi2), row, rho in zip(coords, flat, rhos):
+            probe = ProbeState(phi1, phi2)
+            t_ref, m_ref = qrl.fisher._probe_affine(p, probe)
+            assert np.max(np.abs(row[:3] - t_ref)) <= 1e-14
+            assert np.max(np.abs(row[3:].reshape(3, 3) - m_ref)) <= 1e-14
+            assert np.max(np.abs(rho - choi_bf(stinespring_isometry(p, probe)).rho_bf)) <= 1e-15
+
+
+def test_probe_scan_holds_each_pole_once():
+    # the scan grids of both probe searches: the old n x n grids with the
+    # copies of each pole dropped, every other point kept in order
+    for n, phi1_max, phi2_max, poles in ((7, np.pi / 2, np.pi, (0.0,)), (13, np.pi, 2 * np.pi, (0.0, np.pi))):
+        a = np.linspace(0.0, phi1_max, n)
+        b = np.linspace(0.0, phi2_max, n, endpoint=False)
+        old = np.stack(np.meshgrid(a, b, indexing="ij"), axis=-1).reshape(-1, 2)
+        pts = probe_scan(n, n, phi1_max, phi2_max)
+        assert len(pts) == n * n - (n - 1) * len(poles)
+        for pole in poles:
+            assert [tuple(q) for q in pts if q[0] == pole] == [(pole, 0.0)]
+        assert np.array_equal(pts[~np.isin(pts[:, 0], poles)], old[~np.isin(old[:, 0], poles)])
+        assert np.array_equal(pts, old[~np.isin(old[:, 0], poles) | (old[:, 1] == 0.0)])
 
 
 @pytest.mark.parametrize("n", (12, 32, 128))
@@ -499,7 +518,7 @@ def test_eta_trace_monotone_invariant():
 
 
 def test_maximize_identity():
-    res = maximize_over_probe(IDENT, QuadSpec(8, 8, 8), (1e-2, 1e-3), probe_grid=5)
+    res = maximize_over_probe(IDENT, QuadSpec(8, 8, 8), (1e-2, 1e-3))
     assert res.classification == "finite"
     assert res.value == 0.0
 
@@ -515,7 +534,7 @@ def test_maximize_cnot_vertex():
 
 def test_maximize_swap_and_dcnot_divergent():
     for p in (SWAP, DCNOT):
-        res = maximize_over_probe(p, eta_schedule=(1e-3, 1e-4, 1e-5), probe_grid=7)
+        res = maximize_over_probe(p, eta_schedule=(1e-3, 1e-4, 1e-5))
         assert res.classification == "divergent"
 
 
@@ -546,8 +565,8 @@ def test_avg_continuity_in_alpha():
             shifted = UnitaryParams(*(params.as_array() + delta))
         except ValueError:
             continue
-        a = maximize_over_probe(params, quad, (1e-3,), probe_grid=7).value
-        b = maximize_over_probe(shifted, quad, (1e-3,), probe_grid=7).value
+        a = maximize_over_probe(params, quad, (1e-3,)).value
+        b = maximize_over_probe(shifted, quad, (1e-3,)).value
         assert abs(a - b) <= 0.05
         checked += 1
 
