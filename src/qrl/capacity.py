@@ -3,9 +3,11 @@
 H2(B|F) is the maximum over conditioning states sigma_F of minus the
 sandwiched Renyi-2 divergence from I (x) sigma_F.  The supremum for the
 strongly entangling unitaries sits on the Bloch boundary (rank-deficient
-sigma), so the search ball is capped at radius 1 - 1e-7 and inverse powers
-are floored at 1e-9; the reported maximum then sits within about
-2*floor/ln2 bits of the supremum.  The objective is convex in sigma^{-1/2},
+sigma), so the search ball is capped at radius BLOCH_CAP = 1 - 1e-7, where
+the smaller eigenvalue of sigma is 5e-8.  That cap, not the 1e-9 eigenvalue
+floor that ConditioningState checks, sets the gap to the supremum: about
+5e-8/ln2 = 7e-8 bits, and S reads 0.999999932686 against the supremum 1,
+6.7e-8 below it.  The objective is convex in sigma^{-1/2},
 so the search needs no seed cube and no restarts: the direction of sigma is
 solved exactly at each radius, and one 1-D Nelder-Mead finds the radius
 (`h2_conditional`).
@@ -127,12 +129,10 @@ def _collision_gram(rho: np.ndarray) -> np.ndarray:
 
 
 def _inv_sqrt_coeffs(p: np.ndarray) -> np.ndarray:
-    """Pauli coefficients of sigma^{-1/2}, eigenvalues floored at
-    LAMBDA_FLOOR, so that c^T G c = Tr[rho s^{-1/2} rho s^{-1/2}]."""
+    """Pauli coefficients of sigma^{-1/2} for |p| <= BLOCH_CAP, so that
+    c^T G c = Tr[rho s^{-1/2} rho s^{-1/2}]."""
     nrm = math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2])
-    lp = max((1.0 + nrm) / 2.0, LAMBDA_FLOOR)
-    lm = max((1.0 - nrm) / 2.0, LAMBDA_FLOOR)
-    a, b = lp ** -0.5, lm ** -0.5
+    a, b = ((1.0 + nrm) / 2.0) ** -0.5, ((1.0 - nrm) / 2.0) ** -0.5
     mean, half_gap = (a + b) / 2.0, (a - b) / 2.0
     if nrm < 1e-15:
         return np.array([mean, 0.0, 0.0, 0.0])

@@ -46,10 +46,6 @@ class ProbeState:
             dtype=complex,
         )
 
-    def density(self) -> np.ndarray:
-        k = self.ket()
-        return np.outer(k, k.conj())
-
 
 @dataclass(frozen=True)
 class ChannelIsometry:

@@ -1,5 +1,12 @@
 """Command line front end.
 
+The argparse parser is the one table of commands, keys, types and defaults:
+defaults come from `SweepConfig`'s fields and choices from METRICS, VERTICES
+and EDGE_IDS.  A --config file names each key by its option's dest
+(eta_schedule, epsilon, ...); its [global] and [command] sections become
+parser defaults, so argparse applies the precedence and the casts.  The CLI
+writes every output file.
+
 Exit codes: 0 on success, 2 for invalid arguments (including tetrahedron
 ordering violations), 3 when any row is non-converged or an internal
 numerical invariant fails.  Log verbosity is taken from the QRL_LOG
@@ -13,10 +20,11 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields
 
-from .fisher import DEFAULT_ETA_SCHEDULE, QuadSpec
 from .harness import (
     CSV_HEADER,
+    METRICS,
     NUMERICAL_ERRORS,
     SweepConfig,
     load_config,
@@ -26,9 +34,10 @@ from .harness import (
     run_vertex_report,
     write_bound_csv,
     write_reports_csv,
+    write_sweep_svg,
 )
 from .channel import ProbeState
-from .unitary import EDGE_IDS, UnitaryParams
+from .unitary import EDGE_IDS, VERTICES, UnitaryParams, edge_id
 
 log = logging.getLogger("qrl")
 
@@ -73,76 +82,74 @@ def _probe(text: str) -> ProbeState:
     return ProbeState(vals[0], vals[1])
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The parser and its command subparsers by name: the one table of the
+    CLI's keys, types, choices and defaults."""
     parser = argparse.ArgumentParser(
         prog="qrl",
         description="Readout limits of environment-parametrized two-qubit channels",
     )
     parser.add_argument("--config", help="INI file with [global] and per-command sections")
-    parser.add_argument("--workers", type=int, help="process count for sweeps")
-    parser.add_argument("--eta-schedule", help="comma-separated radial cutoffs, largest first")
+    parser.add_argument("--workers", type=int, default=SweepConfig.workers,
+                        help="process count for sweeps (default: every CPU)")
+    parser.add_argument("--eta-schedule", type=_floats, default=SweepConfig.eta_schedule,
+                        help="comma-separated radial cutoffs, at least two")
     sub = parser.add_subparsers(dest="command", required=True)
 
     vertex = sub.add_parser("vertex", help="all three merits at a named vertex")
-    vertex.add_argument("--name", choices=("I", "C", "S", "D"))
-    vertex.add_argument("--epsilon", type=float)
-    vertex.add_argument("--n", type=int)
-    vertex.add_argument("--out")
+    vertex.add_argument("--name", choices=tuple(VERTICES))
 
     sweep = sub.add_parser("sweep", help="one metric along a tetrahedron edge")
-    sweep.add_argument("--edge", choices=EDGE_IDS)
-    sweep.add_argument("--metric", choices=("h2", "qfi", "bound"))
-    sweep.add_argument("--samples", type=int)
+    sweep.add_argument("--edge", type=edge_id, choices=EDGE_IDS, help="SD names DS; case is ignored")
+    sweep.add_argument("--metric", choices=METRICS, default=SweepConfig.metric)
+    sweep.add_argument("--samples", type=int, default=SweepConfig.samples)
     sweep.add_argument("--svg")
-    sweep.add_argument("--out")
+    for cmd in (vertex, sweep):
+        cmd.add_argument("--epsilon", type=float, default=SweepConfig.epsilon)
+        cmd.add_argument("--n", type=int, default=SweepConfig.n)
 
     bound = sub.add_parser("bound", help="capacity bound table over (epsilon, n)")
     bound.add_argument("--alpha", help="alpha_x,alpha_y,alpha_z")
     bound.add_argument("--epsilons", help="comma-separated epsilon values")
     bound.add_argument("--ns", help="comma-separated block lengths")
-    bound.add_argument("--out")
 
     qfi = sub.add_parser("qfi", help="averaged QFI at one tetrahedron point")
     qfi.add_argument("--alpha", help="alpha_x,alpha_y,alpha_z")
     qfi.add_argument("--probe", help="phi1,phi2 (default: optimized)")
-    qfi.add_argument("--out")
-    return parser
+    for cmd in sub.choices.values():
+        cmd.add_argument("--out")
+    return parser, sub.choices
 
 
-# the config keys each command reads, from its own section or from [global]
-_GLOBAL_KEYS = ("workers", "eta-schedule", "eta_schedule")
-_COMMAND_KEYS = {
-    "vertex": ("name", "epsilon", "n", "out"),
-    "sweep": ("edge", "metric", "samples", "epsilon", "n", "out", "svg"),
-    "bound": ("alpha", "epsilons", "ns", "out"),
-    "qfi": ("alpha", "probe", "out"),
-}
+def _keys(parser) -> set:
+    """The config keys a parser reads: the dests of its options."""
+    return {a.dest for a in parser._actions if a.option_strings} - {"help", "config"}
 
 
-def _check_keys(file_cfg: dict, command: str) -> None:
-    """A key the command does not read is a typo or a stale setting: refuse
-    it rather than run on with the default."""
-    known = set(_GLOBAL_KEYS + _COMMAND_KEYS[command])
-    for section in (command, "global"):
-        unknown = sorted(set(file_cfg.get(section, {})) - known)
+def _parse(argv):
+    """Parse argv; with --config, the file's [global] and then [command]
+    sections become parser defaults and argv is parsed again, so a flag
+    beats [command], which beats [global], which beats the built-in
+    default, and file values go through the same casts as flags."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    file_cfg = load_config(args.config)
+    command = commands[args.command]
+    main_keys, command_keys = _keys(parser), _keys(command)
+    # a key the command does not read is a typo or a stale setting: refuse
+    # it rather than run on with the default
+    for section in (args.command, "global"):
+        unknown = sorted(set(file_cfg.get(section, {})) - main_keys - command_keys)
         if unknown:
             raise ValueError(
-                f"config section [{section}] has key(s) that '{command}' does not read: {', '.join(unknown)}"
+                f"config section [{section}] has key(s) that '{args.command}' does not read: {', '.join(unknown)}"
             )
-
-
-def _merge(args, file_cfg: dict, key: str, default=None, cast=None):
-    """CLI flag, else [command] section, else [global] section, else default."""
-    if key not in _GLOBAL_KEYS + _COMMAND_KEYS[args.command]:
-        raise KeyError(f"config key {key!r} missing from the key table of '{args.command}'")
-    cli_val = getattr(args, key.replace("-", "_"), None)
-    if cli_val is not None:
-        return cast(cli_val) if cast else cli_val
-    for section in (args.command, "global"):
-        raw = file_cfg.get(section, {}).get(key)
-        if raw is not None:
-            return cast(raw) if cast else raw
-    return default
+    for section in ("global", args.command):
+        for key, value in file_cfg.get(section, {}).items():
+            (parser if key in main_keys else command).set_defaults(**{key: value})
+    return parser.parse_args(argv)
 
 
 def _require(value, flag: str):
@@ -161,66 +168,47 @@ def _emit(reports, out: str) -> None:
 
 
 def _run(args) -> int:
-    file_cfg = load_config(args.config) if args.config else {}
-    _check_keys(file_cfg, args.command)
-    workers = _merge(args, file_cfg, "workers", None, int)
-    schedule = _merge(args, file_cfg, "eta-schedule", None, _floats)
-    if schedule is None:
-        schedule = _merge(args, file_cfg, "eta_schedule", DEFAULT_ETA_SCHEDULE, _floats)
-
     if args.command == "vertex":
-        name = _require(_merge(args, file_cfg, "name"), "--name")
-        epsilon = _merge(args, file_cfg, "epsilon", 0.05, float)
-        n = _merge(args, file_cfg, "n", 1000, int)
-        out = _merge(args, file_cfg, "out")
-        reports = run_vertex_report(name, epsilon, n, tuple(schedule))
-        _emit(reports, out)
+        reports = run_vertex_report(_require(args.name, "--name"), args.epsilon, args.n, args.eta_schedule)
+        _emit(reports, args.out)
         return 3 if any(r.status == "non-converged" for r in reports) else 0
 
     if args.command == "sweep":
-        cfg = SweepConfig(
-            edge=_require(_merge(args, file_cfg, "edge"), "--edge"),
-            metric=_merge(args, file_cfg, "metric", "h2"),
-            samples=_merge(args, file_cfg, "samples", 41, int),
-            epsilon=_merge(args, file_cfg, "epsilon", 0.05, float),
-            n=_merge(args, file_cfg, "n", 1000, int),
-            eta_schedule=tuple(schedule),
-            workers=workers,
-            out=_require(_merge(args, file_cfg, "out"), "--out"),
-            svg=_merge(args, file_cfg, "svg"),
-        )
+        _require(args.edge, "--edge")
+        out = _require(args.out, "--out")
+        cfg = SweepConfig(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)})
         reports = run_edge_sweep(cfg)
+        write_reports_csv(reports, out)
+        if args.svg:
+            write_sweep_svg(reports, args.svg)
         failed = sum(r.status == "non-converged" for r in reports)
         log.log(logging.ERROR if failed else logging.INFO,
                 "sweep %s/%s: %d points, %d non-converged -> %s",
-                cfg.edge, cfg.metric, len(reports), failed, cfg.out)
+                cfg.edge, cfg.metric, len(reports), failed, out)
         return 3 if failed else 0
 
     if args.command == "bound":
-        params = _alpha(_require(_merge(args, file_cfg, "alpha"), "--alpha"))
-        epsilons = _floats(_require(_merge(args, file_cfg, "epsilons"), "--epsilons"))
-        ns = _ints(_require(_merge(args, file_cfg, "ns"), "--ns"))
-        out = _require(_merge(args, file_cfg, "out"), "--out")
+        params = _alpha(_require(args.alpha, "--alpha"))
+        epsilons = _floats(_require(args.epsilons, "--epsilons"))
+        ns = _ints(_require(args.ns, "--ns"))
+        out = _require(args.out, "--out")
         table = run_bound_table(params, epsilons, ns)
         write_bound_csv(table, out)
         log.info("bound table at h2=%.9g (probe %.6g,%.6g) -> %s",
                  table.h2, table.probe.phi1, table.probe.phi2, out)
         return 0
 
-    probe_text = _merge(args, file_cfg, "probe")
-    params = _alpha(_require(_merge(args, file_cfg, "alpha"), "--alpha"))
-    probe = _probe(probe_text) if probe_text else None
-    report = point_report(params, probe, QuadSpec(), tuple(schedule))
-    _emit([report], _merge(args, file_cfg, "out"))
+    params = _alpha(_require(args.alpha, "--alpha"))
+    probe = _probe(args.probe) if args.probe else None
+    report = point_report(params, probe, args.eta_schedule)
+    _emit([report], args.out)
     return 3 if report.status == "non-converged" else 0
 
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _run(args)
+        return _run(_parse(argv))
     except NUMERICAL_ERRORS as exc:
         log.error("%s", exc)
         print(f"numerical failure: {exc}", file=sys.stderr)

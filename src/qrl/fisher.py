@@ -149,9 +149,10 @@ def _radial_integral(offsets, d0, inv_d0, vecs, big_s) -> np.ndarray:
     """int_0^S tr F ds per probe and angular node, S = 1 - 2 eta.
 
     offsets is (P, 3); d0 = 1 - |t|^2 and inv_d0 = 1/d0 are (P, 1), except
-    that a pure offset has d0 = 1 and inv_d0 = 0, and inv_d0 is None when
-    every probe has one (see _averages).  vecs (3, P, 3, nodes) stacks
-    a = M n and the partials b1 = M dn/dtheta1, b2 = M dn/dtheta2.
+    that a pure offset has d0 = 1 and inv_d0 = 0 (see _averages), so a
+    block of pure offsets (the identity gate) skips the cross term.
+    vecs (3, P, 3, nodes) stacks a = M n and the partials b1 = M dn/dtheta1,
+    b2 = M dn/dtheta2.
     With b = t + s a the trace is 4|a|^2 + s^2 (|b1|^2 + |b2|^2) plus
     cross/den, where cross is a quartic in s and den = 1 - |b|^2 =
     d0 (1 - u s)(1 - v s) with u >= 0 >= v, both in [-1, 1] because the
@@ -162,7 +163,7 @@ def _radial_integral(offsets, d0, inv_d0, vecs, big_s) -> np.ndarray:
     """
     aa, ab1, ab2 = np.einsum("pjk,ipjk->ipk", vecs[0], vecs)
     poly = 4.0 * big_s * aa + big_s**3 / 3.0 * np.einsum("ipjk,ipjk->pk", vecs[1:], vecs[1:])
-    if inv_d0 is None:
+    if not inv_d0.any():
         return poly
     ta, tb1, tb2 = (offsets[:, None, :] @ vecs)[:, :, 0]
     # roots of d0 rho^2 - 2 ta rho - aa: the larger one from |ta| + sq, which
@@ -208,20 +209,15 @@ def _averages(probes: np.ndarray, offsets: np.ndarray, maps: np.ndarray, quad: Q
     # a pure offset admits only M = 0, so the output carries no cross term:
     # its inv_d0 reads 0, and d0 = 1 keeps the dropped term finite
     pure = d0 <= 4.0 * PURITY_TOL
-    if not pure.any():
-        inv_d0 = 1.0 / d0
-    elif pure.all():
-        inv_d0 = None
-    else:
-        d0 = np.where(pure, 1.0, d0)
-        inv_d0 = np.where(pure, 0.0, 1.0 / d0)
+    d0 = np.where(pure, 1.0, d0)
+    inv_d0 = np.where(pure, 0.0, 1.0 / d0)
     big_s = 1.0 - 2.0 * eta
     per_block, span = max(1, _CHUNK // nodes), min(nodes, _CHUNK)
     total = np.zeros(len(offsets))
     maps, dirs = maps[None], dirs[:, None]
     for p0 in range(0, len(offsets), per_block):
         batch = slice(p0, p0 + per_block)
-        t, d, inv = offsets[batch], d0[batch], None if inv_d0 is None else inv_d0[batch]
+        t, d, inv = offsets[batch], d0[batch], inv_d0[batch]
         for lo in range(0, nodes, span):
             radial = _radial_integral(t, d, inv, maps[:, batch] @ dirs[..., lo:lo + span], big_s)
             nan = np.isnan(radial)
@@ -304,8 +300,6 @@ def _classify(eta_trace) -> str:
     pts = [(e, v) for e, v in eta_trace if e <= 1.000001e-4]
     if len(pts) < 2:
         pts = list(eta_trace)[-2:]
-    if len(pts) < 2:
-        return "finite"  # single cutoff carries no growth evidence
     x = np.log(1.0 / np.array([e for e, _ in pts]))
     y = np.array([v for _, v in pts])
     slope = float(np.polyfit(x, y, 1)[0])
@@ -313,10 +307,11 @@ def _classify(eta_trace) -> str:
 
 
 def _schedule(eta_schedule) -> list:
-    """Distinct cutoffs, widest first, each in (0, ETA_MAX]."""
+    """Distinct cutoffs, widest first, each in (0, ETA_MAX]; at least two,
+    since one cutoff carries no growth evidence for `_classify`."""
     schedule = sorted({float(e) for e in eta_schedule}, reverse=True)
-    if not schedule or schedule[-1] <= 0.0 or schedule[0] > ETA_MAX:
-        raise ValueError("eta schedule must contain cutoffs in (0, 0.4]")
+    if len(schedule) < 2 or schedule[-1] <= 0.0 or schedule[0] > ETA_MAX:
+        raise ValueError(f"eta schedule must hold at least two distinct cutoffs in (0, {ETA_MAX}]")
     return schedule
 
 

@@ -1,10 +1,11 @@
-"""Batch front end: vertex reports, edge sweeps, bound tables, CSV/SVG output.
+"""Batch front end: vertex reports, edge sweeps, bound tables, CSV/SVG writers.
 
 Every figure-of-merit evaluation is reduced to MeritReport rows with a fixed
 CSV schema so that runs are comparable byte for byte (modulo wall time).
 Sweep points are independent and may be fanned out to worker processes; rows
-are sorted by the edge parameter before writing so the output order never
-depends on scheduling.
+are sorted by the edge parameter, so their order never depends on
+scheduling.  The runners only return rows and tables; the caller (the CLI)
+writes files with the writers below.
 """
 
 from __future__ import annotations
@@ -21,13 +22,8 @@ import numpy as np
 
 from .capacity import best_probe_h2, delta_star, one_shot_lower_bound
 from .channel import ProbeState
-from .fisher import (
-    DEFAULT_ETA_SCHEDULE,
-    QuadSpec,
-    avg_qfi_at_probe,
-    maximize_over_probe,
-)
-from .unitary import VERTICES, UnitaryParams, edge_point
+from .fisher import DEFAULT_ETA_SCHEDULE, avg_qfi_at_probe, maximize_over_probe
+from .unitary import VERTICES, UnitaryParams, edge_id, edge_point
 
 log = logging.getLogger("qrl")
 
@@ -101,7 +97,9 @@ class MeritReport:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Settings for one edge sweep."""
+    """Settings for one edge sweep; the CLI takes its defaults from these
+    fields.  The edge is stored as its canonical id; workers None means
+    every CPU."""
 
     edge: str
     metric: str = "h2"
@@ -110,16 +108,15 @@ class SweepConfig:
     n: int = 1000
     eta_schedule: tuple = DEFAULT_ETA_SCHEDULE
     workers: int = None
-    out: str = None
-    svg: str = None
-    quad: QuadSpec = QuadSpec()
 
     def __post_init__(self):
         if self.samples < 2:
             raise ValueError(f"samples must be >= 2, got {self.samples!r}")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        edge_point(self.edge, 0.0)  # validates the edge name
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1 (or None for every CPU), got {self.workers!r}")
+        object.__setattr__(self, "edge", edge_id(self.edge))
 
 
 def _status(ok: bool, otherwise: str, converged: bool) -> str:
@@ -172,7 +169,7 @@ def _eval_point(cfg: SweepConfig, t: float) -> MeritReport:
     started = time.perf_counter()
     try:
         if cfg.metric == "qfi":
-            fields = _qfi_fields(maximize_over_probe(params, cfg.quad, cfg.eta_schedule))
+            fields = _qfi_fields(maximize_over_probe(params, eta_schedule=cfg.eta_schedule))
         else:
             fields = _h2_fields(best_probe_h2(params), cfg.metric, cfg.epsilon, cfg.n)
     except NUMERICAL_ERRORS:
@@ -182,7 +179,7 @@ def _eval_point(cfg: SweepConfig, t: float) -> MeritReport:
 
 
 def run_edge_sweep(cfg: SweepConfig) -> list:
-    """Evaluate the configured metric along the edge; write CSV/SVG if asked.
+    """Rows of the configured metric along the edge.
 
     Points are independent; failures are recorded per point and the sweep
     continues.  Results are sorted by t, so output is deterministic for any
@@ -196,10 +193,6 @@ def run_edge_sweep(cfg: SweepConfig) -> list:
     else:
         reports = [_eval_point(cfg, t) for t in ts]
     reports.sort(key=lambda r: r.t)
-    if cfg.out:
-        write_reports_csv(reports, cfg.out)
-    if cfg.svg:
-        write_sweep_svg(reports, cfg.svg)
     return reports
 
 
@@ -208,7 +201,6 @@ def run_vertex_report(
     epsilon: float,
     n: int,
     eta_schedule: tuple = DEFAULT_ETA_SCHEDULE,
-    quad: QuadSpec = QuadSpec(),
 ) -> list:
     """H2, capacity bound and averaged-QFI rows for a named vertex; the h2
     and bound rows share one probe search."""
@@ -219,7 +211,7 @@ def run_vertex_report(
     opt = best_probe_h2(params)
     rows = [_row(vertex, 0.0, params, m, started, **_h2_fields(opt, m, epsilon, n)) for m in ("h2", "bound")]
     started = time.perf_counter()
-    res = maximize_over_probe(params, quad, eta_schedule)
+    res = maximize_over_probe(params, eta_schedule=eta_schedule)
     rows.append(_row(vertex, 0.0, params, "qfi", started, **_qfi_fields(res)))
     return rows
 
@@ -329,13 +321,13 @@ def load_config(path: str) -> dict:
 def point_report(
     p: UnitaryParams,
     probe: ProbeState = None,
-    quad: QuadSpec = QuadSpec(),
     eta_schedule: tuple = DEFAULT_ETA_SCHEDULE,
 ) -> MeritReport:
-    """Single averaged-QFI row at an arbitrary tetrahedron point."""
+    """Single averaged-QFI row at an arbitrary tetrahedron point, at `probe`
+    or at the optimized probe when it is None."""
     started = time.perf_counter()
     if probe is None:
-        res = maximize_over_probe(p, quad, eta_schedule)
+        res = maximize_over_probe(p, eta_schedule=eta_schedule)
     else:
-        res = avg_qfi_at_probe(p, probe, quad, eta_schedule)
+        res = avg_qfi_at_probe(p, probe, eta_schedule=eta_schedule)
     return _row("point", 0.0, p, "qfi", started, **_qfi_fields(res))

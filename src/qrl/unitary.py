@@ -88,17 +88,23 @@ _EDGE_TABLE = {
 }
 
 
-def edge_point(edge: str, t: float):
-    """Point at parameter t in [0,1] along a named edge.
-
-    Returns (UnitaryParams, Euclidean norm |alpha|).  "SD" is accepted as an
-    alias for "DS" (same segment).
-    """
+def edge_id(edge: str) -> str:
+    """Canonical id of an edge spelling: case is ignored, and "SD" names the
+    same segment as "DS"."""
     key = edge.upper()
-    if key == "SD":
-        key = "DS"
-    if key not in _EDGE_TABLE:
+    key = "DS" if key == "SD" else key
+    if key not in EDGE_IDS:
         raise ValueError(f"unknown edge {edge!r}; expected one of {EDGE_IDS}")
+    return key
+
+
+def edge_point(edge: str, t: float):
+    """Point at parameter t in [0,1] along a named edge (any spelling that
+    `edge_id` accepts).
+
+    Returns (UnitaryParams, Euclidean norm |alpha|).
+    """
+    key = edge_id(edge)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"edge parameter t must lie in [0, 1], got {t!r}")
     params = UnitaryParams(*_EDGE_TABLE[key](t * HALF_PI))

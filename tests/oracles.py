@@ -28,6 +28,8 @@ tests check the library against them.
 - `EnvState` is a pure-or-mixed environment qubit in the prior's spherical
   coordinates; the library works with Bloch vectors and Pauli matrices and
   has no use for it.
+- `probe_density` is the probe's density matrix |psi><psi|; the library
+  reads the probe through its ket alone.
 """
 
 import math
@@ -222,6 +224,12 @@ def herm_power(m: np.ndarray, p: float, floor: float = EIG_FLOOR_DEFAULT) -> np.
     w = np.maximum(w, floor)
     out = (q * w ** p) @ q.conj().T
     return 0.5 * (out + out.conj().T)
+
+
+def probe_density(probe) -> np.ndarray:
+    """|psi><psi| of a ProbeState."""
+    k = probe.ket()
+    return np.outer(k, k.conj())
 
 
 def sigma_matrix(sigma: ConditioningState) -> np.ndarray:

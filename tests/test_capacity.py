@@ -18,7 +18,7 @@ from qrl.capacity import (
 from qrl.channel import BipartiteState, ProbeState, choi_bf, stinespring_isometry
 from qrl.linalg import PAULI
 from qrl.unitary import VERTICES, UnitaryParams, edge_point
-from oracles import delta_star_golden, h2_conditional_simplex, renyi2_divergence, sigma_matrix
+from oracles import delta_star_golden, h2_conditional_simplex, probe_density, renyi2_divergence, sigma_matrix
 
 rng = np.random.default_rng(424242)
 
@@ -91,7 +91,7 @@ def test_renyi2_swap_matched_sigma():
     # complement output of SWAP is the probe itself; conditioning on a
     # near-pure sigma along the probe direction recovers ~1 bit
     probe = ProbeState(1.3, 0.4)
-    rho = BipartiteState(np.kron(I2 / 2.0, probe.density()))
+    rho = BipartiteState(np.kron(I2 / 2.0, probe_density(probe)))
     bloch = np.array(
         [
             np.sin(probe.phi1) * np.cos(probe.phi2),

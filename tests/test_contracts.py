@@ -6,6 +6,7 @@ enter every layer the benchmark requires and match their untraced rows."""
 
 import ast
 import math
+from collections import Counter
 from pathlib import Path
 
 import qrl
@@ -25,31 +26,39 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def _names_read(node) -> set:
-    return {
+def _names_read(node) -> Counter:
+    return Counter(
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)
         if isinstance(n, (ast.Name, ast.Attribute))
-    }
+    )
 
 
 def test_every_definition_is_used_by_the_package():
-    # reference routes live in tests/oracles.py; a def or class that only
-    # tests call does not belong in the library.  The console entry is the
-    # one definition the package itself need not call.
-    stmts = [
-        (path.stem, stmt)
+    # reference routes live in tests/oracles.py; a def, class or method that
+    # only tests call does not belong in the library.  Dunder methods are
+    # called by Python itself, and the console entry is the one definition
+    # the package itself need not call.
+    trees = [
+        (path.stem, ast.parse(path.read_text()))
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
-        for stmt in ast.parse(path.read_text()).body
     ]
-    reads = [_names_read(stmt) for _, stmt in stmts]
+    reads = sum((_names_read(tree) for _, tree in trees), Counter())
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    defs = [(mod, stmt) for mod, tree in trees for stmt in tree.body if isinstance(stmt, kinds)]
+    defs += [
+        (f"{mod}.{cls.name}", stmt)
+        for mod, cls in defs
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, kinds) and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+    ]
     unused = [
         f"{mod}.{stmt.name}"
-        for i, (mod, stmt) in enumerate(stmts)
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and (mod, stmt.name) != ("cli", "main")
-        and not any(stmt.name in r for j, r in enumerate(reads) if j != i)
+        for mod, stmt in defs
+        if f"{mod}.{stmt.name}" != "cli.main"
+        and reads[stmt.name] == _names_read(stmt)[stmt.name]
     ]
     assert unused == []
 

@@ -10,7 +10,7 @@ import qrl.harness
 from qrl.capacity import ConditioningState, ProbeOptimum, one_shot_lower_bound
 from qrl.channel import ProbeState
 from qrl.cli import main
-from qrl.fisher import QuadratureError, QuadSpec
+from qrl.fisher import QuadratureError
 from qrl.harness import (
     BOUND_HEADER,
     CSV_HEADER,
@@ -28,7 +28,6 @@ from qrl.harness import (
 from qrl.unitary import UnitaryParams, VERTICES
 
 FAST_ETA = (1e-2, 1e-3)
-FAST_QUAD = QuadSpec(16, 12, 12)
 
 
 def make_report(**overrides):
@@ -108,6 +107,11 @@ def test_sweep_config_validation():
         SweepConfig(edge="IC", metric="capacity")
     with pytest.raises(ValueError):
         SweepConfig(edge="XY")
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            SweepConfig(edge="IC", workers=workers)
+    assert SweepConfig(edge="IC", workers=None).workers is None  # every CPU
+    assert [SweepConfig(edge=e).edge for e in ("SD", "ds", "DS")] == ["DS"] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +139,7 @@ def test_vertex_report_runs_one_probe_search(monkeypatch):
         return fake_optimum()
 
     monkeypatch.setattr(qrl.harness, "best_probe_h2", counted)
-    h2_row, bound_row, _ = run_vertex_report("C", 0.05, 1000, eta_schedule=FAST_ETA, quad=FAST_QUAD)
+    h2_row, bound_row, _ = run_vertex_report("C", 0.05, 1000, eta_schedule=FAST_ETA)
     assert len(calls) == 1
     assert h2_row.value == 0.5
     assert bound_row.value == one_shot_lower_bound(0.5, 0.05, 1000).clamped_bound
@@ -178,9 +182,11 @@ def test_sweep_propagates_programming_errors(monkeypatch):
 def test_sweep_deterministic_and_files(tmp_path):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     svg = tmp_path / "sweep.svg"
-    cfg = dict(edge="DS", metric="qfi", samples=3, eta_schedule=FAST_ETA, quad=FAST_QUAD)
-    rep_a = run_edge_sweep(SweepConfig(out=str(out_a), svg=str(svg), **cfg))
-    rep_b = run_edge_sweep(SweepConfig(out=str(out_b), **cfg))
+    cfg = SweepConfig(edge="DS", metric="qfi", samples=3, eta_schedule=FAST_ETA)
+    rep_a, rep_b = run_edge_sweep(cfg), run_edge_sweep(cfg)
+    write_reports_csv(rep_a, str(out_a))
+    write_sweep_svg(rep_a, str(svg))
+    write_reports_csv(rep_b, str(out_b))
     for a, b in zip(rep_a, rep_b):
         assert a.csv_fields()[:-1] == b.csv_fields()[:-1]
     text_a, text_b = out_a.read_text(), out_b.read_text()
@@ -252,9 +258,7 @@ def test_bound_csv(tmp_path):
 
 
 def test_point_report_finite_case():
-    rep = point_report(
-        UnitaryParams(np.pi / 2, 0.0, 0.0), ProbeState(np.pi, 0.0), FAST_QUAD, FAST_ETA
-    )
+    rep = point_report(UnitaryParams(np.pi / 2, 0.0, 0.0), ProbeState(np.pi, 0.0), FAST_ETA)
     assert rep.edge == "point"
     assert rep.metric == "qfi"
     assert rep.status == "ok"
@@ -263,7 +267,7 @@ def test_point_report_finite_case():
 
 
 def test_point_report_divergent_case():
-    rep = point_report(VERTICES["S"], ProbeState(0.0, 0.0), FAST_QUAD, (1e-3, 1e-4, 1e-5))
+    rep = point_report(VERTICES["S"], ProbeState(0.0, 0.0), (1e-3, 1e-4, 1e-5))
     assert rep.status == "divergent"
     assert rep.value is None
 
@@ -400,3 +404,67 @@ def test_cli_flag_overrides_config(tmp_path):
     )
     assert code == 0
     assert len(out.read_text().strip().splitlines()) == 3  # header + 2 points
+
+
+def test_cli_sweep_epsilon_and_n_flags_match_file_keys(monkeypatch, tmp_path):
+    monkeypatch.setattr(qrl.harness, "best_probe_h2", lambda params, *args: fake_optimum())
+    ini = tmp_path / "run.ini"
+    ini.write_text("[global]\nepsilon = 0.1\n\n[sweep]\nedge = IC\nmetric = bound\nsamples = 2\nn = 100\n")
+    from_file, from_flags, default = tmp_path / "file.csv", tmp_path / "flags.csv", tmp_path / "default.csv"
+    assert main(["--workers", "1", "--config", str(ini), "sweep", "--out", str(from_file)]) == 0
+    assert main(["--workers", "1", "sweep", "--edge", "IC", "--metric", "bound", "--samples", "2",
+                 "--epsilon", "0.1", "--n", "100", "--out", str(from_flags)]) == 0
+    assert main(["--workers", "1", "sweep", "--edge", "IC", "--metric", "bound", "--samples", "2",
+                 "--out", str(default)]) == 0
+    assert strip_wall(from_file.read_text()) == strip_wall(from_flags.read_text())
+    assert strip_wall(from_file.read_text()) != strip_wall(default.read_text())
+    value = float(from_flags.read_text().splitlines()[1].split(",")[7])
+    assert value == pytest.approx(one_shot_lower_bound(0.5, 0.1, 100).clamped_bound, rel=1e-11)
+
+
+def test_cli_sweep_writes_the_canonical_edge(monkeypatch, tmp_path):
+    monkeypatch.setattr(qrl.harness, "best_probe_h2", lambda params, *args: fake_optimum())
+    out = tmp_path / "sd.csv"
+    assert main(["--workers", "1", "sweep", "--edge", "SD", "--samples", "2", "--out", str(out)]) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["DS", "DS"]
+    ini = tmp_path / "run.ini"
+    for spelling in ("SD", "ds"):
+        ini.write_text(f"[sweep]\nedge = {spelling}\nsamples = 2\nout = {out}\n")
+        assert main(["--workers", "1", "--config", str(ini), "sweep"]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["DS", "DS"]
+
+
+def test_cli_rejects_workers_below_one(tmp_path, capsys):
+    for workers in ("0", "-3"):
+        assert main(["--workers", workers, "sweep", "--edge", "IC", "--samples", "2",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "workers" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_single_cutoff_schedule_exits_2(capsys):
+    # one cutoff cannot tell a divergent channel from a finite one
+    assert main(["--eta-schedule", "1e-2", "qfi", "--alpha", "1.5707963267948966,1.5707963267948966,"
+                 "1.5707963267948966", "--probe", "0,0"]) == 2
+    assert "two distinct cutoffs" in capsys.readouterr().err
+
+
+def test_cli_config_rejects_dashed_eta_schedule(tmp_path, capsys):
+    # a file names each key by its option's dest: eta_schedule, not eta-schedule
+    ini = tmp_path / "run.ini"
+    ini.write_text("[global]\neta-schedule = 1e-2,1e-3\n")
+    assert main(["--config", str(ini), "qfi", "--alpha", "0,0,0", "--probe", "0,0"]) == 2
+    err = capsys.readouterr().err
+    assert "eta-schedule" in err and "[global]" in err
+
+
+def test_cli_config_malformed_value_exits_2(tmp_path, capsys):
+    # file values go through the option's type, so argparse refuses them
+    ini = tmp_path / "run.ini"
+    for text in ("[global]\nworkers = two\n", "[global]\neta_schedule = 1e-2;1e-3\n",
+                 "[sweep]\nsamples = 3.5\n"):
+        ini.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(ini), "sweep", "--edge", "IC", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from qrl.unitary import (
     VERTICES,
     UnitaryParams,
     build_unitary,
+    edge_id,
     edge_point,
 )
 from oracles import eigenphases, magic_basis_reconstruction
@@ -124,6 +125,15 @@ def test_edge_point_examples():
 def test_edge_point_sd_alias():
     for t in (0.0, 0.3, 1.0):
         assert edge_point("SD", t) == edge_point("DS", t)
+
+
+def test_edge_id_is_canonical():
+    # every spelling a user may type maps to the id the rows carry
+    for spelling, canonical in (("SD", "DS"), ("sd", "DS"), ("ds", "DS"), ("ic", "IC"), ("Cs", "CS")):
+        assert edge_id(spelling) == canonical
+    assert [edge_id(e) for e in EDGE_IDS] == list(EDGE_IDS)
+    with pytest.raises(ValueError, match="unknown edge"):
+        edge_id("SI")
 
 
 def test_edge_point_domain_and_names():
