@@ -38,6 +38,8 @@ class ProbeState:
     def __post_init__(self):
         if not -ANGLE_TOL <= self.phi1 <= math.pi + ANGLE_TOL:
             raise ValueError(f"phi1 must lie in [0, pi], got {self.phi1!r}")
+        if not math.isfinite(self.phi2):
+            raise ValueError(f"phi2 must be finite, got {self.phi2!r}")
         object.__setattr__(self, "phi2", float(self.phi2) % TWO_PI)
 
     def ket(self) -> np.ndarray:

@@ -17,6 +17,7 @@ machine readable.
 from __future__ import annotations
 
 import argparse
+import configparser
 import logging
 import os
 import sys
@@ -27,7 +28,6 @@ from .harness import (
     METRICS,
     NUMERICAL_ERRORS,
     SweepConfig,
-    load_config,
     point_report,
     run_bound_table,
     run_edge_sweep,
@@ -93,7 +93,7 @@ def _build_parser():
     parser.add_argument("--workers", type=int, default=SweepConfig.workers,
                         help="process count for sweeps (default: every CPU)")
     parser.add_argument("--eta-schedule", type=_floats, default=SweepConfig.eta_schedule,
-                        help="comma-separated radial cutoffs, at least two")
+                        help="comma-separated radial cutoffs, one or more")
     sub = parser.add_subparsers(dest="command", required=True)
 
     vertex = sub.add_parser("vertex", help="all three merits at a named vertex")
@@ -119,6 +119,18 @@ def _build_parser():
     for cmd in sub.choices.values():
         cmd.add_argument("--out")
     return parser, sub.choices
+
+
+def load_config(path: str) -> dict:
+    """Plain key = value sections, values raw strings (a % is literal)."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"config file {path!r} is malformed: {exc}") from None
+    if not read:
+        raise ValueError(f"config file {path!r} not found or unreadable")
+    return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
 def _keys(parser) -> set:

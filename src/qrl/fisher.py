@@ -19,11 +19,13 @@ and each Nelder-Mead evaluation a one-probe call, with no isometry or
 channel work per probe.
 
 Both roots of den lie outside (-1, 1), because the outputs at the pure
-environment states +-n are states; a root on the cutoff is the logarithmic
-divergence the classification measures.  Inside the cutoff den is small
-only where the output is nearly pure, and the cross term is then small
-too; nothing is masked there, because dropping those nodes biased
-near-identity gates low.  The one exception is a pure offset
+environment states +-n are states.  The average diverges exactly when the
+probe channel is unitary, t = 0 and M^T M = I (`_unitary`): only then does
+den vanish at s = 1 on directions of positive area, as |t + M n|^2 = 1 on an
+open set of the sphere is polynomial and so holds on all of it.  Inside the
+cutoff den is small only where the output is nearly pure, and the cross term
+is then small too; nothing is masked there, because dropping those nodes
+biased near-identity gates low.  The one exception is a pure offset
 (1 - |t|^2 <= 4 PURITY_TOL), which forces M = 0 and leaves no cross term.
 
 `QuadSpec.nr`, the radial node count, no longer enters the library's
@@ -48,13 +50,12 @@ from .unitary import UnitaryParams
 PURITY_TOL = 1e-10
 ETA_MAX = 0.4
 DEFAULT_ETA_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-DIVERGENCE_SLOPE = 0.5
+UNITARY_TOL = 1e-12  # the bound ChannelIsometry checks V^dag V to
 _LADDER_CAP = 256
 _LADDER_RTOL = 1e-4
 _CHUNK = 4096  # probe x node elements per vectorised block, bounds the temporaries
 _SERIES_X = 0.25  # |x| up to which G_k(x) is summed as a power series
 _SERIES_TERMS = 28  # 0.25**28 / 33 < 1e-18
-_ROOT_TOL = 1e-12  # u S this close to 1 is a root of den at the cutoff
 
 
 class QuadratureError(RuntimeError):
@@ -113,6 +114,13 @@ def _probe_affine(p: UnitaryParams, probe: ProbeState):
     offset = bloch_of(apply_channel(iso, 0.5 * PAULI[0]))
     cols = [0.5 * bloch_of(apply_channel(iso, PAULI[k])) for k in (1, 2, 3)]
     return offset, np.stack(cols, axis=1)
+
+
+def _unitary(offsets: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Whether each channel b = t + M e is unitary, t = 0 and M^T M = I to
+    UNITARY_TOL, for offsets (..., 3) and maps (..., 3, 3)."""
+    gram_err = np.abs(np.swapaxes(maps, -1, -2) @ maps - np.eye(3)).max(axis=(-2, -1))
+    return np.maximum(np.abs(offsets).max(axis=-1), gram_err) <= UNITARY_TOL
 
 
 def _moments(x: np.ndarray) -> np.ndarray:
@@ -176,10 +184,10 @@ def _radial_integral(offsets, d0, inv_d0, vecs, big_s) -> np.ndarray:
     u = np.where(pos, big, small)
     v_abs = np.where(pos, small, big)
     w_u = u * (0.5 * d0) / np.maximum(sq, 1e-300)  # u = v = 0 when sq = 0
-    # a root at the cutoff (only reachable at S = 1) is a log divergence:
-    # cross > 0 there whenever a != 0
-    root = u * big_s >= 1.0 - _ROOT_TOL
-    g = _moments(np.stack([np.where(root, 0.0, u * big_s), -big_s * v_abs])).reshape(5, 2, *u.shape)
+    # u S < 1 except for round-off at S = 1, where a root on the cutoff is
+    # integrable unless the channel is unitary (see _averages)
+    x = np.minimum(u * big_s, 1.0 - 2.0**-53)
+    g = _moments(np.stack([x, -big_s * v_abs])).reshape(5, 2, *u.shape)
     mix = g[:, 1] + w_u * (g[:, 0] - g[:, 1])
     coeffs = (
         4.0 * ta * ta,
@@ -192,7 +200,7 @@ def _radial_integral(offsets, d0, inv_d0, vecs, big_s) -> np.ndarray:
     for k in range(1, 5):
         cross += big_s ** (k + 1) * coeffs[k] * mix[k]
     cross *= inv_d0
-    return np.where(root, np.inf, poly + cross)
+    return poly + cross
 
 
 def _averages(probes: np.ndarray, offsets: np.ndarray, maps: np.ndarray, quad: QuadSpec, eta: float) -> np.ndarray:
@@ -214,6 +222,8 @@ def _averages(probes: np.ndarray, offsets: np.ndarray, maps: np.ndarray, quad: Q
     big_s = 1.0 - 2.0 * eta
     per_block, span = max(1, _CHUNK // nodes), min(nodes, _CHUNK)
     total = np.zeros(len(offsets))
+    if eta == 0.0:
+        total[_unitary(offsets, maps)] = np.inf  # the only divergent averages
     maps, dirs = maps[None], dirs[:, None]
     for p0 in range(0, len(offsets), per_block):
         batch = slice(p0, p0 + per_block)
@@ -236,12 +246,11 @@ def avg_trace_qfi(p: UnitaryParams, probe: ProbeState, quad: QuadSpec, eta: floa
     """Regularized average of tr F over the prior, radius cut at 1/2 - eta.
 
     The radial integral is exact; only the angular axes use quad's nodes.
-    At eta = 0 a node whose root of den lies within _ROOT_TOL of s = 1
-    counts as divergent and the average reads +inf.  That flags a divergent
-    average (S at any probe, D at a pole probe), but also averages that are
-    finite: near a pole probe some nodes sit that close to a root whose log
-    singularity is integrable (ID t = 0.5 at probe (pi, 0.5) reads inf on
-    64x64, 5.2710 at eta = 1e-12).  The cutoff schedules never reach eta = 0.
+    At eta = 0 the average reads +inf exactly where the probe channel is
+    unitary (S at any probe, D at a pole probe) and is finite elsewhere,
+    also where den touches zero on the sphere at isolated directions (ID
+    t = 0.5 at probe (pi, 0.5)); near such a direction the angular nodes
+    converge slowly.  The cutoff schedules never reach eta = 0.
     """
     if not 0.0 <= eta <= ETA_MAX:
         raise ValueError(f"eta must lie in [0, {ETA_MAX}], got {eta!r}")
@@ -294,24 +303,11 @@ class AvgQfiResult:
                 )
 
 
-def _classify(eta_trace) -> str:
-    """Divergent when the value grows in ln(1/eta) with slope > 0.5 over the
-    last two decades of the schedule."""
-    pts = [(e, v) for e, v in eta_trace if e <= 1.000001e-4]
-    if len(pts) < 2:
-        pts = list(eta_trace)[-2:]
-    x = np.log(1.0 / np.array([e for e, _ in pts]))
-    y = np.array([v for _, v in pts])
-    slope = float(np.polyfit(x, y, 1)[0])
-    return "divergent" if slope > DIVERGENCE_SLOPE else "finite"
-
-
 def _schedule(eta_schedule) -> list:
-    """Distinct cutoffs, widest first, each in (0, ETA_MAX]; at least two,
-    since one cutoff carries no growth evidence for `_classify`."""
+    """Distinct cutoffs, widest first: one or more, each in (0, ETA_MAX]."""
     schedule = sorted({float(e) for e in eta_schedule}, reverse=True)
-    if len(schedule) < 2 or schedule[-1] <= 0.0 or schedule[0] > ETA_MAX:
-        raise ValueError(f"eta schedule must hold at least two distinct cutoffs in (0, {ETA_MAX}]")
+    if not schedule or not all(0.0 < e <= ETA_MAX for e in schedule):
+        raise ValueError(f"eta schedule must hold one or more cutoffs in (0, {ETA_MAX}], got {eta_schedule!r}")
     return schedule
 
 
@@ -321,15 +317,15 @@ def avg_qfi_at_probe(
     quad: QuadSpec = QuadSpec(),
     eta_schedule=DEFAULT_ETA_SCHEDULE,
 ) -> AvgQfiResult:
-    """Regularized trace at each cutoff, divergence classification, and for
-    finite cases an eta -> 0 extrapolation of ladder-refined values."""
+    """Regularized trace at each cutoff and the eta -> 0 value: +inf
+    ("divergent") where the probe channel is unitary, otherwise ("finite")
+    an extrapolation of ladder-refined values over the last three cutoffs."""
     trace = tuple((eta, avg_trace_qfi(p, probe, quad, eta)) for eta in _schedule(eta_schedule))
-    classification = _classify(trace)
-    if classification == "divergent":
-        value = math.inf
+    if _unitary(*_probe_affine(p, probe)):
+        classification, value = "divergent", math.inf
     else:
         refined = [_refined_avg(p, probe, quad, eta, base) for eta, base in trace[-3:]]
-        value = _aitken(refined)
+        classification, value = "finite", _aitken(refined)
     return AvgQfiResult(value=value, probe_opt=probe, eta_trace=trace, classification=classification)
 
 

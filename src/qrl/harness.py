@@ -10,7 +10,6 @@ writes files with the writers below.
 
 from __future__ import annotations
 
-import configparser
 import logging
 import math
 import os
@@ -307,15 +306,6 @@ def write_sweep_svg(reports, path: str) -> None:
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-def load_config(path: str) -> dict:
-    """Plain key = value sections; values stay strings for the CLI to coerce."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ValueError(f"config file {path!r} not found or unreadable")
-    return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
 def point_report(

@@ -8,12 +8,14 @@ place (see the README).
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 
+import qrl
 from qrl.capacity import (
     best_probe_h2,
     correction_bits,
@@ -362,9 +364,13 @@ def test_criterion_8_structural_invariants():
 
 
 def test_criterion_9_cli_reproducibility(tmp_path):
+    # the CLI runs from the same source tree as the tests import
+    src = os.path.dirname(os.path.dirname(qrl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
     def run(args, out):
         cmd = [sys.executable, "-m", "qrl.cli"] + args + ["--out", str(out)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         return "\n".join(line.rsplit(",", 1)[0] for line in out.read_text().splitlines())
 

@@ -468,6 +468,90 @@ def test_eta_zero_is_the_exact_limit():
     assert avg_trace_qfi(IDENT, ProbeState(1.1, 0.4), QuadSpec(), 0.0) == 0.0
 
 
+def _unitary_residual(p, probe):
+    t, m = qrl.fisher._probe_affine(p, probe)
+    return max(np.abs(t).max(), np.abs(m.T @ m - np.eye(3)).max())
+
+
+def test_divergence_rule_is_a_unitary_probe_channel():
+    # S at any probe, and D and every DS sample at a pole probe, give a
+    # unitary channel t = 0, M^T M = I; the finite anchors are far from it
+    local = np.random.default_rng(13)
+    unitary = [(SWAP, ProbeState(local.uniform(0, np.pi), local.uniform(0, 2 * np.pi))) for _ in range(20)]
+    unitary += [
+        (edge_point("DS", t)[0], ProbeState(pole, phi2))
+        for t in np.linspace(0.0, 1.0, 41)
+        for pole in (0.0, np.pi)
+        for phi2 in (0.0, 2.5)
+    ]
+    for p, probe in unitary:
+        assert _unitary_residual(p, probe) <= 1e-15
+        assert qrl.fisher._unitary(*qrl.fisher._probe_affine(p, probe))
+    finite = [
+        (CNOTV, ProbeState(np.pi, 0.0)),
+        (DCNOT, ProbeState(1.1, 0.4)),
+        (IDENT, ProbeState(0.3, 0.9)),
+        (edge_point("ID", 0.5)[0], ProbeState(np.pi, 0.5)),
+        (edge_point("ID", 0.95)[0], ProbeState(np.pi, 0.89)),
+        (edge_point("IS", 0.975)[0], ProbeState(np.pi, 0.0)),
+    ]
+    for p, probe in finite:
+        assert _unitary_residual(p, probe) > 1e-3
+        assert not qrl.fisher._unitary(*qrl.fisher._probe_affine(p, probe))
+
+
+def test_eta_zero_reads_inf_exactly_at_unitary_probes():
+    # random gates at random and pole probes, edge points near the
+    # divergent vertices, and the vertices: inf iff the channel is
+    # unitary, and never NaN
+    local = np.random.default_rng(411)
+    cases = []
+    for k in range(300):
+        ax = local.uniform(0.05, np.pi / 2)
+        ay = local.uniform(0.0, ax)
+        p = UnitaryParams(ax, ay, local.uniform(0.0, ay))
+        phi1 = (0.0, np.pi)[k % 2] if k % 3 == 0 else local.uniform(0, np.pi)
+        cases.append((p, ProbeState(phi1, local.uniform(0, 2 * np.pi))))
+    for edge in ("IS", "ID", "CS", "CD", "DS"):
+        for t in (0.5, 0.95, 0.999, 1.0):
+            for phi1 in (0.0, np.pi, 1.1):
+                cases.append((edge_point(edge, t)[0], ProbeState(phi1, 0.89)))
+    divergent = 0
+    for k, (p, probe) in enumerate(cases):
+        n = (32, 64, 128)[k % 3]
+        got = avg_trace_qfi(p, probe, QuadSpec(48, n, n), 0.0)
+        assert not math.isnan(got)
+        unitary = _unitary_residual(p, probe) <= qrl.fisher.UNITARY_TOL
+        assert (got == math.inf) == unitary, (p, probe, n)
+        divergent += unitary
+    assert 0 < divergent < len(cases)
+
+
+@pytest.mark.parametrize(
+    "edge, t, probe, grids",
+    [
+        ("ID", 0.5, ProbeState(np.pi, 0.5), (64, 128)),
+        ("ID", 0.95, ProbeState(np.pi, 0.89), (32, 64, 128)),
+    ],
+)
+def test_eta_zero_is_finite_where_den_touches_zero_at_points(edge, t, probe, grids):
+    # the image of the sphere touches the Bloch sphere at isolated
+    # directions near a pole probe: integrable, so finite at eta = 0
+    p = edge_point(edge, t)[0]
+    for n in grids:
+        quad = QuadSpec(48, n, n)
+        exact = avg_trace_qfi(p, probe, quad, 0.0)
+        assert math.isfinite(exact)
+        assert exact >= avg_trace_qfi(p, probe, quad, 1e-12)
+
+
+def test_near_unitary_gate_is_finite():
+    # IS t = 0.975 at a pole probe: |M^T M - I| = 3.1e-3, large but finite
+    res = avg_qfi_at_probe(edge_point("IS", 0.975)[0], ProbeState(np.pi, 0.0))
+    assert res.classification == "finite"
+    assert math.isfinite(res.value) and res.value >= res.eta_trace[-1][1]
+
+
 def test_refinement_reuses_the_base_values(monkeypatch):
     # base-grid values come from the eta trace; only the ladder recomputes
     calls = []
@@ -505,10 +589,15 @@ def test_avg_qfi_swap_divergent():
 
 
 def test_avg_qfi_bad_schedule():
-    # one distinct cutoff carries no growth evidence for the classification
-    for schedule in ((), (0.0,), (0.5,), (-1e-3,), (1e-2,), (1e-2, 1e-2)):
-        with pytest.raises(ValueError):
+    for schedule in ((), (0.0,), (0.5,), (-1e-3,), (1e-2, math.nan), (math.inf,)):
+        with pytest.raises(ValueError, match="one or more cutoffs"):
             avg_qfi_at_probe(SWAP, ProbeState(0.0, 0.0), eta_schedule=schedule)
+    # the status comes from the channel at the probe, so one cutoff is enough
+    for schedule in ((1e-2,), (1e-2, 1e-2)):
+        assert avg_qfi_at_probe(SWAP, ProbeState(0.0, 0.0), eta_schedule=schedule).classification == "divergent"
+        res = avg_qfi_at_probe(CNOTV, ProbeState(np.pi, 0.0), eta_schedule=schedule)
+        assert res.classification == "finite"
+        assert len(res.eta_trace) == 1
 
 
 def test_eta_trace_monotone_invariant():

@@ -9,14 +9,13 @@ import qrl.cli
 import qrl.harness
 from qrl.capacity import ConditioningState, ProbeOptimum, one_shot_lower_bound
 from qrl.channel import ProbeState
-from qrl.cli import main
+from qrl.cli import load_config, main
 from qrl.fisher import QuadratureError
 from qrl.harness import (
     BOUND_HEADER,
     CSV_HEADER,
     MeritReport,
     SweepConfig,
-    load_config,
     point_report,
     run_bound_table,
     run_edge_sweep,
@@ -289,6 +288,19 @@ def test_load_config_missing_file(tmp_path):
         load_config(str(tmp_path / "absent.ini"))
 
 
+def test_cli_malformed_config_file_exits_2(tmp_path, capsys):
+    # no section header, a duplicated key or section, a line without "="
+    ini = tmp_path / "run.ini"
+    for text in ("out = a.csv\n", "[qfi]\nout = a.csv\nout = b.csv\n", "[qfi]\n[qfi]\n", "[qfi]\nout\n"):
+        ini.write_text(text)
+        assert main(["--config", str(ini), "qfi", "--alpha", "0,0,0", "--probe", "0,0"]) == 2
+        assert str(ini) in capsys.readouterr().err
+    # values are read raw: a % is literal, not interpolation
+    ini.write_text(f"[qfi]\nout = {tmp_path / 'a%.csv'}\n")
+    assert main(["--config", str(ini), "--eta-schedule", "1e-2", "qfi", "--alpha", "0,0,0", "--probe", "0,0"]) == 0
+    assert (tmp_path / "a%.csv").read_text().startswith(CSV_HEADER)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -442,11 +454,32 @@ def test_cli_rejects_workers_below_one(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_cli_single_cutoff_schedule_exits_2(capsys):
-    # one cutoff cannot tell a divergent channel from a finite one
-    assert main(["--eta-schedule", "1e-2", "qfi", "--alpha", "1.5707963267948966,1.5707963267948966,"
-                 "1.5707963267948966", "--probe", "0,0"]) == 2
-    assert "two distinct cutoffs" in capsys.readouterr().err
+def _status_of(capsys):
+    return capsys.readouterr().out.strip().splitlines()[1].split(",")[8]
+
+
+def test_cli_single_cutoff_schedule_reads_the_status(capsys):
+    # the status comes from the channel at the probe, not from the growth
+    # of the trace, so one cutoff tells SWAP from C
+    swap = "1.5707963267948966,1.5707963267948966,1.5707963267948966"
+    assert main(["--eta-schedule", "1e-2", "qfi", "--alpha", swap, "--probe", "0,0"]) == 0
+    assert _status_of(capsys) == "divergent"
+    c = ["qfi", "--alpha", "1.5707963267948966,0,0", "--probe", "3.141592653589793,0"]
+    for schedule in ("1e-2", "1e-2,1e-2", "0.3,0.2"):
+        assert main(["--eta-schedule", schedule, *c]) == 0
+        assert _status_of(capsys) == "ok"
+
+
+def test_cli_non_finite_input_exits_2(capsys):
+    c = ["qfi", "--alpha", "1.5707963267948966,0,0"]
+    for argv, name in (
+        (["--eta-schedule", "1e-2,nan", *c, "--probe", "0,0"], "eta schedule"),
+        ([*c, "--probe", "1,nan"], "phi2"),
+        ([*c, "--probe", "1,inf"], "phi2"),
+        ([*c, "--probe", "nan,0"], "phi1"),
+    ):
+        assert main(argv) == 2
+        assert name in capsys.readouterr().err
 
 
 def test_cli_config_rejects_dashed_eta_schedule(tmp_path, capsys):
