@@ -8,7 +8,12 @@ quartic over the quadratic den = 1 - |b|^2.  The averaged trace-QFI
 therefore integrates the radius in closed form, up to the cutoff 1/2 - eta,
 and only the two angles use Gauss-Legendre nodes.  One kernel, `_averages`,
 evaluates a batch of probes in blocks of at most _CHUNK probe x node
-elements; `avg_trace_qfi` is that kernel applied to one probe.
+elements, at one cutoff or at several: a block's geometry (M n, the roots
+of den and the quartic's coefficients) does not depend on the cutoff and is
+built once per block, and only the radial moments are evaluated per cutoff.
+`avg_trace_qfi` is that kernel applied to one probe.  `avg_qfi_at_probe`
+makes one base-grid call for its whole cutoff schedule, then one call per
+rung of an angular-doubling ladder that holds the cutoffs still open.
 
 For a fixed gate the output is linear in the probe density, so t and M are
 affine in the probe Bloch vector q.  The probe search builds that
@@ -153,8 +158,9 @@ def _moments(x: np.ndarray) -> np.ndarray:
     return g
 
 
-def _radial_integral(offsets, d0, inv_d0, vecs, big_s) -> np.ndarray:
-    """int_0^S tr F ds per probe and angular node, S = 1 - 2 eta.
+def _radial_integral(offsets, d0, inv_d0, vecs, big_ss) -> list:
+    """int_0^S tr F ds per probe and angular node, one array per S = 1 - 2 eta
+    in big_ss.
 
     offsets is (P, 3); d0 = 1 - |t|^2 and inv_d0 = 1/d0 are (P, 1), except
     that a pure offset has d0 = 1 and inv_d0 = 0 (see _averages), so a
@@ -167,12 +173,14 @@ def _radial_integral(offsets, d0, inv_d0, vecs, big_s) -> np.ndarray:
     outputs at s = +-1 are states.  Partial fractions give
     int_0^S s^k/den ds = S^(k+1) [w_u G_k(uS) + w_v G_k(vS)] / d0 with
     w_u = u/(u - v) = u d0 / (2 sq), w_v = 1 - w_u: a convex mix of
-    positive terms, so nothing cancels.
+    positive terms, so nothing cancels.  Everything but the powers of S and
+    G_k(uS), G_k(vS) is independent of the cutoff and computed once.
     """
     aa, ab1, ab2 = np.einsum("pjk,ipjk->ipk", vecs[0], vecs)
-    poly = 4.0 * big_s * aa + big_s**3 / 3.0 * np.einsum("ipjk,ipjk->pk", vecs[1:], vecs[1:])
+    bb = np.einsum("ipjk,ipjk->pk", vecs[1:], vecs[1:])
+    polys = [4.0 * big_s * aa + big_s**3 / 3.0 * bb for big_s in big_ss]
     if not inv_d0.any():
-        return poly
+        return polys
     ta, tb1, tb2 = (offsets[:, None, :] @ vecs)[:, :, 0]
     # roots of d0 rho^2 - 2 ta rho - aa: the larger one from |ta| + sq, which
     # cannot cancel, the other from their product -aa/d0
@@ -184,11 +192,6 @@ def _radial_integral(offsets, d0, inv_d0, vecs, big_s) -> np.ndarray:
     u = np.where(pos, big, small)
     v_abs = np.where(pos, small, big)
     w_u = u * (0.5 * d0) / np.maximum(sq, 1e-300)  # u = v = 0 when sq = 0
-    # u S < 1 except for round-off at S = 1, where a root on the cutoff is
-    # integrable unless the channel is unitary (see _averages)
-    x = np.minimum(u * big_s, 1.0 - 2.0**-53)
-    g = _moments(np.stack([x, -big_s * v_abs])).reshape(5, 2, *u.shape)
-    mix = g[:, 1] + w_u * (g[:, 0] - g[:, 1])
     coeffs = (
         4.0 * ta * ta,
         8.0 * ta * aa,
@@ -196,21 +199,33 @@ def _radial_integral(offsets, d0, inv_d0, vecs, big_s) -> np.ndarray:
         2.0 * (tb1 * ab1 + tb2 * ab2),
         ab1 * ab1 + ab2 * ab2,
     )
-    cross = big_s * coeffs[0] * mix[0]
-    for k in range(1, 5):
-        cross += big_s ** (k + 1) * coeffs[k] * mix[k]
-    cross *= inv_d0
-    return poly + cross
+    for poly, big_s in zip(polys, big_ss):
+        # u S < 1 except for round-off at S = 1, where a root on the cutoff
+        # is integrable unless the channel is unitary (see _averages)
+        x = np.minimum(u * big_s, 1.0 - 2.0**-53)
+        g = _moments(np.stack([x, -big_s * v_abs])).reshape(5, 2, *u.shape)
+        mix = g[:, 1] + w_u * (g[:, 0] - g[:, 1])
+        cross = big_s * coeffs[0] * mix[0]
+        for k in range(1, 5):
+            cross += big_s ** (k + 1) * coeffs[k] * mix[k]
+        cross *= inv_d0
+        poly += cross
+    return polys
 
 
-def _averages(probes: np.ndarray, offsets: np.ndarray, maps: np.ndarray, quad: QuadSpec, eta: float) -> np.ndarray:
+def _averages(probes: np.ndarray, offsets: np.ndarray, maps: np.ndarray, quad: QuadSpec, eta) -> np.ndarray:
     """Regularized averages of tr F over the prior for a batch of probes,
     radius cut at 1/2 - eta; probe i has output Bloch b = offsets[i] +
     maps[i] e.  `probes`, rows (phi1, phi2), only names a probe in errors.
+    `eta` is one cutoff, giving one average per probe, or a sequence of
+    cutoffs, giving one row of averages per cutoff, each equal to the
+    one-cutoff call.
 
     Each block holds at most _CHUNK probe x node elements: several probes
-    per block on grids up to 64x64, node blocks of one probe above.
+    per block on grids up to 64x64, node blocks of one probe above.  The
+    block's geometry is built once for all cutoffs.
     """
+    etas = [float(e) for e in np.atleast_1d(eta)]
     T1, T2, dirs, w_ang = _angular_tables(quad.n_theta1, quad.n_theta2)
     nodes = T1.size
     d0 = 1.0 - (offsets[:, None, :] @ offsets[:, :, None])[:, 0]
@@ -219,43 +234,56 @@ def _averages(probes: np.ndarray, offsets: np.ndarray, maps: np.ndarray, quad: Q
     pure = d0 <= 4.0 * PURITY_TOL
     d0 = np.where(pure, 1.0, d0)
     inv_d0 = np.where(pure, 0.0, 1.0 / d0)
-    big_s = 1.0 - 2.0 * eta
+    big_ss = [1.0 - 2.0 * e for e in etas]
     per_block, span = max(1, _CHUNK // nodes), min(nodes, _CHUNK)
-    total = np.zeros(len(offsets))
-    if eta == 0.0:
-        total[_unitary(offsets, maps)] = np.inf  # the only divergent averages
+    total = np.zeros((len(etas), len(offsets)))
+    for row, e in zip(total, etas):
+        if e == 0.0:
+            row[_unitary(offsets, maps)] = np.inf  # the only divergent averages
     maps, dirs = maps[None], dirs[:, None]
     for p0 in range(0, len(offsets), per_block):
         batch = slice(p0, p0 + per_block)
         t, d, inv = offsets[batch], d0[batch], inv_d0[batch]
         for lo in range(0, nodes, span):
-            radial = _radial_integral(t, d, inv, maps[:, batch] @ dirs[..., lo:lo + span], big_s)
-            nan = np.isnan(radial)
-            if nan.any():
-                i, k = np.argwhere(nan)[0]
-                phi1, phi2 = probes[p0 + i]
-                raise QuadratureError(
-                    f"NaN integrand at probe phi1={float(phi1)!r}, phi2={float(phi2)!r}, "
-                    f"node theta1={float(T1[lo + k])!r}, theta2={float(T2[lo + k])!r}"
-                )
-            total[batch] += radial @ w_ang[lo:lo + span]
-    return 0.5 * total  # dr = ds/2
+            vecs = maps[:, batch] @ dirs[..., lo:lo + span]
+            for row, radial in zip(total, _radial_integral(t, d, inv, vecs, big_ss)):
+                nan = np.isnan(radial)
+                if nan.any():
+                    i, k = np.argwhere(nan)[0]
+                    phi1, phi2 = probes[p0 + i]
+                    raise QuadratureError(
+                        f"NaN integrand at probe phi1={float(phi1)!r}, phi2={float(phi2)!r}, "
+                        f"node theta1={float(T1[lo + k])!r}, theta2={float(T2[lo + k])!r}"
+                    )
+                row[batch] += radial @ w_ang[lo:lo + span]
+    total *= 0.5  # dr = ds/2
+    return total if np.ndim(eta) else total[0]
 
 
-def avg_trace_qfi(p: UnitaryParams, probe: ProbeState, quad: QuadSpec, eta: float) -> float:
+def avg_trace_qfi(p: UnitaryParams, probe: ProbeState, quad: QuadSpec, eta):
     """Regularized average of tr F over the prior, radius cut at 1/2 - eta.
 
-    The radial integral is exact; only the angular axes use quad's nodes.
-    At eta = 0 the average reads +inf exactly where the probe channel is
-    unitary (S at any probe, D at a pole probe) and is finite elsewhere,
-    also where den touches zero on the sphere at isolated directions (ID
-    t = 0.5 at probe (pi, 0.5)); near such a direction the angular nodes
-    converge slowly.  The cutoff schedules never reach eta = 0.
+    `eta` is one cutoff, giving a float, or a sequence of cutoffs, giving a
+    tuple with one average per cutoff, each bit-identical to its one-cutoff
+    call; the probe's isometry and the angular geometry are built once for
+    all of them.  The radial integral is exact; only the angular axes use
+    quad's nodes.  At eta = 0 the average reads +inf exactly where the probe
+    channel is unitary (S at any probe, D at a pole probe) and is finite
+    elsewhere, also where den touches zero on the sphere at isolated
+    directions (ID t = 0.5 at probe (pi, 0.5)); near such a direction the
+    angular nodes converge slowly.  The cutoff schedules never reach eta = 0.
     """
-    if not 0.0 <= eta <= ETA_MAX:
-        raise ValueError(f"eta must lie in [0, {ETA_MAX}], got {eta!r}")
+    scalar = np.ndim(eta) == 0
+    etas = [eta] if scalar else list(eta)
+    if not etas:
+        raise ValueError("eta sequence needs one or more cutoffs, got none")
+    for i, e in enumerate(etas):
+        if not 0.0 <= e <= ETA_MAX:
+            name = "eta" if scalar else f"eta[{i}]"
+            raise ValueError(f"{name} must lie in [0, {ETA_MAX}], got {e!r}")
     offset, m = _probe_affine(p, probe)
-    return float(_averages(np.array([[probe.phi1, probe.phi2]]), offset[None], m[None], quad, eta)[0])
+    values = _averages(np.array([[probe.phi1, probe.phi2]]), offset[None], m[None], quad, etas)[:, 0]
+    return float(values[0]) if scalar else tuple(float(v) for v in values)
 
 
 def _aitken(seq):
@@ -269,20 +297,22 @@ def _aitken(seq):
     return x2 - d2 * d2 / (d2 - d1)
 
 
-def _refined_avg(p: UnitaryParams, probe: ProbeState, quad: QuadSpec, eta: float, base: float) -> float:
-    """Angular-doubling ladder from `base`, the value on quad itself, until
-    the value moves < 1e-4 relative, then Aitken extrapolation of the
-    ladder tail."""
+def _ladder(p: UnitaryParams, probe: ProbeState, quad: QuadSpec, trace) -> list:
+    """Refined value of each (eta, value on quad) pair in `trace`: an
+    angular-doubling ladder whose rungs are one call on the doubled grid,
+    holding the cutoffs still open.  A cutoff's ladder stops once its value
+    moves < 1e-4 relative; its refined value is the Aitken extrapolation of
+    its own ladder tail."""
+    ladders = [(eta, [base]) for eta, base in trace]
+    open_ = ladders
     n1, n2 = quad.n_theta1, quad.n_theta2
-    values = [base]
-    while max(n1, n2) < _LADDER_CAP:
+    while open_ and max(n1, n2) < _LADDER_CAP:
         n1, n2 = 2 * n1, 2 * n2
-        cur = avg_trace_qfi(p, probe, QuadSpec(quad.nr, n1, n2), eta)
-        prev = values[-1]
-        values.append(cur)
-        if abs(cur - prev) < _LADDER_RTOL * max(1.0, abs(cur)):
-            break
-    return _aitken(values)
+        rung = avg_trace_qfi(p, probe, QuadSpec(quad.nr, n1, n2), [eta for eta, _ in open_])
+        for (_, values), cur in zip(open_, rung):
+            values.append(cur)
+        open_ = [(eta, v) for eta, v in open_ if not abs(v[-1] - v[-2]) < _LADDER_RTOL * max(1.0, abs(v[-1]))]
+    return [_aitken(values) for _, values in ladders]
 
 
 @dataclass(frozen=True)
@@ -319,13 +349,19 @@ def avg_qfi_at_probe(
 ) -> AvgQfiResult:
     """Regularized trace at each cutoff and the eta -> 0 value: +inf
     ("divergent") where the probe channel is unitary, otherwise ("finite")
-    an extrapolation of ladder-refined values over the last three cutoffs."""
-    trace = tuple((eta, avg_trace_qfi(p, probe, quad, eta)) for eta in _schedule(eta_schedule))
+    an extrapolation of ladder-refined values over the last three cutoffs.
+
+    The trace is one `avg_trace_qfi` call on quad over the whole schedule.
+    A finite value then adds one call per ladder rung, on the doubled grid
+    and over those of the last three cutoffs whose values still move
+    (`_ladder`).
+    """
+    schedule = _schedule(eta_schedule)
+    trace = tuple(zip(schedule, avg_trace_qfi(p, probe, quad, schedule)))
     if _unitary(*_probe_affine(p, probe)):
         classification, value = "divergent", math.inf
     else:
-        refined = [_refined_avg(p, probe, quad, eta, base) for eta, base in trace[-3:]]
-        classification, value = "finite", _aitken(refined)
+        classification, value = "finite", _aitken(_ladder(p, probe, quad, trace[-3:]))
     return AvgQfiResult(value=value, probe_opt=probe, eta_trace=trace, classification=classification)
 
 
@@ -339,7 +375,9 @@ def maximize_over_probe(
 
     The gate's probe-affine table is built once; the scan of 145 probes is
     one batched call of the averaging kernel and each Nelder-Mead evaluation
-    one single-probe call, both reading (t, M) off the table.
+    one single-probe call, both at the widest cutoff only and reading (t, M)
+    off the table.  The schedule at the optimum is `avg_qfi_at_probe`: one
+    base-grid call over all cutoffs, then one call per ladder rung.
     """
     schedule = _schedule(eta_schedule)
     eta0 = schedule[0]

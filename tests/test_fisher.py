@@ -308,10 +308,24 @@ def test_avg_invariant_under_probe_half_turn():
 
 
 def test_avg_eta_domain():
-    with pytest.raises(ValueError):
-        avg_trace_qfi(SWAP, ProbeState(0.0, 0.0), QuadSpec(), 0.41)
-    with pytest.raises(ValueError):
-        avg_trace_qfi(SWAP, ProbeState(0.0, 0.0), QuadSpec(), -1e-9)
+    probe = ProbeState(0.3, 0.9)
+    for eta in (0.41, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"eta must lie in \[0, 0\.4\]"):
+            avg_trace_qfi(SWAP, probe, QuadSpec(), eta)
+    # a sequence of cutoffs: the error names the offending entry
+    with pytest.raises(ValueError, match="one or more cutoffs"):
+        avg_trace_qfi(CNOTV, probe, QuadSpec(), ())
+    for bad in (0.41, -1e-9, math.nan, math.inf, -math.inf):
+        for etas in ((bad,), (1e-2, bad), [1e-2, 1e-4, bad]):
+            at = len(etas) - 1
+            with pytest.raises(ValueError, match=rf"eta\[{at}\] must lie in \[0, 0\.4\], got {bad!r}"):
+                avg_trace_qfi(CNOTV, probe, QuadSpec(), etas)
+    # a scalar gives a float, a sequence a tuple in its own order
+    assert type(avg_trace_qfi(CNOTV, probe, QuadSpec(), 1e-2)) is float
+    assert type(avg_trace_qfi(CNOTV, probe, QuadSpec(), np.float64(1e-2))) is float
+    pair = avg_trace_qfi(CNOTV, probe, QuadSpec(), [1e-4, 1e-2])
+    assert type(pair) is tuple and all(type(v) is float for v in pair)
+    assert pair[0] > pair[1]
 
 
 def test_nan_integrand_names_the_node():
@@ -331,8 +345,9 @@ def test_nan_in_a_batch_names_the_probe_and_the_node():
     probes = [ProbeState(0.4, 1.0), bad, ProbeState(1.2, 2.0), ProbeState(2.0, 5.0)]
     offsets, maps = zip(*(qrl.fisher._probe_affine(CNOTV, q) for q in probes))
     coords = np.array([[q.phi1, q.phi2] for q in probes])
-    with pytest.raises(QuadratureError, match=r"probe phi1=nan, phi2=0\.25, node theta1=\S+, theta2=\S+"):
-        qrl.fisher._averages(coords, np.array(offsets), np.array(maps), QuadSpec(48, 32, 32), 1e-2)
+    for eta in (1e-2, (1e-2, 1e-4, 0.0)):
+        with pytest.raises(QuadratureError, match=r"probe phi1=nan, phi2=0\.25, node theta1=\S+, theta2=\S+"):
+            qrl.fisher._averages(coords, np.array(offsets), np.array(maps), QuadSpec(48, 32, 32), eta)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +414,36 @@ def test_batched_kernel_equals_single_probe_calls(n):
         assert [k for k, v in enumerate(got) if not math.isfinite(v)] == ([3] if eta == 0.0 else [])
         for g, r in zip(got, ref):
             assert g == pytest.approx(r, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", (32, 64, 128, 256))
+def test_multi_cutoff_calls_equal_single_cutoff_calls(n):
+    # one call over several cutoffs shares each block's geometry, and every
+    # value must be the one-cutoff call's to the bit: 32^2 and 64^2 put
+    # several probes in one block, 128^2 and 256^2 split each probe into
+    # node blocks.  S is unitary at any probe, so eta = 0 reads inf in its
+    # slot beside finite cutoffs; I is a pure offset with no cross term
+    cases = [
+        (CNOTV, ProbeState(1.1, 0.4)),
+        (IDENT, ProbeState(0.7, 0.3)),
+        (SWAP, ProbeState(1.1, 0.4)),
+        (edge_point("CS", 0.5)[0], ProbeState(1.5708, 1.047)),
+        (edge_point("IS", 0.975)[0], ProbeState(np.pi, 0.0)),
+        (UnitaryParams(1.3, 0.8, 0.2), ProbeState(2.7, 1.9)),
+    ]
+    quad = QuadSpec(48, n, n)
+    offsets, maps = (np.array(a) for a in zip(*(qrl.fisher._probe_affine(p, q) for p, q in cases)))
+    coords = np.array([[q.phi1, q.phi2] for _, q in cases])
+    etas = (1e-2, 0.0, 1e-4, 1e-6)
+    rows = qrl.fisher._averages(coords, offsets, maps, quad, etas)
+    assert rows.shape == (len(etas), len(cases))
+    for eta, row in zip(etas, rows):
+        assert np.array_equal(row, qrl.fisher._averages(coords, offsets, maps, quad, eta))
+    assert [k for k, v in enumerate(rows[1]) if not math.isfinite(v)] == [2]
+    assert np.isfinite(np.delete(rows, 1, axis=0)).all()
+    assert not rows[:, 1].any()
+    for p, q in cases:
+        assert avg_trace_qfi(p, q, quad, etas) == tuple(avg_trace_qfi(p, q, quad, eta) for eta in etas)
 
 
 # ---------------------------------------------------------------------------
@@ -553,21 +598,44 @@ def test_near_unitary_gate_is_finite():
 
 
 def test_refinement_reuses_the_base_values(monkeypatch):
-    # base-grid values come from the eta trace; only the ladder recomputes
-    calls = []
+    # one base-grid call carries the whole schedule, widest cutoff first;
+    # the ladder then makes one call per rung, each on the doubled grid and
+    # holding the still-open cutoffs among the last three, a set that never
+    # grows.  The values are those of one ladder per cutoff made of
+    # one-cutoff calls
     inner = qrl.fisher.avg_trace_qfi
+    for p, probe in ((CNOTV, ProbeState(np.pi, 0.0)), (edge_point("CS", 0.5)[0], ProbeState(1.2, 0.7))):
+        calls = []
 
-    def counting(p, probe, quad, eta):
-        calls.append((quad.n_theta1, quad.n_theta2, eta))
-        return inner(p, probe, quad, eta)
+        def counting(p, probe, quad, eta):
+            calls.append(((quad.n_theta1, quad.n_theta2), tuple(eta)))
+            return inner(p, probe, quad, eta)
 
-    monkeypatch.setattr(qrl.fisher, "avg_trace_qfi", counting)
-    res = avg_qfi_at_probe(CNOTV, ProbeState(np.pi, 0.0))
-    assert res.classification == "finite"
-    base = [c for c in calls if c[:2] == (32, 32)]
-    assert [c[2] for c in base] == list(DEFAULT_ETA_SCHEDULE)
-    assert len(calls) > len(base)
-    assert all(c[0] > 32 for c in calls[len(base):])
+        monkeypatch.setattr(qrl.fisher, "avg_trace_qfi", counting)
+        res = avg_qfi_at_probe(p, probe)
+        monkeypatch.setattr(qrl.fisher, "avg_trace_qfi", inner)
+        assert res.classification == "finite"
+        assert calls[0] == ((32, 32), DEFAULT_ETA_SCHEDULE)
+        assert [grid for grid, _ in calls].count((32, 32)) == 1
+        assert len(calls) > 1
+        held = DEFAULT_ETA_SCHEDULE[-3:]
+        for (prev_grid, _), (grid, etas) in zip(calls, calls[1:]):
+            assert grid == (2 * prev_grid[0], 2 * prev_grid[1])
+            assert etas and etas == tuple(e for e in held if e in etas)
+            held = etas
+
+        refined = []
+        for eta, base in res.eta_trace[-3:]:
+            values, n = [base], 32
+            while n < 256:
+                n *= 2
+                values.append(inner(p, probe, QuadSpec(48, n, n), eta))
+                if abs(values[-1] - values[-2]) < 1e-4 * max(1.0, abs(values[-1])):
+                    break
+            refined.append(qrl.fisher._aitken(values))
+        assert res.value == qrl.fisher._aitken(refined)
+    # the second case closes 1e-4 and 1e-5 before 1e-6
+    assert calls[-1] == ((256, 256), (1e-6,))
 
 
 # ---------------------------------------------------------------------------
