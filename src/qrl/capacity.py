@@ -76,6 +76,14 @@ class OptimizerConfig:
     tol: float = 1e-9
     max_iter: int = 400
 
+    def __post_init__(self):
+        # the simplex stops when its diameter drops below tol, which a
+        # NaN or non-positive tol never lets happen
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
+
 
 DEFAULT_CONFIG = OptimizerConfig()
 # staged settings used while scanning probes; the final answer is always
@@ -233,8 +241,9 @@ def _unit_minimizer(e1: float, e2: float, w0: float, w1: float, w2: float) -> tu
     return n0 / nrm, n1 / nrm, n2 / nrm
 
 
-def _clip_radius(v: np.ndarray) -> np.ndarray:
-    return v if 0.0 <= v[0] <= _X_CAP else np.array([min(max(float(v[0]), 0.0), _X_CAP)])
+def _clip_radius(v: tuple) -> tuple:
+    """Projection of the radius search's point (x,) onto x in [0, _X_CAP]."""
+    return v if 0.0 <= v[0] <= _X_CAP else (min(max(v[0], 0.0), _X_CAP),)
 
 
 def h2_conditional(rho, config: OptimizerConfig = DEFAULT_CONFIG) -> H2Optimum:
@@ -258,7 +267,7 @@ def h2_conditional(rho, config: OptimizerConfig = DEFAULT_CONFIG) -> H2Optimum:
     x0 = _RADIAL_SEEDS[min(range(len(_RADIAL_SEEDS)), key=seed_vals.__getitem__)]
     step = _RADIAL_STEP if x0 + _RADIAL_STEP <= _X_CAP else -_RADIAL_STEP
     res = nelder_mead(
-        lambda v: phi(float(v[0])), [x0], step, tol=config.tol, max_iter=config.max_iter, project=_clip_radius
+        lambda v: phi(v[0]), (x0,), step, tol=config.tol, max_iter=config.max_iter, project=_clip_radius
     )
     p = phi.bloch(float(res.x[0]))
     c = _inv_sqrt_coeffs(p)
@@ -334,7 +343,7 @@ def best_probe_h2(p: UnitaryParams, config: OptimizerConfig = DEFAULT_CONFIG) ->
             best_val, best_pt = val, pt
 
     def neg_h2(q):
-        return -h2_conditional(table_at(table, q[None])[0], _MEDIUM).value
+        return -h2_conditional(table_at(table, np.array([q]))[0], _MEDIUM).value
 
     probe_tol = max(1e-7, 10.0 * config.tol)
     probe_iter = min(200, config.max_iter)

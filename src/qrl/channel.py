@@ -140,6 +140,7 @@ def probe_scan(n1: int, n2: int, phi1_max: float, phi2_max: float) -> np.ndarray
     return pts[(pts[:, 1] == 0.0) | ((pts[:, 0] != 0.0) & (pts[:, 0] != math.pi))]
 
 
-def clamp_probe(q: np.ndarray) -> np.ndarray:
-    """Projection of a probe search's point (phi1, phi2) onto phi1 in [0, pi]."""
-    return np.array([min(max(q[0], 0.0), math.pi), q[1]])
+def clamp_probe(q: tuple) -> tuple:
+    """Projection of a probe search's point, the float tuple (phi1, phi2),
+    onto phi1 in [0, pi]."""
+    return (min(max(q[0], 0.0), math.pi), q[1])

@@ -390,6 +390,8 @@ def maximize_over_probe(
     pts = probe_scan(13, 13, math.pi, 2.0 * math.pi)
     start = pts[int(np.argmax(averages(pts)))]
     # nelder_mead evaluates projected points only
-    res = nelder_mead(lambda q: -float(averages(q[None])[0]), start, 0.15, tol=1e-7, max_iter=200, project=clamp_probe)
+    res = nelder_mead(
+        lambda q: -float(averages(np.array([q]))[0]), start, 0.15, tol=1e-7, max_iter=200, project=clamp_probe
+    )
     probe = ProbeState(*res.x)
     return replace(avg_qfi_at_probe(p, probe, quad, schedule), converged=res.converged)

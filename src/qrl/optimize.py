@@ -6,6 +6,16 @@ diameter drops below a tolerance.  An optional projection keeps iterates
 inside a feasible set.  Callers pick the seed deterministically (a grid
 scan or a fixed seed set), so the whole pipeline is reproducible without
 randomness.
+
+The searches here have one to three dimensions, where numpy's per-array
+cost outweighs the arithmetic, so a vertex is a tuple of Python floats: the
+objective and the projection take and return such tuples.  One call
+evaluates the objective once per projected point and reads a repeat from a
+dict local to the call.  Repeats are common on a bounded search: moves
+clipped to the same bound and, in 1-D, a shrink, which lands on the inside
+contraction point it has just rejected.  The iterates are those of the
+array form, kept as the test oracle `nelder_mead_numpy`, to the last bit;
+only the number of objective calls differs.
 """
 
 from __future__ import annotations
@@ -13,9 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from operator import add, itemgetter, sub
 
 import numpy as np
+
+_value = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -26,56 +38,61 @@ class OptResult:
     converged: bool
 
 
-def _diameter(simplex) -> float:
-    best = simplex[0]
-    return max(math.sqrt(reduce(add, [d * d for d in (s - best).tolist()])) for s in simplex[1:])
+def _toward(a: tuple, b: tuple, t: float) -> tuple:
+    """The point a + t (b - a), coordinate by coordinate."""
+    return tuple([x + t * (y - x) for x, y in zip(a, b)])
+
+
+def _diameter(verts: list) -> float:
+    best = verts[0][1]
+    return max([math.sqrt(reduce(add, [d * d for d in map(sub, x, best)])) for _, x in verts[1:]])
 
 
 def nelder_mead(f, x0, step: float, tol: float = 1e-9, max_iter: int = 400, project=None) -> OptResult:
     """Minimize f from x0 with an axis-aligned initial simplex of size step.
 
-    The simplex is a list of vertex arrays and the values a list of floats:
-    on problems of one to three dimensions numpy reductions cost more than
-    the arithmetic.  Sums run in the order numpy's row reductions use, so
-    the iterates are those of the array form to the last bit.  Vertices are
-    ranked with a stable sort.
+    f and project take a point as a tuple of floats, and project returns
+    one; the result's x is an array.  f must depend on the point's value
+    only: equal points share one evaluation within the call.  Vertices are
+    ranked with a stable sort, and sums run in the order numpy's row
+    reductions use, which keeps the iterates bit-identical to the array
+    form's.
     """
-    if project is None:
-        project = lambda x: x
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    simplex = [np.array(project(x0.copy()), dtype=float)]
-    for i in range(n):
-        x = x0.copy()
-        x[i] += step
-        simplex.append(np.array(project(x), dtype=float))
-    fv = [f(x) for x in simplex]
+    seen = {}
+
+    def vertex(x):
+        if project is not None:
+            x = project(x)
+        fx = seen.get(x)
+        if fx is None:
+            fx = seen[x] = f(x)
+        return fx, x
+
+    x0 = tuple(map(float, x0))
+    n = len(x0)
+    verts = [vertex(x0)] + [vertex(x0[:i] + (x0[i] + step,) + x0[i + 1:]) for i in range(n)]
     it = 0
     while it < max_iter:
-        order = sorted(range(n + 1), key=fv.__getitem__)
-        simplex, fv = [simplex[k] for k in order], [fv[k] for k in order]
-        if _diameter(simplex) < tol:
-            return OptResult(simplex[0], float(fv[0]), it, True)
-        centroid = reduce(add, simplex[:-1]) / n
-        worst = simplex[-1]
-        xr = project(centroid + (centroid - worst))
-        fr = f(xr)
-        if fr < fv[0]:
-            xe = project(centroid + 2.0 * (centroid - worst))
-            fe = f(xe)
-            simplex[-1], fv[-1] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < fv[-2]:
-            simplex[-1], fv[-1] = xr, fr
+        verts.sort(key=_value)
+        if _diameter(verts) < tol:
+            return OptResult(np.array(verts[0][1]), float(verts[0][0]), it, True)
+        centroid = tuple([reduce(add, c) / n for c in zip(*[x for _, x in verts[:-1]])])
+        worst = verts[-1][1]
+        # reflection and expansion step away from the worst vertex:
+        # c + (c - w) and c + 2 (c - w), to the bit
+        r = vertex(_toward(centroid, worst, -1.0))
+        if r[0] < verts[0][0]:
+            e = vertex(_toward(centroid, worst, -2.0))
+            verts[-1] = e if e[0] < r[0] else r
+        elif r[0] < verts[-2][0]:
+            verts[-1] = r
         else:
-            xc = project(centroid + 0.5 * (worst - centroid))
-            fc = f(xc)
-            if fc < fv[-1]:
-                simplex[-1], fv[-1] = xc, fc
+            c = vertex(_toward(centroid, worst, 0.5))
+            if c[0] < verts[-1][0]:
+                verts[-1] = c
             else:
-                best = simplex[0]
-                simplex[1:] = [project(best + 0.5 * (s - best)) for s in simplex[1:]]
-                fv[1:] = [f(x) for x in simplex[1:]]
+                best = verts[0][1]
+                verts[1:] = [vertex(_toward(best, x, 0.5)) for _, x in verts[1:]]
         it += 1
-    best = min(range(n + 1), key=fv.__getitem__)
-    return OptResult(simplex[best], float(fv[best]), it, False)
-
+    fx, x = min(verts, key=_value)
+    return OptResult(np.array(x), float(fx), it, False)

@@ -138,6 +138,16 @@ def test_conditioning_state_validation():
 # Optimized conditional entropy
 
 
+def test_optimizer_config_validation():
+    for tol in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            OptimizerConfig(tol=tol)
+    for max_iter in (0, -5):
+        with pytest.raises(ValueError, match="max_iter"):
+            OptimizerConfig(max_iter=max_iter)
+    assert OptimizerConfig(tol=1e-12, max_iter=1).max_iter == 1
+
+
 def test_h2_identity_channel():
     # identity gate: B carries the env, F is maximally entangled with B
     probe = ProbeState(0.7, 1.1)
