@@ -28,11 +28,11 @@ from qrl import ProbeState, QuadSpec, avg_trace_qfi  # noqa: E402
 from qrl.unitary import edge_point  # noqa: E402
 
 ETAS = (1e-4, 1e-5, 1e-6)
-QUAD = QuadSpec(48, 256, 256)
+QUAD = QuadSpec(256, 256)
 CASES = (
-    (edge_point("CS", 0.5)[0], ProbeState(1.2, 0.7)),
-    (edge_point("ID", 0.3)[0], ProbeState(2.2, 5.1)),
-    (edge_point("IC", 0.6)[0], ProbeState(math.pi, 0.0)),
+    (edge_point("CS", 0.5), ProbeState(1.2, 0.7)),
+    (edge_point("ID", 0.3), ProbeState(2.2, 5.1)),
+    (edge_point("IC", 0.6), ProbeState(math.pi, 0.0)),
 )
 ROUNDS = 40
 

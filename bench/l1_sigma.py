@@ -30,7 +30,7 @@ from qrl.capacity import _COARSE, _MEDIUM, DEFAULT_CONFIG, h2_conditional  # noq
 from qrl.channel import choi_bf, probe_scan, probe_table, stinespring_isometry, table_at  # noqa: E402
 from qrl.unitary import VERTICES, edge_point  # noqa: E402
 
-GATES = {"CS": edge_point("CS", 0.5)[0], "IC": edge_point("IC", 0.5)[0], "S": VERTICES["S"]}
+GATES = {"CS": edge_point("CS", 0.5), "IC": edge_point("IC", 0.5), "S": VERTICES["S"]}
 CONFIGS = {"coarse": _COARSE, "medium": _MEDIUM, "default": DEFAULT_CONFIG}
 ROUNDS = 15
 

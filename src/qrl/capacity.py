@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    BipartiteState, ProbeState, choi_bf, clamp_probe, probe_scan, probe_table, stinespring_isometry, table_at,
+    PROBE_SIMPLEX, BipartiteState, ProbeState, choi_bf, probe_scan, probe_table, stinespring_isometry, table_at,
 )
 from .linalg import I2, PAULI, kron
 from .optimize import nelder_mead
@@ -71,7 +71,7 @@ class ConditioningState:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Simplex settings for the sigma and probe searches."""
+    """Simplex settings for the sigma search."""
 
     tol: float = 1e-9
     max_iter: int = 400
@@ -86,8 +86,8 @@ class OptimizerConfig:
 
 
 DEFAULT_CONFIG = OptimizerConfig()
-# staged settings used while scanning probes; the final answer is always
-# recomputed at the caller's config
+# staged settings used while scanning and refining probes; the final answer
+# is always recomputed at DEFAULT_CONFIG
 _COARSE = OptimizerConfig(tol=1e-6, max_iter=120)
 _MEDIUM = OptimizerConfig(tol=1e-8, max_iter=250)
 
@@ -109,7 +109,6 @@ class ProbeOptimum:
 
 @dataclass(frozen=True)
 class CapacityResult:
-    h2: float
     correction: float
     raw_bound: float
     clamped_bound: float
@@ -257,18 +256,18 @@ def h2_conditional(rho, config: OptimizerConfig = DEFAULT_CONFIG) -> H2Optimum:
     The directions are minimized exactly at each radius (`_RadialProfile`),
     which leaves a unimodal 1-D search over x = -ln(1 - |p|) on
     [0, -ln(1 - BLOCH_CAP)]: Nelder-Mead from the best of a few fixed
-    seeds, its first step pointing into the interval.  The value is
-    evaluated at the reported sigma and is bounded by log2 dim(B) = 1.
+    seeds, its first step pointing into the interval; it reads the seeds'
+    values instead of evaluating them again.  The value is evaluated at the
+    reported sigma and is bounded by log2 dim(B) = 1.
     """
     r = _as_rho(rho)
     gram = _collision_gram(r)
     phi = _RadialProfile(gram)
-    seed_vals = [phi(x) for x in _RADIAL_SEEDS]
-    x0 = _RADIAL_SEEDS[min(range(len(_RADIAL_SEEDS)), key=seed_vals.__getitem__)]
+    seen = {x: phi(x) for x in _RADIAL_SEEDS}
+    x0 = min(seen, key=seen.__getitem__)  # the first seed of least value
     step = _RADIAL_STEP if x0 + _RADIAL_STEP <= _X_CAP else -_RADIAL_STEP
-    res = nelder_mead(
-        lambda v: phi(v[0]), (x0,), step, tol=config.tol, max_iter=config.max_iter, project=_clip_radius
-    )
+    res = nelder_mead(lambda v: seen[v[0]] if v[0] in seen else phi(v[0]), (x0,), step,
+                      tol=config.tol, max_iter=config.max_iter, project=_clip_radius)
     p = phi.bloch(float(res.x[0]))
     c = _inv_sqrt_coeffs(p)
     value = -math.log2(c @ gram @ c)
@@ -316,16 +315,16 @@ def one_shot_lower_bound(h2: float, epsilon: float, n: int) -> CapacityResult:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     corr = correction_bits(epsilon)
     raw = h2 - corr / n
-    return CapacityResult(h2=h2, correction=corr, raw_bound=raw, clamped_bound=max(0.0, raw))
+    return CapacityResult(correction=corr, raw_bound=raw, clamped_bound=max(0.0, raw))
 
 
-def best_probe_h2(p: UnitaryParams, config: OptimizerConfig = DEFAULT_CONFIG) -> ProbeOptimum:
+def best_probe_h2(p: UnitaryParams) -> ProbeOptimum:
     """Maximize H2(B|F) over the probe.
 
     Probe grid scan with a cheap inner sigma search, simplex refinement of
-    the probe at intermediate accuracy, then a final full-accuracy sigma
-    optimization at the selected probe.  Every rho_BF comes off the gate's
-    rho_BF table, built from four probes.
+    the probe (`channel.PROBE_SIMPLEX`) at intermediate accuracy, then a
+    final sigma search at DEFAULT_CONFIG at the selected probe.  Every
+    rho_BF comes off the gate's rho_BF table, built from four probes.
 
     P (x) P commutes with U for P = X, Y, Z, and H2(B|F) ignores local
     unitaries, so H2 takes the same value at the probe images
@@ -345,10 +344,8 @@ def best_probe_h2(p: UnitaryParams, config: OptimizerConfig = DEFAULT_CONFIG) ->
     def neg_h2(q):
         return -h2_conditional(table_at(table, np.array([q]))[0], _MEDIUM).value
 
-    probe_tol = max(1e-7, 10.0 * config.tol)
-    probe_iter = min(200, config.max_iter)
-    probe_res = nelder_mead(neg_h2, best_pt, 0.15, tol=probe_tol, max_iter=probe_iter, project=clamp_probe)
-    final = h2_conditional(table_at(table, probe_res.x[None])[0], config)
+    probe_res = nelder_mead(neg_h2, best_pt, **PROBE_SIMPLEX)
+    final = h2_conditional(table_at(table, probe_res.x[None])[0])
     return ProbeOptimum(
         h2=final.value,
         probe=ProbeState(*probe_res.x),

@@ -10,8 +10,8 @@ V is linear in the probe ket, so everything built from V and V^dag, such as
 the channel's Bloch map or rho_BF, is linear in the probe density
 (1 + q.sigma)/2 and hence affine in the probe Bloch vector q.  Both probe
 searches use that: `probe_table` evaluates such a quantity at four probes
-once per gate, `table_at` reads it at any batch of probes, and
-`probe_scan` is the grid both searches start from.
+once per gate and `table_at` reads it at any batch of probes.  Both start
+from a `probe_scan` grid and refine with the one `PROBE_SIMPLEX` setting.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .linalg import I2, kron, partial_trace, validate_density
 from .unitary import UnitaryParams, build_unitary
 
 ANGLE_TOL = 1e-12
+UNITARY_TOL = 1e-12  # how far V^dag V of a ChannelIsometry may stray from I
 TWO_PI = 2.0 * math.pi
 
 
@@ -58,7 +59,7 @@ class ChannelIsometry:
     def __post_init__(self):
         gram = self.v.conj().T @ self.v
         err = np.max(np.abs(gram - np.eye(2)))
-        if err > 1e-12:
+        if err > UNITARY_TOL:
             raise ValueError(f"V^dag V deviates from identity by {err:.3e}")
 
 
@@ -144,3 +145,7 @@ def clamp_probe(q: tuple) -> tuple:
     """Projection of a probe search's point, the float tuple (phi1, phi2),
     onto phi1 in [0, pi]."""
     return (min(max(q[0], 0.0), math.pi), q[1])
+
+
+# nelder_mead's step, tol, max_iter and projection in both probe searches
+PROBE_SIMPLEX = dict(step=0.15, tol=1e-7, max_iter=200, project=clamp_probe)

@@ -12,8 +12,9 @@ elements, at one cutoff or at several: a block's geometry (M n, the roots
 of den and the quartic's coefficients) does not depend on the cutoff and is
 built once per block, and only the radial moments are evaluated per cutoff.
 `avg_trace_qfi` is that kernel applied to one probe.  `avg_qfi_at_probe`
-makes one base-grid call for its whole cutoff schedule, then one call per
-rung of an angular-doubling ladder that holds the cutoffs still open.
+makes one call on the base grid `_QUAD` for its whole cutoff schedule, then
+one call per rung of an angular-doubling ladder that holds the cutoffs still
+open; the probe search scans and refines on `_QUAD` too.
 
 For a fixed gate the output is linear in the probe density, so t and M are
 affine in the probe Bloch vector q.  The probe search builds that
@@ -27,15 +28,15 @@ Both roots of den lie outside (-1, 1), because the outputs at the pure
 environment states +-n are states.  The average diverges exactly when the
 probe channel is unitary, t = 0 and M^T M = I (`_unitary`): only then does
 den vanish at s = 1 on directions of positive area, as |t + M n|^2 = 1 on an
-open set of the sphere is polynomial and so holds on all of it.  Inside the
-cutoff den is small only where the output is nearly pure, and the cross term
-is then small too; nothing is masked there, because dropping those nodes
-biased near-identity gates low.  The one exception is a pure offset
-(1 - |t|^2 <= 4 PURITY_TOL), which forces M = 0 and leaves no cross term.
+open set of the sphere is polynomial and so holds on all of it; there the
+merit's value is +inf.  Inside the cutoff den is small only where the output
+is nearly pure, and the cross term is then small too; nothing is masked
+there, because dropping those nodes biased near-identity gates low.  The
+one exception is a pure offset (1 - |t|^2 <= 4 PURITY_TOL), which forces
+M = 0 and leaves no cross term.
 
-`QuadSpec.nr`, the radial node count, no longer enters the library's
-integral.  It stays part of the grid spec because the benchmark's tracer
-and the u-grid oracle in tests/oracles.py read it.
+`QuadSpec` holds the two angular node counts.  Its `nr`, a fixed radial
+node count, enters no integral; it stays only for the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -43,11 +44,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .channel import ProbeState, apply_channel, clamp_probe, probe_scan, probe_table, stinespring_isometry, table_at
+from .channel import (
+    PROBE_SIMPLEX, UNITARY_TOL, ProbeState, apply_channel, probe_scan, probe_table, stinespring_isometry, table_at,
+)
 from .linalg import PAULI
 from .optimize import nelder_mead
 from .unitary import UnitaryParams
@@ -55,7 +59,6 @@ from .unitary import UnitaryParams
 PURITY_TOL = 1e-10
 ETA_MAX = 0.4
 DEFAULT_ETA_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-UNITARY_TOL = 1e-12  # the bound ChannelIsometry checks V^dag V to
 _LADDER_CAP = 256
 _LADDER_RTOL = 1e-4
 _CHUNK = 4096  # probe x node elements per vectorised block, bounds the temporaries
@@ -69,16 +72,19 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Gauss-Legendre node counts (radial, polar, azimuthal).  The library
-    integrates the radius exactly and reads only the two angular counts."""
+    """Gauss-Legendre node counts (polar, azimuthal); the radius is
+    integrated exactly."""
 
-    nr: int = 48
     n_theta1: int = 32
     n_theta2: int = 32
+    nr: ClassVar[int] = 48  # read by the benchmark's tracer only
 
     def __post_init__(self):
-        if min(self.nr, self.n_theta1, self.n_theta2) < 2:
+        if min(self.n_theta1, self.n_theta2) < 2:
             raise ValueError("quadrature spec needs at least 2 nodes per axis")
+
+
+_QUAD = QuadSpec()  # the base grid of both probe searches and the ladder
 
 
 # --- Bayesian average -------------------------------------------------------
@@ -308,7 +314,7 @@ def _ladder(p: UnitaryParams, probe: ProbeState, quad: QuadSpec, trace) -> list:
     n1, n2 = quad.n_theta1, quad.n_theta2
     while open_ and max(n1, n2) < _LADDER_CAP:
         n1, n2 = 2 * n1, 2 * n2
-        rung = avg_trace_qfi(p, probe, QuadSpec(quad.nr, n1, n2), [eta for eta, _ in open_])
+        rung = avg_trace_qfi(p, probe, QuadSpec(n1, n2), [eta for eta, _ in open_])
         for (_, values), cur in zip(open_, rung):
             values.append(cur)
         open_ = [(eta, v) for eta, v in open_ if not abs(v[-1] - v[-2]) < _LADDER_RTOL * max(1.0, abs(v[-1]))]
@@ -317,10 +323,11 @@ def _ladder(p: UnitaryParams, probe: ProbeState, quad: QuadSpec, trace) -> list:
 
 @dataclass(frozen=True)
 class AvgQfiResult:
+    """value reads +inf exactly where the average diverges."""
+
     value: float
     probe_opt: ProbeState
     eta_trace: tuple
-    classification: str
     converged: bool = True
 
     def __post_init__(self):
@@ -341,35 +348,24 @@ def _schedule(eta_schedule) -> list:
     return schedule
 
 
-def avg_qfi_at_probe(
-    p: UnitaryParams,
-    probe: ProbeState,
-    quad: QuadSpec = QuadSpec(),
-    eta_schedule=DEFAULT_ETA_SCHEDULE,
-) -> AvgQfiResult:
-    """Regularized trace at each cutoff and the eta -> 0 value: +inf
-    ("divergent") where the probe channel is unitary, otherwise ("finite")
-    an extrapolation of ladder-refined values over the last three cutoffs.
+def avg_qfi_at_probe(p: UnitaryParams, probe: ProbeState, eta_schedule=DEFAULT_ETA_SCHEDULE) -> AvgQfiResult:
+    """Regularized trace at each cutoff and the eta -> 0 value: +inf, the
+    divergent case, where the probe channel is unitary, otherwise an
+    extrapolation of ladder-refined values over the last three cutoffs.
 
-    The trace is one `avg_trace_qfi` call on quad over the whole schedule.
+    The trace is one `avg_trace_qfi` call on `_QUAD` over the whole schedule.
     A finite value then adds one call per ladder rung, on the doubled grid
     and over those of the last three cutoffs whose values still move
     (`_ladder`).
     """
     schedule = _schedule(eta_schedule)
-    trace = tuple(zip(schedule, avg_trace_qfi(p, probe, quad, schedule)))
-    if _unitary(*_probe_affine(p, probe)):
-        classification, value = "divergent", math.inf
-    else:
-        classification, value = "finite", _aitken(_ladder(p, probe, quad, trace[-3:]))
-    return AvgQfiResult(value=value, probe_opt=probe, eta_trace=trace, classification=classification)
+    trace = tuple(zip(schedule, avg_trace_qfi(p, probe, _QUAD, schedule)))
+    divergent = _unitary(*_probe_affine(p, probe))
+    value = math.inf if divergent else _aitken(_ladder(p, probe, _QUAD, trace[-3:]))
+    return AvgQfiResult(value=value, probe_opt=probe, eta_trace=trace)
 
 
-def maximize_over_probe(
-    p: UnitaryParams,
-    quad: QuadSpec = QuadSpec(),
-    eta_schedule=DEFAULT_ETA_SCHEDULE,
-) -> AvgQfiResult:
+def maximize_over_probe(p: UnitaryParams, eta_schedule=DEFAULT_ETA_SCHEDULE) -> AvgQfiResult:
     """Probe maximization of the averaged trace-QFI at the widest cutoff,
     then the full cutoff schedule at the optimum.
 
@@ -385,13 +381,11 @@ def maximize_over_probe(
 
     def averages(pts):
         flat = table_at(table, pts)
-        return _averages(pts, flat[:, :3], flat[:, 3:].reshape(-1, 3, 3), quad, eta0)
+        return _averages(pts, flat[:, :3], flat[:, 3:].reshape(-1, 3, 3), _QUAD, eta0)
 
     pts = probe_scan(13, 13, math.pi, 2.0 * math.pi)
     start = pts[int(np.argmax(averages(pts)))]
     # nelder_mead evaluates projected points only
-    res = nelder_mead(
-        lambda q: -float(averages(np.array([q]))[0]), start, 0.15, tol=1e-7, max_iter=200, project=clamp_probe
-    )
+    res = nelder_mead(lambda q: -float(averages(np.array([q]))[0]), start, **PROBE_SIMPLEX)
     probe = ProbeState(*res.x)
-    return replace(avg_qfi_at_probe(p, probe, quad, schedule), converged=res.converged)
+    return replace(avg_qfi_at_probe(p, probe, schedule), converged=res.converged)

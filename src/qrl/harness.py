@@ -55,7 +55,6 @@ class MeritReport:
     edge: str
     t: float
     alpha: tuple
-    alpha_norm: float
     metric: str
     value: float
     status: str
@@ -68,9 +67,10 @@ class MeritReport:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
-        norm = float(np.linalg.norm(self.alpha))
-        if abs(norm - self.alpha_norm) > 1e-12:
-            raise ValueError("alpha_norm does not match alpha")
+
+    @property
+    def alpha_norm(self) -> float:
+        return float(np.linalg.norm(self.alpha))
 
     def csv_fields(self) -> list:
         probe = self.probe if self.probe is not None else ("", "")
@@ -137,7 +137,7 @@ def _h2_fields(opt, metric: str, epsilon: float, n: int) -> dict:
 
 
 def _qfi_fields(res) -> dict:
-    divergent = res.classification == "divergent"
+    divergent = res.value == math.inf
     return dict(
         value=None if divergent else res.value,
         status=_status(not divergent, "divergent", res.converged),
@@ -153,7 +153,6 @@ def _row(edge: str, t: float, params: UnitaryParams, metric: str, started: float
         edge=edge,
         t=t,
         alpha=tuple(params.as_array()),
-        alpha_norm=params.norm,
         metric=metric,
         value=value,
         status=status,
@@ -164,7 +163,7 @@ def _row(edge: str, t: float, params: UnitaryParams, metric: str, started: float
 
 
 def _eval_point(cfg: SweepConfig, t: float) -> MeritReport:
-    params, _ = edge_point(cfg.edge, t)
+    params = edge_point(cfg.edge, t)
     started = time.perf_counter()
     try:
         if cfg.metric == "qfi":

@@ -3,7 +3,8 @@
 The family is diagonal in the magic basis with eigenphases fixed by three
 angles (alpha_x, alpha_y, alpha_z) ordered as pi/2 >= ax >= ay >= az >= 0.
 Vertices are Identity, CNOT-class, SWAP and DCNOT; edges interpolate
-linearly between vertex angle triples.
+linearly between vertex angle triples (`edge_point`), and a point's
+Euclidean norm |alpha| is `UnitaryParams.norm`.
 """
 
 from __future__ import annotations
@@ -98,14 +99,10 @@ def edge_id(edge: str) -> str:
     return key
 
 
-def edge_point(edge: str, t: float):
+def edge_point(edge: str, t: float) -> UnitaryParams:
     """Point at parameter t in [0,1] along a named edge (any spelling that
-    `edge_id` accepts).
-
-    Returns (UnitaryParams, Euclidean norm |alpha|).
-    """
+    `edge_id` accepts)."""
     key = edge_id(edge)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"edge parameter t must lie in [0, 1], got {t!r}")
-    params = UnitaryParams(*_EDGE_TABLE[key](t * HALF_PI))
-    return params, params.norm
+    return UnitaryParams(*_EDGE_TABLE[key](t * HALF_PI))

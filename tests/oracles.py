@@ -5,7 +5,7 @@ tests check the library against them.
 
 - `avg_trace_qfi_ugrid` is the radial quadrature that
   `qrl.fisher.avg_trace_qfi` used before its radial integral was written in
-  closed form: Gauss-Legendre in u = -ln(1/2 - r), `quad.nr` nodes, one
+  closed form: Gauss-Legendre in u = -ln(1/2 - r), `nr` nodes, one
   radial slice at a time.  The nodes resolve the cutoff shell at any eta, so
   at modest angular grids it agrees with the closed form to round-off.
 - `channel_qfi` is the pointwise QFI matrix of one output state, from the
@@ -93,14 +93,15 @@ def _radial_tables(nr: int, eta: float):
     return 0.5 - np.exp(-u), wu * np.exp(-u)
 
 
-def avg_trace_qfi_ugrid(p, probe, quad, eta, mask=True):
-    """Prior average of tr F on a u-substituted radial grid.
+def avg_trace_qfi_ugrid(p, probe, quad, nr, eta, mask=True):
+    """Prior average of tr F on a u-substituted radial grid of nr nodes,
+    quad's nodes on the angles.
 
     mask=True drops the cross term wherever 1 - |b|^2 < 4 PURITY_TOL, as the
     library did per node; mask=False keeps every node.
     """
     _, _, dirs, w_ang = _angular_tables(quad.n_theta1, quad.n_theta2)
-    r_nodes, w_r = _radial_tables(quad.nr, float(eta))
+    r_nodes, w_r = _radial_tables(nr, float(eta))
     offset, m = _probe_affine(p, probe)
     a, b1, b2 = m @ dirs
     dot = lambda x, y: np.einsum("jk,jk->k", x, y)

@@ -1,5 +1,7 @@
 """Tests for the conditional Renyi-2 machinery and the one-shot bound."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -338,7 +340,7 @@ def test_h2_same_at_the_probe_images():
     # channel conjugated by P on both sides; H2(B|F) ignores local unitaries
     local = np.random.default_rng(31)
     for edge in ("IC", "IS", "ID", "CS", "CD", "DS"):
-        params = edge_point(edge, local.uniform(0.3, 1.0))[0]
+        params = edge_point(edge, local.uniform(0.3, 1.0))
         phi1, phi2 = local.uniform(0.0, np.pi), local.uniform(0.0, 2 * np.pi)
         images = ((phi1, phi2), (phi1, phi2 + np.pi), (np.pi - phi1, -phi2), (np.pi - phi1, np.pi - phi2))
         vals = [h2_conditional(choi_bf(stinespring_isometry(params, ProbeState(*q)))).value for q in images]
@@ -346,9 +348,7 @@ def test_h2_same_at_the_probe_images():
 
 
 def test_h2_continuity_in_alpha():
-    # nearby gates give nearby probe-optimized entropies; coarse optimizer
-    # config keeps this cheap without hurting the 0.05 window
-    coarse = OptimizerConfig(tol=1e-5, max_iter=150)
+    # nearby gates give nearby probe-optimized entropies
     checked = 0
     while checked < 100:
         params = random_params()
@@ -358,8 +358,8 @@ def test_h2_continuity_in_alpha():
             shifted = UnitaryParams(*(params.as_array() + delta))
         except ValueError:
             continue  # perturbation left the ordered cell; resample
-        a = best_probe_h2(params, coarse).h2
-        b = best_probe_h2(shifted, coarse).h2
+        a = best_probe_h2(params).h2
+        b = best_probe_h2(shifted).h2
         assert abs(a - b) <= 0.05
         checked += 1
 
@@ -461,25 +461,34 @@ def test_bound_rejects_bad_n():
 
 def test_best_probe_dcnot_edge():
     for t in (0.25, 0.75):
-        res = best_probe_h2(edge_point("DS", t)[0])
+        res = best_probe_h2(edge_point("DS", t))
         assert res.h2 == pytest.approx(1.0, abs=1e-3)
         assert res.converged
 
 
 def test_best_probe_ic_edge():
-    res = best_probe_h2(edge_point("IC", 0.5)[0])
+    res = best_probe_h2(edge_point("IC", 0.5))
     assert res.h2 <= 1e-3
 
 
+def test_best_probe_exact_on_identity_edges():
+    # along IC the optimum is -log2(1 + cos^2 a) at a = t pi/2, and inside
+    # the IS and ID edges the two optima agree exactly
+    for t in (0.25, 0.5, 0.75):
+        a = t * math.pi / 2.0
+        assert abs(best_probe_h2(edge_point("IC", t)).h2 + math.log2(1.0 + math.cos(a) ** 2)) <= 1e-12
+        assert abs(best_probe_h2(edge_point("IS", t)).h2 - best_probe_h2(edge_point("ID", t)).h2) <= 1e-12
+
+
 def test_best_probe_is_edge_threshold_sides():
-    below = best_probe_h2(edge_point("IS", 0.45)[0])
-    above = best_probe_h2(edge_point("IS", 0.75)[0])
+    below = best_probe_h2(edge_point("IS", 0.45))
+    above = best_probe_h2(edge_point("IS", 0.75))
     assert below.h2 < 0.0
     assert above.h2 > 0.05
 
 
 def test_best_probe_deterministic():
-    params = edge_point("CD", 0.4)[0]
+    params = edge_point("CD", 0.4)
     a = best_probe_h2(params)
     b = best_probe_h2(params)
     assert a.h2 == b.h2
@@ -497,5 +506,5 @@ def test_best_probe_builds_four_channels(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(qrl.capacity, name, counted)
-    best_probe_h2(edge_point("CS", 0.4)[0])
+    best_probe_h2(edge_point("CS", 0.4))
     assert calls == {"stinespring_isometry": 4, "choi_bf": 4}

@@ -1,11 +1,15 @@
 """Package-wide contracts: no asserts in the library, no definition that only
 tests use, a public API that is exactly what the package imports, and the
 benchmark's tracer still finds every module attribute it wraps and still
-sees the averaged QFI's base and ladder calls, and traced h2 and qfi runs
-enter every layer the benchmark requires and match their untraced rows."""
+sees the averaged QFI's base and ladder calls, traced h2 and qfi runs
+enter every layer the benchmark requires and match their untraced rows, and
+the L1 bench scripts still import against the package."""
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +17,7 @@ import qrl
 
 PACKAGE = Path(qrl.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_package_has_no_assert_statements():
@@ -175,3 +180,14 @@ def test_benchmark_tracer_enters_every_qfi_layer(monkeypatch):
         metrics, _, _ = tracer.analyse(tr.spans, 1, (base.nr, base.n_theta1, base.n_theta2), 0)
         names = _must_enter(workload)
         assert names and [n for n in names if not metrics[n][0] > 0] == [], workload
+
+
+def test_bench_scripts_import_against_the_package():
+    # each script builds its gates, grids and configs when loaded, and a run
+    # name other than __main__ skips main().  A child process, because the
+    # scripts pin the BLAS thread variables of the process that loads them
+    scripts = sorted(str(path) for path in BENCH.glob("*.py"))
+    code = "import runpy, sys\nfor path in sys.argv[1:]:\n    runpy.run_path(path, run_name='bench_import')"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code, *scripts], capture_output=True, text=True, env=env, timeout=120)
+    assert scripts and proc.returncode == 0, proc.stderr

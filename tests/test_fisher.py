@@ -220,9 +220,14 @@ def test_prior_mass_is_one():
 
 
 def test_quad_spec_validation():
-    QuadSpec(2, 2, 2)
-    with pytest.raises(ValueError):
-        QuadSpec(1, 8, 8)
+    QuadSpec(2, 2)
+    for bad in ((1, 8), (8, 1)):
+        with pytest.raises(ValueError):
+            QuadSpec(*bad)
+    # the radial count is fixed: the library integrates the radius exactly
+    assert QuadSpec().nr == QuadSpec(64, 64).nr == 48
+    with pytest.raises(TypeError):
+        QuadSpec(48, 32, 32)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +301,7 @@ def test_avg_invariant_under_probe_half_turn():
     # Gauss-Legendre theta2 rule is not shift-invariant, so the grid must
     # resolve the integrand: at eta = 1e-2, 128^2 leaves 1e-10, 64^2 1e-6
     local = np.random.default_rng(9)
-    quad = QuadSpec(48, 128, 128)
+    quad = QuadSpec(128, 128)
     for _ in range(6):
         ax = local.uniform(0.05, np.pi / 2)
         ay = local.uniform(0.0, ax)
@@ -333,7 +338,7 @@ def test_nan_integrand_names_the_node():
     object.__setattr__(bad, "phi1", float("nan"))
     object.__setattr__(bad, "phi2", 0.0)
     with pytest.raises(QuadratureError, match="node theta1="):
-        avg_trace_qfi(SWAP, bad, QuadSpec(4, 4, 4), 1e-2)
+        avg_trace_qfi(SWAP, bad, QuadSpec(4, 4), 1e-2)
 
 
 def test_nan_in_a_batch_names_the_probe_and_the_node():
@@ -347,7 +352,7 @@ def test_nan_in_a_batch_names_the_probe_and_the_node():
     coords = np.array([[q.phi1, q.phi2] for q in probes])
     for eta in (1e-2, (1e-2, 1e-4, 0.0)):
         with pytest.raises(QuadratureError, match=r"probe phi1=nan, phi2=0\.25, node theta1=\S+, theta2=\S+"):
-            qrl.fisher._averages(coords, np.array(offsets), np.array(maps), QuadSpec(48, 32, 32), eta)
+            qrl.fisher._averages(coords, np.array(offsets), np.array(maps), QuadSpec(32, 32), eta)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +368,7 @@ def test_affine_table_reproduces_probe_affine():
     coords = np.column_stack([local.uniform(0, np.pi, 200), local.uniform(0, 2 * np.pi, 200)])
     coords = np.vstack([coords, [[0.0, 0.0], [0.0, 2.1], [np.pi, 0.0], [np.pi, 4.4]]])
     for edge in EDGES:
-        p = edge_point(edge, local.uniform(0.05, 0.95))[0]
+        p = edge_point(edge, local.uniform(0.05, 0.95))
         affine = probe_table(lambda q: np.concatenate([a.ravel() for a in qrl.fisher._probe_affine(p, q)]))
         flat = table_at(affine, coords)
         rhos = table_at(probe_table(lambda q: choi_bf(stinespring_isometry(p, q)).rho_bf), coords)
@@ -397,14 +402,14 @@ def test_batched_kernel_equals_single_probe_calls(n):
     # and S, whose average at eta = 0 is inf in its own slot only
     cases = [
         (CNOTV, ProbeState(1.1, 0.4)),
-        (edge_point("CS", 0.5)[0], ProbeState(1.5708, 1.047)),
+        (edge_point("CS", 0.5), ProbeState(1.5708, 1.047)),
         (IDENT, ProbeState(0.7, 0.3)),
         (SWAP, ProbeState(1.1, 0.4)),
-        (edge_point("ID", 0.3)[0], ProbeState(2.2, 5.1)),
-        (edge_point("CD", 0.6)[0], ProbeState(0.9, 3.3)),
+        (edge_point("ID", 0.3), ProbeState(2.2, 5.1)),
+        (edge_point("CD", 0.6), ProbeState(0.9, 3.3)),
         (UnitaryParams(1.3, 0.8, 0.2), ProbeState(2.7, 1.9)),
     ]
-    quad = QuadSpec(48, n, n)
+    quad = QuadSpec(n, n)
     offsets, maps = zip(*(qrl.fisher._probe_affine(p, q) for p, q in cases))
     coords = np.array([[q.phi1, q.phi2] for _, q in cases])
     for eta in (1e-2, 0.0):
@@ -427,11 +432,11 @@ def test_multi_cutoff_calls_equal_single_cutoff_calls(n):
         (CNOTV, ProbeState(1.1, 0.4)),
         (IDENT, ProbeState(0.7, 0.3)),
         (SWAP, ProbeState(1.1, 0.4)),
-        (edge_point("CS", 0.5)[0], ProbeState(1.5708, 1.047)),
-        (edge_point("IS", 0.975)[0], ProbeState(np.pi, 0.0)),
+        (edge_point("CS", 0.5), ProbeState(1.5708, 1.047)),
+        (edge_point("IS", 0.975), ProbeState(np.pi, 0.0)),
         (UnitaryParams(1.3, 0.8, 0.2), ProbeState(2.7, 1.9)),
     ]
-    quad = QuadSpec(48, n, n)
+    quad = QuadSpec(n, n)
     offsets, maps = (np.array(a) for a in zip(*(qrl.fisher._probe_affine(p, q) for p, q in cases)))
     coords = np.array([[q.phi1, q.phi2] for _, q in cases])
     etas = (1e-2, 0.0, 1e-4, 1e-6)
@@ -453,14 +458,14 @@ def test_multi_cutoff_calls_equal_single_cutoff_calls(n):
 @pytest.mark.parametrize("n", (32, 128))
 def test_closed_form_matches_ugrid_oracle(n):
     local = np.random.default_rng(2024)
-    quad = QuadSpec(48, n, n)
+    quad = QuadSpec(n, n)
     for _ in range(4):
         ax = local.uniform(0.05, np.pi / 2)
         ay = local.uniform(0.0, ax)
         p = UnitaryParams(ax, ay, local.uniform(0.0, ay))
         probe = ProbeState(local.uniform(0, np.pi), local.uniform(0, 2 * np.pi))
         for eta in (1e-2, 1e-4, 1e-6):
-            ref = avg_trace_qfi_ugrid(p, probe, quad, eta, mask=False)
+            ref = avg_trace_qfi_ugrid(p, probe, quad, 48, eta, mask=False)
             assert avg_trace_qfi(p, probe, quad, eta) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
@@ -478,32 +483,32 @@ def test_radial_moments_match_their_power_series():
 def test_near_identity_keeps_nearly_pure_nodes():
     # the output is nearly pure at every node (1 - |t|^2 ~ 5e-6); the old
     # per-node purity mask dropped some nodes and read 1.9% low
-    p = edge_point("ID", 1e-3)[0]
+    p = edge_point("ID", 1e-3)
     probe = ProbeState(3.02962, 3.91878)
-    got = avg_trace_qfi(p, probe, QuadSpec(48, 12, 12), 1e-6)
-    ref = avg_trace_qfi_ugrid(p, probe, QuadSpec(96, 12, 12), 1e-6, mask=False)
+    got = avg_trace_qfi(p, probe, QuadSpec(12, 12), 1e-6)
+    ref = avg_trace_qfi_ugrid(p, probe, QuadSpec(12, 12), 96, 1e-6, mask=False)
     assert got == pytest.approx(ref, rel=1e-7, abs=0.0)
     assert got == pytest.approx(2.220406e-5, rel=1e-6)
-    masked = avg_trace_qfi_ugrid(p, probe, QuadSpec(48, 12, 12), 1e-6, mask=True)
+    masked = avg_trace_qfi_ugrid(p, probe, QuadSpec(12, 12), 48, 1e-6, mask=True)
     assert (got - masked) / got > 0.015
 
 
 def test_small_map_near_identity_vertex():
     # IC at t = 1e-4: |M| ~ 1e-4 and 1 - |t|^2 down to 1e-9, whose float
     # rounding (1e-16 absolute) bounds the agreement of any method to ~1e-7
-    p = edge_point("IC", 1e-4)[0]
+    p = edge_point("IC", 1e-4)
     for probe in (ProbeState(0.3, 1.0), ProbeState(1.5, 0.2), ProbeState(np.pi, 0.0)):
         for eta in (1e-2, 1e-6):
             got = avg_trace_qfi(p, probe, QuadSpec(), eta)
-            ref = avg_trace_qfi_ugrid(p, probe, QuadSpec(96, 32, 32), eta, mask=False)
+            ref = avg_trace_qfi_ugrid(p, probe, QuadSpec(), 96, eta, mask=False)
             assert 0.0 < got < 1e-6
             assert got == pytest.approx(ref, rel=1e-6, abs=0.0)
 
 
 def test_eta_zero_is_the_exact_limit():
-    c = avg_trace_qfi(CNOTV, ProbeState(np.pi, 0.0), QuadSpec(48, 64, 64), 0.0)
+    c = avg_trace_qfi(CNOTV, ProbeState(np.pi, 0.0), QuadSpec(64, 64), 0.0)
     assert math.isfinite(c)
-    near = avg_trace_qfi(CNOTV, ProbeState(np.pi, 0.0), QuadSpec(48, 64, 64), 1e-9)
+    near = avg_trace_qfi(CNOTV, ProbeState(np.pi, 0.0), QuadSpec(64, 64), 1e-9)
     assert near == pytest.approx(c, abs=1e-6)
     assert c == pytest.approx(1.76108, abs=5e-3)
     # S diverges at every probe, D at a pole probe only
@@ -524,7 +529,7 @@ def test_divergence_rule_is_a_unitary_probe_channel():
     local = np.random.default_rng(13)
     unitary = [(SWAP, ProbeState(local.uniform(0, np.pi), local.uniform(0, 2 * np.pi))) for _ in range(20)]
     unitary += [
-        (edge_point("DS", t)[0], ProbeState(pole, phi2))
+        (edge_point("DS", t), ProbeState(pole, phi2))
         for t in np.linspace(0.0, 1.0, 41)
         for pole in (0.0, np.pi)
         for phi2 in (0.0, 2.5)
@@ -536,9 +541,9 @@ def test_divergence_rule_is_a_unitary_probe_channel():
         (CNOTV, ProbeState(np.pi, 0.0)),
         (DCNOT, ProbeState(1.1, 0.4)),
         (IDENT, ProbeState(0.3, 0.9)),
-        (edge_point("ID", 0.5)[0], ProbeState(np.pi, 0.5)),
-        (edge_point("ID", 0.95)[0], ProbeState(np.pi, 0.89)),
-        (edge_point("IS", 0.975)[0], ProbeState(np.pi, 0.0)),
+        (edge_point("ID", 0.5), ProbeState(np.pi, 0.5)),
+        (edge_point("ID", 0.95), ProbeState(np.pi, 0.89)),
+        (edge_point("IS", 0.975), ProbeState(np.pi, 0.0)),
     ]
     for p, probe in finite:
         assert _unitary_residual(p, probe) > 1e-3
@@ -560,11 +565,11 @@ def test_eta_zero_reads_inf_exactly_at_unitary_probes():
     for edge in ("IS", "ID", "CS", "CD", "DS"):
         for t in (0.5, 0.95, 0.999, 1.0):
             for phi1 in (0.0, np.pi, 1.1):
-                cases.append((edge_point(edge, t)[0], ProbeState(phi1, 0.89)))
+                cases.append((edge_point(edge, t), ProbeState(phi1, 0.89)))
     divergent = 0
     for k, (p, probe) in enumerate(cases):
         n = (32, 64, 128)[k % 3]
-        got = avg_trace_qfi(p, probe, QuadSpec(48, n, n), 0.0)
+        got = avg_trace_qfi(p, probe, QuadSpec(n, n), 0.0)
         assert not math.isnan(got)
         unitary = _unitary_residual(p, probe) <= qrl.fisher.UNITARY_TOL
         assert (got == math.inf) == unitary, (p, probe, n)
@@ -582,9 +587,9 @@ def test_eta_zero_reads_inf_exactly_at_unitary_probes():
 def test_eta_zero_is_finite_where_den_touches_zero_at_points(edge, t, probe, grids):
     # the image of the sphere touches the Bloch sphere at isolated
     # directions near a pole probe: integrable, so finite at eta = 0
-    p = edge_point(edge, t)[0]
+    p = edge_point(edge, t)
     for n in grids:
-        quad = QuadSpec(48, n, n)
+        quad = QuadSpec(n, n)
         exact = avg_trace_qfi(p, probe, quad, 0.0)
         assert math.isfinite(exact)
         assert exact >= avg_trace_qfi(p, probe, quad, 1e-12)
@@ -592,8 +597,7 @@ def test_eta_zero_is_finite_where_den_touches_zero_at_points(edge, t, probe, gri
 
 def test_near_unitary_gate_is_finite():
     # IS t = 0.975 at a pole probe: |M^T M - I| = 3.1e-3, large but finite
-    res = avg_qfi_at_probe(edge_point("IS", 0.975)[0], ProbeState(np.pi, 0.0))
-    assert res.classification == "finite"
+    res = avg_qfi_at_probe(edge_point("IS", 0.975), ProbeState(np.pi, 0.0))
     assert math.isfinite(res.value) and res.value >= res.eta_trace[-1][1]
 
 
@@ -604,7 +608,7 @@ def test_refinement_reuses_the_base_values(monkeypatch):
     # grows.  The values are those of one ladder per cutoff made of
     # one-cutoff calls
     inner = qrl.fisher.avg_trace_qfi
-    for p, probe in ((CNOTV, ProbeState(np.pi, 0.0)), (edge_point("CS", 0.5)[0], ProbeState(1.2, 0.7))):
+    for p, probe in ((CNOTV, ProbeState(np.pi, 0.0)), (edge_point("CS", 0.5), ProbeState(1.2, 0.7))):
         calls = []
 
         def counting(p, probe, quad, eta):
@@ -614,7 +618,7 @@ def test_refinement_reuses_the_base_values(monkeypatch):
         monkeypatch.setattr(qrl.fisher, "avg_trace_qfi", counting)
         res = avg_qfi_at_probe(p, probe)
         monkeypatch.setattr(qrl.fisher, "avg_trace_qfi", inner)
-        assert res.classification == "finite"
+        assert math.isfinite(res.value)
         assert calls[0] == ((32, 32), DEFAULT_ETA_SCHEDULE)
         assert [grid for grid, _ in calls].count((32, 32)) == 1
         assert len(calls) > 1
@@ -629,7 +633,7 @@ def test_refinement_reuses_the_base_values(monkeypatch):
             values, n = [base], 32
             while n < 256:
                 n *= 2
-                values.append(inner(p, probe, QuadSpec(48, n, n), eta))
+                values.append(inner(p, probe, QuadSpec(n, n), eta))
                 if abs(values[-1] - values[-2]) < 1e-4 * max(1.0, abs(values[-1])):
                     break
             refined.append(qrl.fisher._aitken(values))
@@ -639,18 +643,18 @@ def test_refinement_reuses_the_base_values(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Cutoff schedules, classification, extrapolation
+# Cutoff schedules, divergence, extrapolation
 
 
 def test_avg_qfi_identity_sentinels():
     res = avg_qfi_at_probe(IDENT, ProbeState(0.3, 0.9))
-    assert res.classification == "finite"
+    assert math.isfinite(res.value)
     assert res.value == 0.0
 
 
 def test_avg_qfi_swap_divergent():
     res = avg_qfi_at_probe(SWAP, ProbeState(0.0, 0.0))
-    assert res.classification == "divergent"
+    assert res.value == math.inf
     assert res.value == math.inf
     etas = [e for e, _ in res.eta_trace]
     assert etas == sorted(etas, reverse=True)
@@ -662,28 +666,28 @@ def test_avg_qfi_bad_schedule():
             avg_qfi_at_probe(SWAP, ProbeState(0.0, 0.0), eta_schedule=schedule)
     # the status comes from the channel at the probe, so one cutoff is enough
     for schedule in ((1e-2,), (1e-2, 1e-2)):
-        assert avg_qfi_at_probe(SWAP, ProbeState(0.0, 0.0), eta_schedule=schedule).classification == "divergent"
+        assert avg_qfi_at_probe(SWAP, ProbeState(0.0, 0.0), eta_schedule=schedule).value == math.inf
         res = avg_qfi_at_probe(CNOTV, ProbeState(np.pi, 0.0), eta_schedule=schedule)
-        assert res.classification == "finite"
+        assert math.isfinite(res.value)
         assert len(res.eta_trace) == 1
 
 
 def test_eta_trace_monotone_invariant():
-    AvgQfiResult(1.0, ProbeState(0, 0), ((1e-2, 1.0), (1e-3, 1.0)), "finite")
-    AvgQfiResult(2.0, ProbeState(0, 0), ((1e-2, 1.0), (1e-3, 2.0)), "finite")
+    AvgQfiResult(1.0, ProbeState(0, 0), ((1e-2, 1.0), (1e-3, 1.0)))
+    AvgQfiResult(2.0, ProbeState(0, 0), ((1e-2, 1.0), (1e-3, 2.0)))
     with pytest.raises(QuadratureError, match="non-decreasing"):
-        AvgQfiResult(1.0, ProbeState(0, 0), ((1e-2, 2.0), (1e-3, 1.0)), "finite")
+        AvgQfiResult(1.0, ProbeState(0, 0), ((1e-2, 2.0), (1e-3, 1.0)))
 
 
 def test_maximize_identity():
-    res = maximize_over_probe(IDENT, QuadSpec(8, 8, 8), (1e-2, 1e-3))
-    assert res.classification == "finite"
+    res = maximize_over_probe(IDENT, (1e-2, 1e-3))
+    assert math.isfinite(res.value)
     assert res.value == 0.0
 
 
 def test_maximize_cnot_vertex():
     res = maximize_over_probe(CNOTV)
-    assert res.classification == "finite"
+    assert math.isfinite(res.value)
     assert res.value == pytest.approx(1.76108, abs=1e-2)
     # optimum sits on the sin^2 phi1 cos^2 phi2 = 0 ridge
     ridge = math.sin(res.probe_opt.phi1) ** 2 * math.cos(res.probe_opt.phi2) ** 2
@@ -693,7 +697,7 @@ def test_maximize_cnot_vertex():
 def test_maximize_swap_and_dcnot_divergent():
     for p in (SWAP, DCNOT):
         res = maximize_over_probe(p, eta_schedule=(1e-3, 1e-4, 1e-5))
-        assert res.classification == "divergent"
+        assert res.value == math.inf
 
 
 def test_sd_edge_value_is_alpha_z_independent():
@@ -704,7 +708,7 @@ def test_sd_edge_value_is_alpha_z_independent():
             UnitaryParams(np.pi / 2, np.pi / 2, az),
             eta_schedule=(1e-2, 1e-3, 1e-4),
         )
-        assert res.classification == "divergent"
+        assert res.value == math.inf
         traces.append(np.array([v for _, v in res.eta_trace]))
     ref = traces[0]
     for other in traces[1:]:
@@ -712,8 +716,7 @@ def test_sd_edge_value_is_alpha_z_independent():
 
 
 def test_avg_continuity_in_alpha():
-    # fixed cutoff, coarse quadrature: nearby gates give nearby maxima
-    quad = QuadSpec(16, 12, 12)
+    # fixed cutoffs at the shipped settings: nearby gates give nearby maxima
     checked = 0
     while checked < 100:
         params = random_params()
@@ -723,8 +726,8 @@ def test_avg_continuity_in_alpha():
             shifted = UnitaryParams(*(params.as_array() + delta))
         except ValueError:
             continue
-        a = maximize_over_probe(params, quad, (1e-3, 1e-4)).value
-        b = maximize_over_probe(shifted, quad, (1e-3, 1e-4)).value
+        a = maximize_over_probe(params, (1e-3, 1e-4)).value
+        b = maximize_over_probe(shifted, (1e-3, 1e-4)).value
         assert abs(a - b) <= 0.05
         checked += 1
 

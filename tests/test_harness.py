@@ -34,7 +34,6 @@ def make_report(**overrides):
         edge="IC",
         t=0.5,
         alpha=(np.pi / 4, 0.0, 0.0),
-        alpha_norm=float(np.pi / 4),
         metric="h2",
         value=0.25,
         status="ok",
@@ -52,7 +51,7 @@ def fake_optimum():
     )
 
 
-def fails_at_identity(params, *args):
+def fails_at_identity(params):
     """Stand-in for best_probe_h2 whose search fails at the I end of an edge."""
     if params.norm == 0.0:
         raise QuadratureError("NaN integrand at node r=0.1")
@@ -81,7 +80,9 @@ def test_merit_report_validation():
         make_report(metric="entropy")
     with pytest.raises(ValueError, match="status"):
         make_report(status="fine")
-    with pytest.raises(ValueError, match="alpha_norm"):
+    # |alpha| is read off alpha, never stored beside it
+    assert make_report(alpha=(3.0, 0.0, 4.0)).alpha_norm == 5.0
+    with pytest.raises(TypeError, match="alpha_norm"):
         make_report(alpha_norm=1.0)
 
 
@@ -133,7 +134,7 @@ def test_vertex_report_swap():
 def test_vertex_report_runs_one_probe_search(monkeypatch):
     calls = []
 
-    def counted(params, *args):
+    def counted(params):
         calls.append(params)
         return fake_optimum()
 
@@ -170,7 +171,7 @@ def test_sweep_numerical_failure_is_a_non_converged_row(monkeypatch):
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
-    def broken(params, *args):
+    def broken(params):
         raise TypeError("bad call")
 
     monkeypatch.setattr(qrl.harness, "best_probe_h2", broken)
@@ -201,7 +202,7 @@ def test_sweep_deterministic_and_files(tmp_path):
 
 def test_sweep_svg_draws_finite_series(tmp_path):
     reports = [
-        make_report(t=t, value=v, alpha=(t, 0.0, 0.0), alpha_norm=t)
+        make_report(t=t, value=v, alpha=(t, 0.0, 0.0))
         for t, v in [(0.0, 0.1), (0.5, 0.4), (1.0, 0.9)]
     ]
     path = tmp_path / "plot.svg"
@@ -419,7 +420,7 @@ def test_cli_flag_overrides_config(tmp_path):
 
 
 def test_cli_sweep_epsilon_and_n_flags_match_file_keys(monkeypatch, tmp_path):
-    monkeypatch.setattr(qrl.harness, "best_probe_h2", lambda params, *args: fake_optimum())
+    monkeypatch.setattr(qrl.harness, "best_probe_h2", lambda params: fake_optimum())
     ini = tmp_path / "run.ini"
     ini.write_text("[global]\nepsilon = 0.1\n\n[sweep]\nedge = IC\nmetric = bound\nsamples = 2\nn = 100\n")
     from_file, from_flags, default = tmp_path / "file.csv", tmp_path / "flags.csv", tmp_path / "default.csv"
@@ -435,7 +436,7 @@ def test_cli_sweep_epsilon_and_n_flags_match_file_keys(monkeypatch, tmp_path):
 
 
 def test_cli_sweep_writes_the_canonical_edge(monkeypatch, tmp_path):
-    monkeypatch.setattr(qrl.harness, "best_probe_h2", lambda params, *args: fake_optimum())
+    monkeypatch.setattr(qrl.harness, "best_probe_h2", lambda params: fake_optimum())
     out = tmp_path / "sd.csv"
     assert main(["--workers", "1", "sweep", "--edge", "SD", "--samples", "2", "--out", str(out)]) == 0
     assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["DS", "DS"]

@@ -109,7 +109,7 @@ def test_sigma_solve_matches_the_array_form(monkeypatch):
     # stage config
     states = [
         choi_bf(stinespring_isometry(p, ProbeState(1.2, 0.7))).rho_bf
-        for p in (edge_point("CS", 0.5)[0], edge_point("IC", 0.5)[0], VERTICES["S"])
+        for p in (edge_point("CS", 0.5), edge_point("IC", 0.5), VERTICES["S"])
     ]
     cases = [(rho, config) for rho in states for config in (_COARSE, _MEDIUM, DEFAULT_CONFIG)]
     shipped = [h2_conditional(rho, config) for rho, config in cases]
@@ -124,7 +124,7 @@ def test_sigma_solve_matches_the_array_form(monkeypatch):
 
 
 def test_probe_searches_match_the_array_form(monkeypatch):
-    cs, is_third = edge_point("CS", 0.5)[0], edge_point("IS", 1.0 / 3.0)[0]
+    cs, is_third = edge_point("CS", 0.5), edge_point("IS", 1.0 / 3.0)
     h2_a, qfi_a = best_probe_h2(cs), maximize_over_probe(is_third)
     calls = []
     monkeypatch.setattr(qrl.capacity, "nelder_mead", _array_form(calls))

@@ -107,19 +107,17 @@ def test_edge_point_endpoints():
         "DS": ("D", "S"),
     }
     for edge, (lo, hi) in endpoints.items():
-        p0, _ = edge_point(edge, 0.0)
-        p1, _ = edge_point(edge, 1.0)
+        p0 = edge_point(edge, 0.0)
+        p1 = edge_point(edge, 1.0)
         assert p0 == VERTICES[lo]
         assert p1 == VERTICES[hi]
 
 
 def test_edge_point_examples():
-    p, norm = edge_point("DS", 0.0)
-    assert p == VERTICES["D"]
-    p, norm = edge_point("IS", 1.0)
-    assert abs(norm - np.sqrt(3) * HALF_PI) <= 1e-12
-    p, norm = edge_point("IC", 0.5)
-    assert np.allclose(p.as_array(), [np.pi / 4, 0, 0]) and abs(norm - np.pi / 4) <= 1e-12
+    assert edge_point("DS", 0.0) == VERTICES["D"]
+    assert abs(edge_point("IS", 1.0).norm - np.sqrt(3) * HALF_PI) <= 1e-12
+    p = edge_point("IC", 0.5)
+    assert np.allclose(p.as_array(), [np.pi / 4, 0, 0]) and abs(p.norm - np.pi / 4) <= 1e-12
 
 
 def test_edge_point_sd_alias():
