@@ -335,16 +335,12 @@ def best_probe_h2(p: UnitaryParams) -> ProbeOptimum:
     """
     table = probe_table(lambda probe: choi_bf(stinespring_isometry(p, probe)).rho_bf)
     probe_pts = probe_scan(7, 7, math.pi / 2.0, math.pi)
-    best_val, best_pt = -math.inf, probe_pts[0]
-    for pt, rho in zip(probe_pts, table_at(table, probe_pts)):
-        val = h2_conditional(rho, _COARSE).value
-        if val > best_val:
-            best_val, best_pt = val, pt
+    scan = [h2_conditional(rho, _COARSE).value for rho in table_at(table, probe_pts)]
 
     def neg_h2(q):
         return -h2_conditional(table_at(table, np.array([q]))[0], _MEDIUM).value
 
-    probe_res = nelder_mead(neg_h2, best_pt, **PROBE_SIMPLEX)
+    probe_res = nelder_mead(neg_h2, probe_pts[int(np.argmax(scan))], **PROBE_SIMPLEX)
     final = h2_conditional(table_at(table, probe_res.x[None])[0])
     return ProbeOptimum(
         h2=final.value,

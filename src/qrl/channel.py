@@ -86,9 +86,9 @@ class BipartiteState:
     rho_bf: np.ndarray
 
     def __post_init__(self):
-        diag = validate_density(self.rho_bf)
-        if not diag.ok:
-            raise ValueError(f"rho_BF fails density checks: {diag.failures}")
+        failures = validate_density(self.rho_bf)
+        if failures:
+            raise ValueError(f"rho_BF fails density checks: {failures}")
         marg = partial_trace(self.rho_bf, keep="first")
         if np.max(np.abs(marg - 0.5 * I2)) > 1e-12:
             raise ValueError("reference marginal of rho_BF deviates from I/2")

@@ -204,10 +204,10 @@ def _run(args) -> int:
         epsilons = _floats(_require(args.epsilons, "--epsilons"))
         ns = _ints(_require(args.ns, "--ns"))
         out = _require(args.out, "--out")
-        table = run_bound_table(params, epsilons, ns)
-        write_bound_csv(table, out)
+        opt, rows = run_bound_table(params, epsilons, ns)
+        write_bound_csv(rows, out)
         log.info("bound table at h2=%.9g (probe %.6g,%.6g) -> %s",
-                 table.h2, table.probe.phi1, table.probe.phi2, out)
+                 opt.h2, opt.probe.phi1, opt.probe.phi2, out)
         return 0
 
     params = _alpha(_require(args.alpha, "--alpha"))

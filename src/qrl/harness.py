@@ -4,8 +4,8 @@ Every figure-of-merit evaluation is reduced to MeritReport rows with a fixed
 CSV schema so that runs are comparable byte for byte (modulo wall time).
 Sweep points are independent and may be fanned out to worker processes; rows
 are sorted by the edge parameter, so their order never depends on
-scheduling.  The runners only return rows and tables; the caller (the CLI)
-writes files with the writers below.
+scheduling.  The runners only return results; the caller (the CLI) writes
+files with the writers below.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ NUMERICAL_ERRORS = (RuntimeError, ArithmeticError, np.linalg.LinAlgError)
 
 def _fmt(x) -> str:
     if x is None or x == "":
-        return ""
-    if isinstance(x, float) and math.isinf(x):
         return ""
     return f"{x:.12g}"
 
@@ -214,15 +212,10 @@ def run_vertex_report(
     return rows
 
 
-@dataclass(frozen=True)
-class BoundTable:
-    h2: float
-    probe: ProbeState
-    rows: tuple  # (epsilon, n, delta_star, correction, raw, clamped)
-
-
-def run_bound_table(p: UnitaryParams, epsilons, ns) -> BoundTable:
-    """Bound grid over (epsilon, n) at the probe that maximizes H2."""
+def run_bound_table(p: UnitaryParams, epsilons, ns) -> tuple:
+    """Bound grid over (epsilon, n) at the probe that maximizes H2: the
+    probe optimum and the rows (epsilon, n, delta_star, correction, raw,
+    clamped)."""
     opt = best_probe_h2(p)
     rows = []
     for eps in epsilons:
@@ -230,7 +223,7 @@ def run_bound_table(p: UnitaryParams, epsilons, ns) -> BoundTable:
         for n in ns:
             res = one_shot_lower_bound(opt.h2, eps, n)
             rows.append((eps, int(n), ds, res.correction, res.raw_bound, res.clamped_bound))
-    return BoundTable(h2=opt.h2, probe=opt.probe, rows=tuple(rows))
+    return opt, rows
 
 
 # --- file output -------------------------------------------------------------
@@ -242,9 +235,9 @@ def write_reports_csv(reports, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_bound_csv(table: BoundTable, path: str) -> None:
+def write_bound_csv(rows, path: str) -> None:
     lines = [BOUND_HEADER]
-    for eps, n, ds, corr, raw, clamped in table.rows:
+    for eps, n, ds, corr, raw, clamped in rows:
         lines.append(",".join([_fmt(eps), str(n), _fmt(ds), _fmt(corr), _fmt(raw), _fmt(clamped)]))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -2,11 +2,11 @@
 
 Everything downstream lives on one or two qubits, so matrices are kept as
 plain complex ndarrays and all routines are written for the dense case.
+`validate_density` returns the names of the density checks a matrix
+fails, so an empty tuple marks a density matrix.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,41 +42,20 @@ def partial_trace(m: np.ndarray, keep: str) -> np.ndarray:
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
-@dataclass(frozen=True)
-class DensityDiagnostics:
-    ok: bool
-    hermiticity: float
-    min_eigenvalue: float
-    trace_error: float
-    failures: tuple
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_density(m: np.ndarray) -> DensityDiagnostics:
-    """Check Hermiticity (1e-10), positivity (eigs >= -1e-10) and unit trace."""
+def validate_density(m: np.ndarray) -> tuple:
+    """Names of the failed checks among Hermiticity (1e-10), positivity
+    (eigs >= -1e-10) and unit trace; empty for a density matrix."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"validate_density expects a square matrix, got {m.shape}")
-    herm = float(np.max(np.abs(m - m.conj().T)))
     failures = []
-    if herm > HERMITICITY_TOL:
+    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
         failures.append("hermiticity")
         w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     else:
         w = np.linalg.eigvalsh(m)
-    min_eig = float(w[0])
-    if min_eig < -HERMITICITY_TOL:
+    if w[0] < -HERMITICITY_TOL:
         failures.append("positivity")
-    tr_err = float(abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag))
-    if tr_err > HERMITICITY_TOL:
+    if abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag) > HERMITICITY_TOL:
         failures.append("trace")
-    return DensityDiagnostics(
-        ok=not failures,
-        hermiticity=herm,
-        min_eigenvalue=min_eig,
-        trace_error=tr_err,
-        failures=tuple(failures),
-    )
-
+    return tuple(failures)

@@ -3,8 +3,7 @@
 The family is diagonal in the magic basis with eigenphases fixed by three
 angles (alpha_x, alpha_y, alpha_z) ordered as pi/2 >= ax >= ay >= az >= 0.
 Vertices are Identity, CNOT-class, SWAP and DCNOT; edges interpolate
-linearly between vertex angle triples (`edge_point`), and a point's
-Euclidean norm |alpha| is `UnitaryParams.norm`.
+linearly between vertex angle triples (`edge_point`).
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ class UnitaryParams:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha_x, self.alpha_y, self.alpha_z], dtype=float)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
 
 
 VERTICES = {

@@ -21,6 +21,9 @@ tests check the library against them.
 - `h2_conditional_simplex` is the sigma search that the exact direction
   solve of `qrl.capacity.h2_conditional` replaced: a 3-D Nelder-Mead over
   the Bloch ball from the best points of a seed cube, with restarts.
+- `sigma_certificate` bounds H2(B|F) from above at a sigma search's end
+  point, by the tangent plane of its convex objective: the gap to the
+  reported value is what the search left on the table.
 - `nelder_mead_numpy` is the array form of `qrl.optimize.nelder_mead`.
 - `choi_bf_loop` builds the Choi state block by block from
   `apply_complement`, the loop route that the single contraction of
@@ -260,6 +263,28 @@ def renyi2_divergence_grid(rho, blochs) -> np.ndarray:
     big = np.einsum("ij,nkl->nikjl", I2, quarter).reshape(-1, 4, 4)
     sandwich = big @ r @ big
     return np.log2(np.einsum("nij,nji->n", sandwich, sandwich).real)
+
+
+def sigma_certificate(rho, opt: H2Optimum):
+    """Upper bound on H2(B|F) from the end point of a sigma search, or None
+    where it gives none.
+
+    The objective c^T G c of `qrl.capacity.h2_conditional` is convex in the
+    Pauli coefficients c of X = sigma^{-1/2}, so it lies above its tangent
+    plane at the end point's coefficients cb: c^T G c >= Tr[Y X] - f, with
+    f = cb^T G cb and Y = sum_k (G cb)_k s_k.  For Y > 0 the least of
+    Tr[Y X] over Tr X^{-2} <= 1 is L = (sum_i y_i^{2/3})^{3/2} over the
+    eigenvalues y_i of Y, at X proportional to Y^{-1/3}; hence
+    H2 <= -log2(L - f), with equality at the optimum.
+    """
+    gram = _collision_gram(_as_rho(rho))
+    cb = _inv_sqrt_coeffs(np.asarray(opt.sigma.bloch))
+    f = cb @ gram @ cb
+    g = gram @ cb
+    y = g[0] + np.array([-1.0, 1.0]) * np.linalg.norm(g[1:])
+    if y[0] <= 0.0:
+        return None
+    return -math.log2(np.sum(y ** (2.0 / 3.0)) ** 1.5 - f)
 
 
 # --- delta* by search ---------------------------------------------------------

@@ -342,7 +342,7 @@ def test_criterion_8_structural_invariants():
                 iso = stinespring_isometry(params, probe)
                 state = choi_bf(iso)  # construction validates density + marginal
                 out = apply_channel(iso, EnvState(0.3, 1.0, 2.0).matrix())
-                assert validate_density(out).ok
+                assert validate_density(out) == ()
                 marg = partial_trace(state.rho_bf, keep="first")
                 assert np.max(np.abs(marg - 0.5 * I2)) < 1e-12
 

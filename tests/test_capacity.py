@@ -20,7 +20,9 @@ from qrl.capacity import (
 from qrl.channel import BipartiteState, ProbeState, choi_bf, stinespring_isometry
 from qrl.linalg import PAULI
 from qrl.unitary import VERTICES, UnitaryParams, edge_point
-from oracles import delta_star_golden, h2_conditional_simplex, probe_density, renyi2_divergence, sigma_matrix
+from oracles import (
+    delta_star_golden, h2_conditional_simplex, probe_density, renyi2_divergence, sigma_certificate, sigma_matrix,
+)
 
 rng = np.random.default_rng(424242)
 
@@ -508,3 +510,32 @@ def test_best_probe_builds_four_channels(monkeypatch):
         monkeypatch.setattr(qrl.capacity, name, counted)
     best_probe_h2(edge_point("CS", 0.4))
     assert calls == {"stinespring_isometry": 4, "choi_bf": 4}
+
+
+def test_best_probe_certifies_every_sigma_solve(monkeypatch):
+    # each sigma solve of the probe search, in the scan, the refinement and
+    # the final solve, ends where the tangent-plane certificate closes to
+    # round-off; near the cap the gap is the cap's own, about 7.2e-8 bits.
+    # S puts its solves at the cap
+    solves = []
+    plain = qrl.capacity.h2_conditional
+
+    def recorded(rho, config=qrl.capacity.DEFAULT_CONFIG):
+        opt = plain(rho, config)
+        solves.append((rho, opt))
+        return opt
+
+    monkeypatch.setattr(qrl.capacity, "h2_conditional", recorded)
+    gates = [edge_point(e, t) for e in ("CD", "CS") for t in (1.0 / 3.0, 2.0 / 3.0)]
+    for p in gates + [UnitaryParams(1.2, 0.7, 0.3), VERTICES["S"]]:
+        best_probe_h2(p)
+    interior = near_cap = 0
+    for rho, opt in solves:
+        bound = sigma_certificate(rho, opt)
+        if np.linalg.norm(opt.sigma.bloch) < 0.999:
+            interior += 1
+            assert bound is not None and -1e-13 <= bound - opt.value <= 1e-12
+        elif bound is not None:
+            near_cap += 1
+            assert bound - opt.value <= 1e-7
+    assert interior > 0 and near_cap > 0

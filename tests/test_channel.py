@@ -45,7 +45,7 @@ def test_probe_state_realization():
 def test_env_state_realization():
     for _ in range(100):
         env = random_env()
-        assert validate_density(env.matrix()).ok
+        assert validate_density(env.matrix()) == ()
         assert abs(np.linalg.norm(env.bloch()) - 2 * env.r) <= 1e-14
     with pytest.raises(ValueError):
         EnvState(0.51, 0.0, 0.0)
@@ -175,7 +175,7 @@ def test_choi_reference_marginal():
     for _ in range(500):
         state = choi_bf(stinespring_isometry(random_params(), random_probe()))
         assert isinstance(state, BipartiteState)
-        assert validate_density(state.rho_bf).ok
+        assert validate_density(state.rho_bf) == ()
 
 
 def test_choi_matches_the_block_loop():

@@ -53,7 +53,7 @@ def fake_optimum():
 
 def fails_at_identity(params):
     """Stand-in for best_probe_h2 whose search fails at the I end of an edge."""
-    if params.norm == 0.0:
+    if not params.as_array().any():
         raise QuadratureError("NaN integrand at node r=0.1")
     return fake_optimum()
 
@@ -225,25 +225,25 @@ def test_reports_csv_round_trip(tmp_path):
 
 
 def test_bound_table_swap():
-    table = run_bound_table(VERTICES["S"], (0.01, 0.05, 0.1, 0.3), (10, 100))
-    assert table.h2 == pytest.approx(1.0, abs=1e-3)
-    corrs = [table.rows[i][3] for i in range(0, len(table.rows), 2)]
+    opt, rows = run_bound_table(VERTICES["S"], (0.01, 0.05, 0.1, 0.3), (10, 100))
+    assert opt.h2 == pytest.approx(1.0, abs=1e-3)
+    corrs = [rows[i][3] for i in range(0, len(rows), 2)]
     assert corrs == sorted(corrs, reverse=True)  # looser epsilon, smaller correction
-    for i in range(0, len(table.rows), 2):
-        assert table.rows[i + 1][4] > table.rows[i][4]  # larger n, better bound
+    for i in range(0, len(rows), 2):
+        assert rows[i + 1][4] > rows[i][4]  # larger n, better bound
 
 
 def test_bound_table_identity_all_clamped():
-    table = run_bound_table(VERTICES["I"], (0.05,), (10, 1000))
-    assert table.h2 < 0.0
-    assert all(row[5] == 0.0 for row in table.rows)
-    assert all(row[4] < 0.0 for row in table.rows)
+    opt, rows = run_bound_table(VERTICES["I"], (0.05,), (10, 1000))
+    assert opt.h2 < 0.0
+    assert all(row[5] == 0.0 for row in rows)
+    assert all(row[4] < 0.0 for row in rows)
 
 
 def test_bound_csv(tmp_path):
-    table = run_bound_table(VERTICES["S"], (0.05,), (10, 100))
+    _, rows = run_bound_table(VERTICES["S"], (0.05,), (10, 100))
     path = tmp_path / "bound.csv"
-    write_bound_csv(table, str(path))
+    write_bound_csv(rows, str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == BOUND_HEADER
     assert len(lines) == 3

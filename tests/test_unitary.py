@@ -115,9 +115,9 @@ def test_edge_point_endpoints():
 
 def test_edge_point_examples():
     assert edge_point("DS", 0.0) == VERTICES["D"]
-    assert abs(edge_point("IS", 1.0).norm - np.sqrt(3) * HALF_PI) <= 1e-12
-    p = edge_point("IC", 0.5)
-    assert np.allclose(p.as_array(), [np.pi / 4, 0, 0]) and abs(p.norm - np.pi / 4) <= 1e-12
+    assert abs(np.linalg.norm(edge_point("IS", 1.0).as_array()) - np.sqrt(3) * HALF_PI) <= 1e-12
+    alpha = edge_point("IC", 0.5).as_array()
+    assert np.allclose(alpha, [np.pi / 4, 0, 0]) and abs(np.linalg.norm(alpha) - np.pi / 4) <= 1e-12
 
 
 def test_edge_point_sd_alias():
