@@ -37,7 +37,7 @@ ROUNDS = 15
 
 def scan_states(p) -> list:
     """rho_BF at the probes of best_probe_h2's scan, read off its table."""
-    table = probe_table(lambda probe: choi_bf(stinespring_isometry(p, probe)).rho_bf)
+    table = probe_table(lambda probe: choi_bf(stinespring_isometry(p, probe)))
     return list(table_at(table, probe_scan(7, 7, math.pi / 2.0, math.pi)))
 
 

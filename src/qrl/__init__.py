@@ -21,8 +21,6 @@ from .unitary import (
     edge_point,
 )
 from .channel import (
-    BipartiteState,
-    ChannelIsometry,
     ProbeState,
     apply_channel,
     choi_bf,
@@ -30,7 +28,6 @@ from .channel import (
 )
 from .capacity import (
     CapacityResult,
-    ConditioningState,
     OptimizerConfig,
     best_probe_h2,
     delta_star,
@@ -64,14 +61,11 @@ __all__ = [
     "UnitaryParams",
     "build_unitary",
     "edge_point",
-    "BipartiteState",
-    "ChannelIsometry",
     "ProbeState",
     "apply_channel",
     "choi_bf",
     "stinespring_isometry",
     "CapacityResult",
-    "ConditioningState",
     "OptimizerConfig",
     "best_probe_h2",
     "delta_star",

@@ -5,12 +5,13 @@ sandwiched Renyi-2 divergence from I (x) sigma_F.  The supremum for the
 strongly entangling unitaries sits on the Bloch boundary (rank-deficient
 sigma), so the search ball is capped at radius BLOCH_CAP = 1 - 1e-7, where
 the smaller eigenvalue of sigma is 5e-8.  That cap, not the 1e-9 eigenvalue
-floor that ConditioningState checks, sets the gap to the supremum: about
-5e-8/ln2 = 7e-8 bits, and S reads 0.999999932686 against the supremum 1,
-6.7e-8 below it.  The objective is convex in sigma^{-1/2},
-so the search needs no seed cube and no restarts: the direction of sigma is
-solved exactly at each radius, and one 1-D Nelder-Mead finds the radius
-(`h2_conditional`).
+floor that `h2_conditional` checks at the sigma it reports, sets the gap to
+the supremum: about 5e-8/ln2 = 7e-8 bits, and S reads 0.999999932686
+against the supremum 1, 6.7e-8 below it.  The objective is convex in
+sigma^{-1/2}, so the search needs no seed cube and no restarts: the
+direction of sigma is solved exactly at each radius, and one 1-D
+Nelder-Mead finds the radius (`h2_conditional`).  rho_BF comes in as a
+plain 4x4 array and sigma goes out as its Bloch 3-tuple.
 
 rho_BF is linear in the probe density, so the probe search
 (`best_probe_h2`) builds one table of rho_BF per gate from four probes
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    PROBE_SIMPLEX, BipartiteState, ProbeState, choi_bf, probe_scan, probe_table, stinespring_isometry, table_at,
+    PROBE_SIMPLEX, ProbeState, choi_bf, probe_scan, probe_table, stinespring_isometry, table_at,
 )
 from .linalg import I2, PAULI, kron
 from .optimize import nelder_mead
@@ -50,23 +51,6 @@ _EPS = np.finfo(float).eps
 
 # I (x) sigma_k stacked over k = 0..3
 _KRON_F = np.stack([kron(I2, s) for s in PAULI])
-
-
-@dataclass(frozen=True)
-class ConditioningState:
-    """sigma_F = (I + p.sigma)/2 with both eigenvalues >= LAMBDA_FLOOR."""
-
-    bloch: tuple
-
-    def __post_init__(self):
-        p = np.asarray(self.bloch, dtype=float)
-        if p.shape != (3,):
-            raise ValueError("bloch must have three components")
-        if np.linalg.norm(p) > 1.0 - 2.0 * LAMBDA_FLOOR:
-            raise ValueError(
-                f"|p| = {np.linalg.norm(p)!r} leaves an eigenvalue below the {LAMBDA_FLOOR:.0e} floor"
-            )
-        object.__setattr__(self, "bloch", tuple(float(x) for x in p))
 
 
 @dataclass(frozen=True)
@@ -95,7 +79,7 @@ _MEDIUM = OptimizerConfig(tol=1e-8, max_iter=250)
 @dataclass(frozen=True)
 class H2Optimum:
     value: float
-    sigma: ConditioningState
+    sigma: tuple  # Bloch vector of sigma_F = (I + p.sigma)/2
     converged: bool
 
 
@@ -103,7 +87,7 @@ class H2Optimum:
 class ProbeOptimum:
     h2: float
     probe: ProbeState
-    sigma: ConditioningState
+    sigma: tuple
     converged: bool
 
 
@@ -122,12 +106,6 @@ def g_eps(x: float) -> float:
     if x > 1.0:
         raise ValueError(f"g_eps requires x <= 1, got {x!r}")
     return -math.log2(x * x / (1.0 + math.sqrt(max(1.0 - x * x, 0.0))))
-
-
-def _as_rho(rho) -> np.ndarray:
-    if isinstance(rho, BipartiteState):
-        return rho.rho_bf
-    return np.asarray(rho, dtype=complex)
 
 
 def _collision_gram(rho: np.ndarray) -> np.ndarray:
@@ -258,10 +236,11 @@ def h2_conditional(rho, config: OptimizerConfig = DEFAULT_CONFIG) -> H2Optimum:
     [0, -ln(1 - BLOCH_CAP)]: Nelder-Mead from the best of a few fixed
     seeds, its first step pointing into the interval; it reads the seeds'
     values instead of evaluating them again.  The value is evaluated at the
-    reported sigma and is bounded by log2 dim(B) = 1.
+    reported sigma and is bounded by log2 dim(B) = 1, and both eigenvalues
+    of that sigma stay above LAMBDA_FLOOR; a breach of either is a
+    numerical fault.
     """
-    r = _as_rho(rho)
-    gram = _collision_gram(r)
+    gram = _collision_gram(np.asarray(rho, dtype=complex))
     phi = _RadialProfile(gram)
     seen = {x: phi(x) for x in _RADIAL_SEEDS}
     x0 = min(seen, key=seen.__getitem__)  # the first seed of least value
@@ -269,11 +248,14 @@ def h2_conditional(rho, config: OptimizerConfig = DEFAULT_CONFIG) -> H2Optimum:
     res = nelder_mead(lambda v: seen[v[0]] if v[0] in seen else phi(v[0]), (x0,), step,
                       tol=config.tol, max_iter=config.max_iter, project=_clip_radius)
     p = phi.bloch(float(res.x[0]))
+    nrm = float(np.linalg.norm(p))
+    if nrm > 1.0 - 2.0 * LAMBDA_FLOOR:
+        raise RuntimeError(f"|p| = {nrm!r} leaves an eigenvalue below the {LAMBDA_FLOOR:.0e} floor")
     c = _inv_sqrt_coeffs(p)
     value = -math.log2(c @ gram @ c)
     if value > 1.0 + 1e-9:
         raise RuntimeError(f"H2 exceeded the dimension bound: {value}")
-    return H2Optimum(value=value, sigma=ConditioningState(tuple(p)), converged=res.converged)
+    return H2Optimum(value=value, sigma=tuple(p.tolist()), converged=res.converged)
 
 
 def delta_star(epsilon: float) -> float:
@@ -333,7 +315,7 @@ def best_probe_h2(p: UnitaryParams) -> ProbeOptimum:
     phi1 spacing of a 13 x 13 scan of the sphere and with the pole phi1 = 0
     once: 43 probes.  The refinement moves on the whole sphere.
     """
-    table = probe_table(lambda probe: choi_bf(stinespring_isometry(p, probe)).rho_bf)
+    table = probe_table(lambda probe: choi_bf(stinespring_isometry(p, probe)))
     probe_pts = probe_scan(7, 7, math.pi / 2.0, math.pi)
     scan = [h2_conditional(rho, _COARSE).value for rho in table_at(table, probe_pts)]
 

@@ -4,7 +4,11 @@ For a fixed probe |phi> on A, V|e> := U(|phi> (x) |e>) is an isometry from
 the environment E into B (x) F.  Tracing F gives the channel seen at the
 output B; tracing B gives its complement into F.  The bipartite state
 rho_BF sends half of a maximally entangled state through the complement and
-is the object conditioned in the capacity bound.
+is the object conditioned in the capacity bound.  V and rho_BF are plain
+arrays, checked by the function that makes them: `stinespring_isometry`
+checks V^dag V, `choi_bf` that rho_BF is a density matrix with reference
+marginal I/2.  Their inputs are already checked (a `ProbeState`, a gate),
+so a failed check is a numerical fault and raises RuntimeError.
 
 V is linear in the probe ket, so everything built from V and V^dag, such as
 the channel's Bloch map or rho_BF, is linear in the probe density
@@ -25,7 +29,7 @@ from .linalg import I2, kron, partial_trace, validate_density
 from .unitary import UnitaryParams, build_unitary
 
 ANGLE_TOL = 1e-12
-UNITARY_TOL = 1e-12  # how far V^dag V of a ChannelIsometry may stray from I
+UNITARY_TOL = 1e-12  # how far V^dag V of a channel's isometry may stray from I
 TWO_PI = 2.0 * math.pi
 
 
@@ -50,56 +54,39 @@ class ProbeState:
         )
 
 
-@dataclass(frozen=True)
-class ChannelIsometry:
-    """4x2 isometry V: E -> B (x) F for a fixed probe and unitary."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        gram = self.v.conj().T @ self.v
-        err = np.max(np.abs(gram - np.eye(2)))
-        if err > UNITARY_TOL:
-            raise ValueError(f"V^dag V deviates from identity by {err:.3e}")
+def stinespring_isometry(p: UnitaryParams, probe: ProbeState) -> np.ndarray:
+    """The 4x2 isometry V: E -> B (x) F for a fixed probe and unitary,
+    checked: V^dag V lies within UNITARY_TOL of I."""
+    v = build_unitary(p) @ kron(probe.ket().reshape(2, 1), I2)
+    err = np.max(np.abs(v.conj().T @ v - I2))
+    if err > UNITARY_TOL:
+        raise RuntimeError(f"V^dag V deviates from identity by {err:.3e}")
+    return v
 
 
-def stinespring_isometry(p: UnitaryParams, probe: ProbeState) -> ChannelIsometry:
-    u = build_unitary(p)
-    v = u @ kron(probe.ket().reshape(2, 1), I2)
-    return ChannelIsometry(v=v)
-
-
-def apply_channel(iso: ChannelIsometry, op) -> np.ndarray:
+def apply_channel(v: np.ndarray, op) -> np.ndarray:
     """Output-side action Tr_F[V op V^dag] on a 2x2 environment operator;
     linear, so the Pauli matrices give the channel's Bloch map."""
     m = np.asarray(op, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"environment operator must be 2x2, got {m.shape}")
-    joint = iso.v @ m @ iso.v.conj().T
+    joint = v @ m @ v.conj().T
     return partial_trace(joint, keep="first")
 
 
-@dataclass(frozen=True)
-class BipartiteState:
-    """rho_BF on (reference copy of E) (x) F; reference marginal is I/2."""
-
-    rho_bf: np.ndarray
-
-    def __post_init__(self):
-        failures = validate_density(self.rho_bf)
-        if failures:
-            raise ValueError(f"rho_BF fails density checks: {failures}")
-        marg = partial_trace(self.rho_bf, keep="first")
-        if np.max(np.abs(marg - 0.5 * I2)) > 1e-12:
-            raise ValueError("reference marginal of rho_BF deviates from I/2")
-
-
-def choi_bf(iso: ChannelIsometry) -> BipartiteState:
-    """Send half of the maximally entangled state through the complement:
-    rho[(i, f), (j, g)] = 1/2 sum_b V[(b, f), i] conj(V[(b, g), j])."""
-    v = iso.v.reshape(2, 2, 2)
-    rho = 0.5 * np.einsum("bfi,bgj->ifjg", v, v.conj()).reshape(4, 4)
-    return BipartiteState(rho_bf=rho)
+def choi_bf(v: np.ndarray) -> np.ndarray:
+    """rho_BF on (reference copy of E) (x) F: half of the maximally entangled
+    state sent through the complement,
+    rho[(i, f), (j, g)] = 1/2 sum_b V[(b, f), i] conj(V[(b, g), j]);
+    checked to be a density matrix whose reference marginal is I/2."""
+    w = v.reshape(2, 2, 2)
+    rho = 0.5 * np.einsum("bfi,bgj->ifjg", w, w.conj()).reshape(4, 4)
+    failures = validate_density(rho)
+    if failures:
+        raise RuntimeError(f"rho_BF fails density checks: {failures}")
+    if np.max(np.abs(partial_trace(rho, keep="first") - 0.5 * I2)) > 1e-12:
+        raise RuntimeError("reference marginal of rho_BF deviates from I/2")
+    return rho
 
 
 # probe Bloch vectors +z, -z, +x, +y

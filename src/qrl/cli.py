@@ -222,11 +222,9 @@ def main(argv=None) -> int:
     try:
         return _run(_parse(argv))
     except NUMERICAL_ERRORS as exc:
-        log.error("%s", exc)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

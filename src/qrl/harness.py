@@ -130,7 +130,7 @@ def _h2_fields(opt, metric: str, epsilon: float, n: int) -> dict:
         value=max(0.0, raw),
         status=_status(raw > 0.0, "clamped", opt.converged),
         probe=(opt.probe.phi1, opt.probe.phi2),
-        sigma=opt.sigma.bloch,
+        sigma=opt.sigma,
     )
 
 

@@ -33,7 +33,6 @@ _value = itemgetter(0)
 @dataclass(frozen=True)
 class OptResult:
     x: np.ndarray
-    fun: float
     iterations: int
     converged: bool
 
@@ -75,7 +74,7 @@ def nelder_mead(f, x0, step: float, tol: float = 1e-9, max_iter: int = 400, proj
     while it < max_iter:
         verts.sort(key=_value)
         if _diameter(verts) < tol:
-            return OptResult(np.array(verts[0][1]), float(verts[0][0]), it, True)
+            return OptResult(np.array(verts[0][1]), it, True)
         centroid = tuple([reduce(add, c) / n for c in zip(*[x for _, x in verts[:-1]])])
         worst = verts[-1][1]
         # reflection and expansion step away from the worst vertex:
@@ -94,5 +93,4 @@ def nelder_mead(f, x0, step: float, tol: float = 1e-9, max_iter: int = 400, proj
                 best = verts[0][1]
                 verts[1:] = [vertex(_toward(best, x, 0.5)) for _, x in verts[1:]]
         it += 1
-    fx, x = min(verts, key=_value)
-    return OptResult(np.array(x), float(fx), it, False)
+    return OptResult(np.array(min(verts, key=_value)[1]), it, False)

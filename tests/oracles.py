@@ -44,14 +44,12 @@ import numpy as np
 from qrl.capacity import (
     BLOCH_CAP,
     LAMBDA_FLOOR,
-    ConditioningState,
     H2Optimum,
-    _as_rho,
     _collision_gram,
     _inv_sqrt_coeffs,
     g_eps,
 )
-from qrl.channel import ANGLE_TOL, TWO_PI, BipartiteState, apply_channel, stinespring_isometry
+from qrl.channel import ANGLE_TOL, TWO_PI, apply_channel, stinespring_isometry
 from qrl.fisher import PURITY_TOL, _angular_tables, _gl, _probe_affine
 from qrl.linalg import HERMITICITY_TOL, I2, SX, SY, SZ, kron, partial_trace
 from qrl.optimize import OptResult
@@ -236,17 +234,18 @@ def probe_density(probe) -> np.ndarray:
     return np.outer(k, k.conj())
 
 
-def sigma_matrix(sigma: ConditioningState) -> np.ndarray:
-    """sigma_F = (I + p.sigma)/2 as a 2x2 matrix."""
-    p1, p2, p3 = sigma.bloch
+def sigma_matrix(bloch) -> np.ndarray:
+    """sigma_F = (I + p.sigma)/2 as a 2x2 matrix, for the Bloch vector p."""
+    p1, p2, p3 = bloch
     return 0.5 * (I2 + p1 * SX + p2 * SY + p3 * SZ)
 
 
-def renyi2_divergence(rho, sigma) -> float:
-    """Sandwiched q=2 divergence D2(rho || I (x) sigma) in bits, evaluated
-    literally: log2 Tr{[(I (x) s)^{-1/4} rho (I (x) s)^{-1/4}]^2}."""
-    r = rho.rho_bf if isinstance(rho, BipartiteState) else np.asarray(rho, dtype=complex)
-    quarter = herm_power(kron(I2, sigma_matrix(sigma)), -0.25, LAMBDA_FLOOR)
+def renyi2_divergence(rho, bloch) -> float:
+    """Sandwiched q=2 divergence D2(rho || I (x) sigma) in bits, sigma with
+    Bloch vector `bloch`, evaluated literally:
+    log2 Tr{[(I (x) s)^{-1/4} rho (I (x) s)^{-1/4}]^2}."""
+    r = np.asarray(rho, dtype=complex)
+    quarter = herm_power(kron(I2, sigma_matrix(bloch)), -0.25, LAMBDA_FLOOR)
     sandwich = quarter @ r @ quarter
     return float(np.log2(np.trace(sandwich @ sandwich).real))
 
@@ -255,7 +254,7 @@ def renyi2_divergence_grid(rho, blochs) -> np.ndarray:
     """renyi2_divergence at each sigma Bloch vector, rows of `blochs`: one
     batched eigh of the sigmas, the same floored -1/4 power, applied as
     I (x) sigma^{-1/4}, and the same sandwiched trace."""
-    r = rho.rho_bf if isinstance(rho, BipartiteState) else np.asarray(rho, dtype=complex)
+    r = np.asarray(rho, dtype=complex)
     b = np.asarray(blochs, dtype=float)[:, :, None, None]
     w, q = np.linalg.eigh(0.5 * (I2 + b[:, 0] * SX + b[:, 1] * SY + b[:, 2] * SZ))
     quarter = (q * np.maximum(w, LAMBDA_FLOOR)[:, None, :] ** -0.25) @ q.conj().transpose(0, 2, 1)
@@ -277,8 +276,8 @@ def sigma_certificate(rho, opt: H2Optimum):
     eigenvalues y_i of Y, at X proportional to Y^{-1/3}; hence
     H2 <= -log2(L - f), with equality at the optimum.
     """
-    gram = _collision_gram(_as_rho(rho))
-    cb = _inv_sqrt_coeffs(np.asarray(opt.sigma.bloch))
+    gram = _collision_gram(np.asarray(rho, dtype=complex))
+    cb = _inv_sqrt_coeffs(np.asarray(opt.sigma))
     f = cb @ gram @ cb
     g = gram @ cb
     y = g[0] + np.array([-1.0, 1.0]) * np.linalg.norm(g[1:])
@@ -361,13 +360,13 @@ def magic_basis_reconstruction(p) -> np.ndarray:
 # --- Choi state block by block ------------------------------------------------
 
 
-def apply_complement(iso, env) -> np.ndarray:
+def apply_complement(v, env) -> np.ndarray:
     """Environment-side action Tr_B[V theta V^dag]."""
-    joint = iso.v @ _env_matrix(env) @ iso.v.conj().T
+    joint = v @ _env_matrix(env) @ v.conj().T
     return partial_trace(joint, keep="second")
 
 
-def choi_bf_loop(iso) -> BipartiteState:
+def choi_bf_loop(v) -> np.ndarray:
     """Send half of the maximally entangled state through the complement,
     one block |i><j| (x) Tr_B[V |i><j| V^dag] / 2 at a time."""
     rho = np.zeros((4, 4), dtype=complex)
@@ -375,9 +374,8 @@ def choi_bf_loop(iso) -> BipartiteState:
         for j in range(2):
             e_ij = np.zeros((2, 2), dtype=complex)
             e_ij[i, j] = 1.0
-            rho[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = 0.5 * apply_complement(iso, e_ij)
-    rho = 0.5 * (rho + rho.conj().T)
-    return BipartiteState(rho_bf=rho)
+            rho[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = 0.5 * apply_complement(v, e_ij)
+    return 0.5 * (rho + rho.conj().T)
 
 
 # --- Nelder-Mead on arrays and the 3-D sigma search -----------------------------
@@ -402,7 +400,7 @@ def nelder_mead_numpy(f, x0, step, tol=1e-9, max_iter=400, project=None) -> OptR
         simplex, fv = simplex[order], fv[order]
         diam = np.max(np.linalg.norm(simplex[1:] - simplex[0], axis=1))
         if diam < tol:
-            return OptResult(simplex[0], float(fv[0]), it, True)
+            return OptResult(simplex[0], it, True)
         centroid = simplex[:-1].mean(axis=0)
         xr = project(centroid + (centroid - simplex[-1]))
         fr = f(xr)
@@ -421,8 +419,7 @@ def nelder_mead_numpy(f, x0, step, tol=1e-9, max_iter=400, project=None) -> OptR
                 simplex[1:] = [project(simplex[0] + 0.5 * (s - simplex[0])) for s in simplex[1:]]
                 fv[1:] = [f(x) for x in simplex[1:]]
         it += 1
-    best = int(np.argmin(fv))
-    return OptResult(simplex[best], float(fv[best]), it, False)
+    return OptResult(simplex[int(np.argmin(fv))], it, False)
 
 
 def ball_grid(n: int, radius: float) -> np.ndarray:
@@ -451,7 +448,7 @@ def h2_conditional_simplex(rho, sigma_grid=9, restarts=3, tol=1e-9, max_iter=400
     """Maximize -D2(rho || I (x) sigma) by a 3-D simplex search: seed the
     Bloch ball with a sigma_grid^3 cube, run Nelder-Mead from the best
     `restarts` seeds and keep the best end point."""
-    gram = _collision_gram(_as_rho(rho))
+    gram = _collision_gram(np.asarray(rho, dtype=complex))
     grid, coeffs = _seed_grid(sigma_grid)
     seed_vals = np.einsum("nk,kl,nl->n", coeffs, gram, coeffs)
     order = np.argsort(seed_vals)
@@ -461,10 +458,10 @@ def h2_conditional_simplex(rho, sigma_grid=9, restarts=3, tol=1e-9, max_iter=400
         return c @ gram @ c
 
     project = ball_projector(BLOCH_CAP)
-    best, converged = None, False
-    for idx in order[:restarts]:
-        res = nelder_mead_numpy(objective, grid[idx], 0.12, tol=tol, max_iter=max_iter, project=project)
-        converged = converged or res.converged
-        if best is None or res.fun < best.fun:
-            best = res
-    return H2Optimum(value=-math.log2(best.fun), sigma=ConditioningState(tuple(best.x)), converged=converged)
+    ends = [
+        nelder_mead_numpy(objective, grid[idx], 0.12, tol=tol, max_iter=max_iter, project=project)
+        for idx in order[:restarts]
+    ]
+    best = min(ends, key=lambda res: objective(res.x)).x  # the first of least value
+    return H2Optimum(value=-math.log2(objective(best)), sigma=tuple(best.tolist()),
+                     converged=any(res.converged for res in ends))

@@ -24,7 +24,6 @@ from qrl.capacity import (
     h2_conditional,
     one_shot_lower_bound,
     BLOCH_CAP,
-    ConditioningState,
 )
 from qrl.channel import (
     ProbeState,
@@ -296,12 +295,12 @@ def test_criterion_7_optimizer_and_derivative_oracles():
     grid = grid[np.linalg.norm(grid, axis=1) <= BLOCH_CAP]
     worst_gap = -math.inf
     for k in range(50):
-        rho = choi_bf(stinespring_isometry(random_params(), random_probe())).rho_bf
+        rho = choi_bf(stinespring_isometry(random_params(), random_probe()))
         refined = h2_conditional(rho).value
         literal = renyi2_divergence_grid(rho, grid)
         if k < 5:
             for i in range(k, len(grid), 41):
-                assert abs(literal[i] - renyi2_divergence(rho, ConditioningState(grid[i]))) <= 1e-12
+                assert abs(literal[i] - renyi2_divergence(rho, grid[i])) <= 1e-12
         best = -float(np.min(literal))
         worst_gap = max(worst_gap, best - refined)
         assert refined >= best - 1e-4
@@ -340,10 +339,10 @@ def test_criterion_8_structural_invariants():
             params = edge_point(edge, t)
             for probe in (ProbeState(0.0, 0.0), ProbeState(1.1, 0.7)):
                 iso = stinespring_isometry(params, probe)
-                state = choi_bf(iso)  # construction validates density + marginal
+                rho = choi_bf(iso)  # checked: density and marginal
                 out = apply_channel(iso, EnvState(0.3, 1.0, 2.0).matrix())
                 assert validate_density(out) == ()
-                marg = partial_trace(state.rho_bf, keep="first")
+                marg = partial_trace(rho, keep="first")
                 assert np.max(np.abs(marg - 0.5 * I2)) < 1e-12
 
     # prior normalization via the same quadrature family the averages use

@@ -8,7 +8,6 @@ import pytest
 import qrl.capacity
 from qrl.capacity import (
     BLOCH_CAP,
-    ConditioningState,
     OptimizerConfig,
     best_probe_h2,
     correction_bits,
@@ -17,7 +16,7 @@ from qrl.capacity import (
     h2_conditional,
     one_shot_lower_bound,
 )
-from qrl.channel import BipartiteState, ProbeState, choi_bf, stinespring_isometry
+from qrl.channel import ProbeState, choi_bf, probe_table, stinespring_isometry, table_at
 from qrl.linalg import PAULI
 from qrl.unitary import VERTICES, UnitaryParams, edge_point
 from oracles import (
@@ -82,20 +81,20 @@ def test_correction_decreasing_in_epsilon():
 
 def test_renyi2_maximally_mixed():
     # D2(I/4 || I/2 (x) I/2) picks up exactly the -1 bit of conditioning
-    assert renyi2_divergence(np.eye(4) / 4.0, ConditioningState(np.zeros(3))) == pytest.approx(
+    assert renyi2_divergence(np.eye(4) / 4.0, np.zeros(3)) == pytest.approx(
         -1.0, abs=1e-12
     )
 
 
 def test_renyi2_bell_state():
-    assert renyi2_divergence(PHI, ConditioningState(np.zeros(3))) == pytest.approx(1.0, abs=1e-12)
+    assert renyi2_divergence(PHI, np.zeros(3)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_renyi2_swap_matched_sigma():
     # complement output of SWAP is the probe itself; conditioning on a
     # near-pure sigma along the probe direction recovers ~1 bit
     probe = ProbeState(1.3, 0.4)
-    rho = BipartiteState(np.kron(I2 / 2.0, probe_density(probe)))
+    rho = np.kron(I2 / 2.0, probe_density(probe))
     bloch = np.array(
         [
             np.sin(probe.phi1) * np.cos(probe.phi2),
@@ -103,7 +102,7 @@ def test_renyi2_swap_matched_sigma():
             np.cos(probe.phi1),
         ]
     )
-    sigma = ConditioningState((1.0 - 2e-9) * bloch)
+    sigma = (1.0 - 2e-9) * bloch
     assert -renyi2_divergence(rho, sigma) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -114,9 +113,9 @@ def test_renyi2_matches_quadratic_form():
 
     for _ in range(30):
         params = random_params()
-        rho = choi_bf(stinespring_isometry(params, random_probe())).rho_bf
+        rho = choi_bf(stinespring_isometry(params, random_probe()))
         bloch = random_sigma_bloch()
-        literal = -renyi2_divergence(rho, ConditioningState(bloch))
+        literal = -renyi2_divergence(rho, bloch)
         gram = _collision_gram(rho)
         coeffs = _inv_sqrt_coeffs(bloch)
         quad = -np.log2(float(coeffs @ gram @ coeffs))
@@ -124,17 +123,21 @@ def test_renyi2_matches_quadratic_form():
 
 
 # ---------------------------------------------------------------------------
-# ConditioningState validation
+# The conditioning state's eigenvalue floor
 
 
-def test_conditioning_state_validation():
-    ConditioningState(np.array([0.0, 0.0, 1.0 - 2e-9]))  # boundary is fine
-    with pytest.raises(ValueError, match="floor"):
-        ConditioningState(np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        ConditioningState(np.array([1.0, 1.0]))
-    sigma = ConditioningState(np.array([0.2, -0.1, 0.3]))
-    mat = sigma_matrix(sigma)
+def test_conditioning_state_validation(monkeypatch):
+    # h2_conditional checks the sigma it reports: at S the optimum sits at
+    # the cap, whose smaller eigenvalue 5e-8 clears the 1e-9 floor; a search
+    # let past the floor is a numerical fault
+    rho = choi_bf(stinespring_isometry(VERTICES["S"], ProbeState(1.3, 0.4)))
+    opt = h2_conditional(rho)
+    assert isinstance(opt.sigma, tuple) and len(opt.sigma) == 3
+    assert 1.0 - 2e-9 > np.linalg.norm(opt.sigma) > BLOCH_CAP - 1e-12
+    monkeypatch.setattr(qrl.capacity, "_X_CAP", 30.0)  # |p| up to 1 - 9e-14
+    with pytest.raises(RuntimeError, match="floor"):
+        h2_conditional(rho)
+    mat = sigma_matrix((0.2, -0.1, 0.3))
     assert np.allclose(mat, 0.5 * (I2 + 0.2 * PAULI[1] - 0.1 * PAULI[2] + 0.3 * PAULI[3]))
 
 
@@ -213,14 +216,14 @@ def _grid_oracle(rho, n):
                 b = np.array([bx, by, bz])
                 if np.linalg.norm(b) > BLOCH_CAP:
                     continue
-                best = max(best, -renyi2_divergence(rho, ConditioningState(b)))
+                best = max(best, -renyi2_divergence(rho, b))
     return best
 
 
 def test_h2_beats_grid_oracle():
     # refined optimum must dominate a 21^3 literal-route grid search
     for _ in range(10):
-        rho = choi_bf(stinespring_isometry(random_params(), random_probe())).rho_bf
+        rho = choi_bf(stinespring_isometry(random_params(), random_probe()))
         refined = h2_conditional(rho).value
         assert refined >= _grid_oracle(rho, 21) - 1e-4
 
@@ -236,7 +239,7 @@ def _sigma_test_states():
         ay = local.uniform(0.0, ax)
         params = UnitaryParams(ax, ay, local.uniform(0.0, ay))
         probe = ProbeState(local.uniform(0, np.pi), local.uniform(0, 2 * np.pi))
-        states.append(choi_bf(stinespring_isometry(params, probe)).rho_bf)
+        states.append(choi_bf(stinespring_isometry(params, probe)))
     states += [np.eye(4, dtype=complex) / 4.0, PHI.astype(complex)]
     for _ in range(3):
         b, f = (local.normal(size=3) for _ in range(2))
@@ -245,10 +248,10 @@ def _sigma_test_states():
         states.append(np.kron(rho_b, sig_f).astype(complex))
     for v in "ICSD":
         for probe in (ProbeState(0.0, 0.0), ProbeState(np.pi, 0.4)):
-            states.append(choi_bf(stinespring_isometry(VERTICES[v], probe)).rho_bf)
+            states.append(choi_bf(stinespring_isometry(VERTICES[v], probe)))
     for v in "SD":
         for probe in (ProbeState(1.309, 2.693), ProbeState(0.264, 4.499)):
-            states.append(choi_bf(stinespring_isometry(VERTICES[v], probe)).rho_bf)
+            states.append(choi_bf(stinespring_isometry(VERTICES[v], probe)))
     return states
 
 
@@ -276,11 +279,11 @@ def test_h2_value_is_the_objective_at_the_reported_sigma():
 
     for rho in _sigma_test_states():
         opt = h2_conditional(rho)
-        c = _inv_sqrt_coeffs(np.array(opt.sigma.bloch))
+        c = _inv_sqrt_coeffs(np.array(opt.sigma))
         assert opt.value == -np.log2(float(c @ _collision_gram(rho) @ c))
         # the literal sandwiched divergence agrees to the round-off of the
         # Pauli quadratic form, eps |c|^2 |G| with |c|^2 = 2 / (1 - |p|^2)
-        bound = 2e-14 / (1.0 - np.linalg.norm(opt.sigma.bloch) ** 2)
+        bound = 2e-14 / (1.0 - np.linalg.norm(opt.sigma) ** 2)
         assert abs(opt.value + renyi2_divergence(rho, opt.sigma)) <= bound
 
 
@@ -347,6 +350,43 @@ def test_h2_same_at_the_probe_images():
         images = ((phi1, phi2), (phi1, phi2 + np.pi), (np.pi - phi1, -phi2), (np.pi - phi1, np.pi - phi2))
         vals = [h2_conditional(choi_bf(stinespring_isometry(params, ProbeState(*q)))).value for q in images]
         assert max(vals) - min(vals) <= 1e-12, (edge, vals)
+
+
+def _h2_spread(params, probes) -> float:
+    """Spread of H2 over probe rows (phi1, phi2), rho_BF read off the
+    gate's probe table as the probe search reads it."""
+    table = probe_table(lambda q: choi_bf(stinespring_isometry(params, q)))
+    vals = [h2_conditional(rho).value for rho in table_at(table, np.asarray(probes))]
+    return max(vals) - min(vals)
+
+
+def _x_rotations(phi1, phi2, angles) -> np.ndarray:
+    """Probe rows (phi1, phi2) of the probe rotated about x by each angle."""
+    qx, qy, qz = np.sin(phi1) * np.cos(phi2), np.sin(phi1) * np.sin(phi2), np.cos(phi1)
+    y, z = qy * np.cos(angles) - qz * np.sin(angles), qy * np.sin(angles) + qz * np.cos(angles)
+    return np.stack([np.arccos(np.clip(z, -1.0, 1.0)), np.arctan2(y, np.full_like(y, qx))], axis=1)
+
+
+def test_h2_exact_continuous_probe_symmetries():
+    # where U commutes with R (x) R, the probe R psi gives outputs rotated
+    # by local unitaries, which H2(B|F) ignores: on IS (U = a I + b SWAP)
+    # for every R, on the face ax = ay (ID, DS) for every z-rotation and on
+    # the face ay = az (IC, CS) for every x-rotation.  CD lies on neither
+    # face, and its spread over phi2 is the control
+    local = np.random.default_rng(606)
+    for t in (0.2, 0.5, 0.8):
+        probes = np.stack([local.uniform(0.0, np.pi, 12), local.uniform(0.0, 2 * np.pi, 12)], axis=1)
+        assert _h2_spread(edge_point("IS", t), probes) <= 1e-12, t
+        for phi1 in (0.4, 1.1, 2.0):
+            line = np.stack([np.full(12, phi1), local.uniform(0.0, 2 * np.pi, 12)], axis=1)
+            for edge in ("ID", "DS"):
+                assert _h2_spread(edge_point(edge, t), line) <= 1e-12, (edge, t, phi1)
+            assert _h2_spread(edge_point("CD", t), line) >= 1e-2, (t, phi1)
+        for _ in range(3):
+            orbit = _x_rotations(local.uniform(0.0, np.pi), local.uniform(0.0, 2 * np.pi),
+                                 local.uniform(0.0, 2 * np.pi, 12))
+            for edge in ("IC", "CS"):
+                assert _h2_spread(edge_point(edge, t), orbit) <= 1e-12, (edge, t)
 
 
 def test_h2_continuity_in_alpha():
@@ -532,7 +572,7 @@ def test_best_probe_certifies_every_sigma_solve(monkeypatch):
     interior = near_cap = 0
     for rho, opt in solves:
         bound = sigma_certificate(rho, opt)
-        if np.linalg.norm(opt.sigma.bloch) < 0.999:
+        if np.linalg.norm(opt.sigma) < 0.999:
             interior += 1
             assert bound is not None and -1e-13 <= bound - opt.value <= 1e-12
         elif bound is not None:

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+import qrl.channel
 from qrl.channel import (
-    BipartiteState,
-    ChannelIsometry,
     ProbeState,
     apply_channel,
     choi_bf,
     stinespring_isometry,
 )
-from qrl.linalg import I2, SZ, kron, validate_density
+from qrl.linalg import I2, SZ, kron, partial_trace, validate_density
 from qrl.unitary import VERTICES, UnitaryParams
 from oracles import EnvState, apply_complement, choi_bf_loop, env_bloch_derivatives, probe_density
 
@@ -68,8 +67,7 @@ def test_env_matrix_formula():
 
 def test_isometry_contract():
     for _ in range(100):
-        iso = stinespring_isometry(random_params(), random_probe())
-        v = iso.v
+        v = stinespring_isometry(random_params(), random_probe())
         assert v.shape == (4, 2)
         assert np.abs(v.conj().T @ v - I2).max() <= 1e-12
 
@@ -81,14 +79,14 @@ def test_isometry_swap_columns():
     want = np.zeros((4, 2), dtype=complex)
     want[:2, 0] = ket  # |0>_B (x) |phi>_F
     want[2:, 1] = ket
-    assert np.abs(iso.v - want).max() <= 1e-12
+    assert np.abs(iso - want).max() <= 1e-12
 
 
 def test_isometry_identity_probe00():
     iso = stinespring_isometry(VERTICES["I"], ProbeState(0.0, 0.0))
     want = np.zeros((4, 2), dtype=complex)
     want[0, 0] = want[1, 1] = 1  # |0>_B (x) |e>_F
-    assert np.abs(iso.v - want).max() <= 1e-14
+    assert np.abs(iso - want).max() <= 1e-14
 
 
 def test_apply_channel_swap_is_identity_map():
@@ -149,7 +147,7 @@ def test_channel_linearity_on_mixtures():
 
 
 def test_choi_identity_is_bell():
-    rho = choi_bf(stinespring_isometry(VERTICES["I"], random_probe())).rho_bf
+    rho = choi_bf(stinespring_isometry(VERTICES["I"], random_probe()))
     bell = np.zeros((4, 4), dtype=complex)
     for i in (0, 3):
         for j in (0, 3):
@@ -159,12 +157,12 @@ def test_choi_identity_is_bell():
 
 def test_choi_swap_is_product():
     probe = random_probe()
-    rho = choi_bf(stinespring_isometry(VERTICES["S"], probe)).rho_bf
+    rho = choi_bf(stinespring_isometry(VERTICES["S"], probe))
     assert np.abs(rho - kron(I2 / 2, probe_density(probe))).max() <= 1e-12
 
 
 def test_choi_c_vertex_polar_probe():
-    rho = choi_bf(stinespring_isometry(VERTICES["C"], ProbeState(0.0, 0.0))).rho_bf
+    rho = choi_bf(stinespring_isometry(VERTICES["C"], ProbeState(0.0, 0.0)))
     want = 0.25 * np.array(
         [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]], dtype=complex
     )
@@ -173,9 +171,10 @@ def test_choi_c_vertex_polar_probe():
 
 def test_choi_reference_marginal():
     for _ in range(500):
-        state = choi_bf(stinespring_isometry(random_params(), random_probe()))
-        assert isinstance(state, BipartiteState)
-        assert validate_density(state.rho_bf) == ()
+        rho = choi_bf(stinespring_isometry(random_params(), random_probe()))
+        assert rho.shape == (4, 4)
+        assert validate_density(rho) == ()
+        assert np.abs(partial_trace(rho, "first") - I2 / 2).max() <= 1e-12
 
 
 def test_choi_matches_the_block_loop():
@@ -191,18 +190,28 @@ def test_choi_matches_the_block_loop():
     cases += [(VERTICES[v], ProbeState(phi1, 0.3)) for v in "ICSD" for phi1 in (0.0, np.pi / 2, np.pi)]
     for params, probe in cases:
         iso = stinespring_isometry(params, probe)
-        assert np.abs(choi_bf(iso).rho_bf - choi_bf_loop(iso).rho_bf).max() <= 1e-15
+        assert np.abs(choi_bf(iso) - choi_bf_loop(iso)).max() <= 1e-15
 
 
 def test_bipartite_state_rejects_bad_marginal():
-    probe = ProbeState(0.7, 1.0)
-    with pytest.raises(ValueError):
-        BipartiteState(kron(probe_density(probe), I2 / 2))
+    # choi_bf checks the state it makes: a V whose columns are orthogonal
+    # but of unequal length gives a density matrix with marginal
+    # diag(3/4, 1/4); an all-ones V gives no density matrix at all
+    v = np.zeros((4, 2), dtype=complex)
+    v[0, 0], v[1, 1] = np.sqrt(1.5), np.sqrt(0.5)
+    assert validate_density(choi_bf_loop(v)) == ()
+    with pytest.raises(RuntimeError, match="marginal"):
+        choi_bf(v)
+    with pytest.raises(RuntimeError, match="density"):
+        choi_bf(np.ones((4, 2), dtype=complex))
 
 
-def test_isometry_type_rejects_non_isometry():
-    with pytest.raises(ValueError):
-        ChannelIsometry(np.ones((4, 2), dtype=complex))
+def test_isometry_rejects_non_isometry(monkeypatch):
+    # stinespring_isometry checks the V it makes; a gate that is not unitary
+    # is a numerical fault
+    monkeypatch.setattr(qrl.channel, "build_unitary", lambda p: 1.5 * np.eye(4, dtype=complex))
+    with pytest.raises(RuntimeError, match=r"V\^dag V"):
+        stinespring_isometry(VERTICES["C"], ProbeState(0.7, 1.0))
 
 
 def test_env_derivatives_examples():

@@ -48,11 +48,28 @@ def _names_read(node, modules) -> Counter:
     )
 
 
+def _decorator(node) -> str:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _fields_read(tree) -> set:
+    """Attribute names loaded under tree, and the names getattr reads."""
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)} | {
+        n.args[1].value
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr"
+        and len(n.args) > 1 and isinstance(n.args[1], ast.Constant)
+    }
+
+
 def test_every_definition_is_used_by_the_package():
     # reference routes live in tests/oracles.py; a def, class or method that
     # only tests call does not belong in the library.  Dunder methods are
     # called by Python itself, and the console entry is the one definition
-    # the package itself need not call.
+    # the package itself need not call.  A dataclass field must be read, by
+    # an attribute load or a getattr string, in the package or in the
+    # benchmark, whose tracer alone reads OptResult.iterations and QuadSpec.nr
     trees = [
         (path.stem, ast.parse(path.read_text()))
         for path in sorted(PACKAGE.glob("*.py"))
@@ -82,7 +99,16 @@ def test_every_definition_is_used_by_the_package():
         if f"{mod}.{stmt.name}" != "cli.main"
         and reads[stmt.name] == _names_read(stmt, modules)[stmt.name]
     ]
-    assert unused == []
+    read = set().union(*(_fields_read(tree) for _, tree in trees))
+    read |= set().union(*(_fields_read(ast.parse(path.read_text())) for path in PERFBENCH.glob("*.py")))
+    unread = [
+        f"{mod}.{cls.name}.{stmt.target.id}"
+        for mod, cls in defs
+        if isinstance(cls, ast.ClassDef) and "dataclass" in map(_decorator, cls.decorator_list)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read
+    ]
+    assert (unused, unread) == ([], [])
 
 
 def test_public_api_is_what_the_package_imports():

@@ -371,13 +371,13 @@ def test_affine_table_reproduces_probe_affine():
         p = edge_point(edge, local.uniform(0.05, 0.95))
         affine = probe_table(lambda q: np.concatenate([a.ravel() for a in qrl.fisher._probe_affine(p, q)]))
         flat = table_at(affine, coords)
-        rhos = table_at(probe_table(lambda q: choi_bf(stinespring_isometry(p, q)).rho_bf), coords)
+        rhos = table_at(probe_table(lambda q: choi_bf(stinespring_isometry(p, q))), coords)
         for (phi1, phi2), row, rho in zip(coords, flat, rhos):
             probe = ProbeState(phi1, phi2)
             t_ref, m_ref = qrl.fisher._probe_affine(p, probe)
             assert np.max(np.abs(row[:3] - t_ref)) <= 1e-14
             assert np.max(np.abs(row[3:].reshape(3, 3) - m_ref)) <= 1e-14
-            assert np.max(np.abs(rho - choi_bf(stinespring_isometry(p, probe)).rho_bf)) <= 1e-15
+            assert np.max(np.abs(rho - choi_bf(stinespring_isometry(p, probe)))) <= 1e-15
 
 
 def test_probe_scan_holds_each_pole_once():

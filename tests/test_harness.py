@@ -1,13 +1,17 @@
 """Tests for sweep orchestration, report rows, file outputs, and the CLI."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qrl.channel
 import qrl.cli
 import qrl.harness
-from qrl.capacity import ConditioningState, ProbeOptimum, one_shot_lower_bound
+from qrl.capacity import ProbeOptimum, one_shot_lower_bound
 from qrl.channel import ProbeState
 from qrl.cli import load_config, main
 from qrl.fisher import QuadratureError
@@ -46,9 +50,7 @@ def make_report(**overrides):
 
 
 def fake_optimum():
-    return ProbeOptimum(
-        h2=0.5, probe=ProbeState(0.1, 0.2), sigma=ConditioningState((0.0, 0.0, 0.3)), converged=True
-    )
+    return ProbeOptimum(h2=0.5, probe=ProbeState(0.1, 0.2), sigma=(0.0, 0.0, 0.3), converged=True)
 
 
 def fails_at_identity(params):
@@ -373,6 +375,32 @@ def test_cli_sweep_exits_3_on_one_failed_point(monkeypatch, tmp_path, caplog):
     lines = out.read_text().strip().splitlines()
     assert [line.split(",")[8] for line in lines[1:]] == ["non-converged", "ok", "ok"]
     assert "3 points, 1 non-converged" in caplog.text
+
+
+def test_cli_channel_fault_is_a_non_converged_row(monkeypatch, tmp_path):
+    # a failed check of a value the channel layer makes is a numerical
+    # fault: each point becomes a non-converged row and the sweep exits 3,
+    # not 2 for invalid arguments
+    monkeypatch.setattr(qrl.channel, "build_unitary", lambda p: 1.5 * np.eye(4, dtype=complex))
+    out = tmp_path / "ic.csv"
+    assert main(["--workers", "1", "sweep", "--edge", "IC", "--samples", "2", "--out", str(out)]) == 3
+    lines = out.read_text().strip().splitlines()
+    assert [line.split(",")[8] for line in lines[1:]] == ["non-converged", "non-converged"]
+
+
+def test_cli_error_reaches_stderr_once(tmp_path):
+    # in a child process at the default log level: under pytest the root
+    # logger already has handlers, so a logged copy of the error would not
+    # reach the captured stderr
+    src = os.path.dirname(os.path.dirname(qrl.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("QRL_LOG", None)
+    for args in (["qfi", "--alpha", "0,1,0"], ["sweep", "--edge", "IC"]):
+        proc = subprocess.run([sys.executable, "-m", "qrl.cli", *args], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 2, args
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (args, lines)
 
 
 def test_cli_config_file_merge(tmp_path):
