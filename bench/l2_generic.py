@@ -1,17 +1,20 @@
-"""L2 time of both probe searches at generic points of the tetrahedron.
+"""L2 time of both probe searches at generic points and on faces of the tetrahedron.
 
     PYTHONPATH=src python3 bench/l2_generic.py
 
 The benchmark's sweeps sample edges at t = 0, 1/3, 2/3 and 1, where the
 gates are vertices or lie on an edge; this script times `best_probe_h2` and
 `maximize_over_probe` at CD t = 1/3 and 2/3 and at three interior gates,
-with BLAS pinned to one thread.  The two searches alternate per gate, so
-that drift of the machine's speed hits both alike.  Counts the
+with BLAS pinned to one thread.  It times the same at face gates, IS, ID
+and CS at t = 1/3 and 2/3, where the H2 search is reduced: one sigma solve
+on IS, a search over phi1 alone on ID and CS.  The two searches alternate
+per gate, so that drift of the machine's speed hits both alike.  Counts the
 `h2_conditional` calls of one H2 search per stage, told apart by the
 config each stage passes: the scan (`_COARSE`), the refinement (`_MEDIUM`)
 and the final solve (the default).  Prints one JSON object: per gate, the
 median and quartiles over rounds of each search's time in ms, and the
-calls per stage.
+calls per stage, under "gates" for the generic gates and under
+"face_gates" for the face gates.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ GATES = {
     "1.0,0.6,0.2": UnitaryParams(1.0, 0.6, 0.2),
     "1.4,1.0,0.5": UnitaryParams(1.4, 1.0, 0.5),
 }
+FACE_GATES = {f"{edge} {k}/3": edge_point(edge, k / 3.0) for edge in ("IS", "ID", "CS") for k in (1, 2)}
 STAGES = {"scan": _COARSE, "refine": _MEDIUM, "final": DEFAULT_CONFIG}
 ROUNDS = 5
 
@@ -64,9 +68,10 @@ def count_stages(p) -> dict:
 
 
 def main() -> int:
-    ms = {gate: {"h2": [], "qfi": []} for gate in GATES}
+    gates = {**GATES, **FACE_GATES}
+    ms = {gate: {"h2": [], "qfi": []} for gate in gates}
     for r in range(ROUNDS + 1):
-        for gate, p in GATES.items():
+        for gate, p in gates.items():
             t0 = time.perf_counter()
             best_probe_h2(p)
             t1 = time.perf_counter()
@@ -75,14 +80,15 @@ def main() -> int:
             if r:  # the first round warms the caches
                 ms[gate]["h2"].append((t1 - t0) * 1e3)
                 ms[gate]["qfi"].append((t2 - t1) * 1e3)
-    report = {"rounds": ROUNDS, "gates": {}}
-    for gate, p in GATES.items():
-        report["gates"][gate] = {
-            "alpha": p.as_array().tolist(),
-            "best_probe_h2": summary(ms[gate]["h2"]),
-            "maximize_over_probe": summary(ms[gate]["qfi"]),
-            "h2_conditional_calls": count_stages(p),
-        }
+    report = {"rounds": ROUNDS, "gates": {}, "face_gates": {}}
+    for key, group in (("gates", GATES), ("face_gates", FACE_GATES)):
+        for gate, p in group.items():
+            report[key][gate] = {
+                "alpha": p.as_array().tolist(),
+                "best_probe_h2": summary(ms[gate]["h2"]),
+                "maximize_over_probe": summary(ms[gate]["qfi"]),
+                "h2_conditional_calls": count_stages(p),
+            }
     print(json.dumps(report))
     return 0
 

@@ -18,6 +18,17 @@ rho_BF is linear in the probe density, so the probe search
 (`channel.probe_table`) and reads rho_BF at every probe it tries off that
 table; it builds no isometry or Choi state per probe.
 
+Where U commutes with a continuous family of R (x) R, H2 takes one value on
+each orbit of the probe under that family, and the probe search shrinks to
+the orbits.  On IS (ax = ay = az, U = a I + b SWAP) every V (x) V commutes,
+so one sigma solve at the probe (0, 0) is the answer.  On the face ax = ay
+(ID, DS, D) the z-rotations commute and on the face ay = az (IC, CS, C) the
+x-rotations; there the probes (phi1, 0), phi1 in [0, pi/2], meet every orbit
+and the search is 1-D.  Every other gate, CD inside its edge and the
+interior, takes the 2-D search.  A face is detected by exact equality of the
+angles, which `edge_point` produces bit for bit; angles that are equal only
+to round-off take the 2-D search, which is valid everywhere.
+
 The capacity lower bound per channel use is h2 - correction/n with
 correction = g(sqrt(eps/2) - delta*) + 4 log2(1/delta*) + 2.  delta* is the
 closed-form stationary point of that correction; the golden-section search
@@ -32,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    PROBE_SIMPLEX, ProbeState, choi_bf, probe_scan, probe_table, stinespring_isometry, table_at,
+    PROBE_SIMPLEX, ProbeState, choi_bf, clamp_probe, probe_scan, probe_table, stinespring_isometry, table_at,
 )
 from .linalg import I2, PAULI, kron
 from .optimize import nelder_mead
@@ -300,33 +311,90 @@ def one_shot_lower_bound(h2: float, epsilon: float, n: int) -> CapacityResult:
     return CapacityResult(correction=corr, raw_bound=raw, clamped_bound=max(0.0, raw))
 
 
+def _clamp_phi1(x: tuple) -> tuple:
+    """Projection of a face search's point, the float tuple (phi1,), onto
+    phi1 in [0, pi/2]."""
+    return (min(max(x[0], 0.0), math.pi / 2.0),)
+
+
+def _probe(x: tuple) -> tuple:
+    """The probe (phi1, phi2) of a search point: a face search moves phi1
+    alone, along the probes (phi1, 0)."""
+    return x if len(x) == 2 else (x[0], 0.0)
+
+
+def _search(table: np.ndarray, scan: list, project) -> ProbeOptimum:
+    """Scan, simplex and final solve over one probe domain.
+
+    Each search point of `scan` gets a sigma solve at _COARSE; the probe
+    simplex (`channel.PROBE_SIMPLEX`'s step, tol and max_iter, with
+    `project` as its projection) refines the first best of them at _MEDIUM,
+    and the final sigma solve at DEFAULT_CONFIG gives the answer at the
+    simplex's point.
+    """
+
+    def rho_at(points):
+        return table_at(table, np.array([_probe(x) for x in points]))
+
+    values = [h2_conditional(rho, _COARSE).value for rho in rho_at(scan)]
+
+    def neg_h2(x):
+        return -h2_conditional(rho_at([x])[0], _MEDIUM).value
+
+    res = nelder_mead(neg_h2, scan[int(np.argmax(values))], **{**PROBE_SIMPLEX, "project": project})
+    q = _probe(tuple(res.x.tolist()))
+    final = h2_conditional(rho_at([q])[0])
+    return ProbeOptimum(h2=final.value, probe=ProbeState(*q), sigma=final.sigma,
+                        converged=res.converged and final.converged)
+
+
+def _sphere_search(table: np.ndarray) -> ProbeOptimum:
+    """The 2-D probe search of a generic gate: the scan covers the
+    fundamental domain [0, pi/2] x [0, pi) of the Klein-four probe images,
+    the simplex moves on the whole sphere."""
+    scan = [tuple(q) for q in probe_scan(7, 7, math.pi / 2.0, math.pi).tolist()]
+    return _search(table, scan, clamp_probe)
+
+
 def best_probe_h2(p: UnitaryParams) -> ProbeOptimum:
     """Maximize H2(B|F) over the probe.
 
-    Probe grid scan with a cheap inner sigma search, simplex refinement of
-    the probe (`channel.PROBE_SIMPLEX`) at intermediate accuracy, then a
-    final sigma search at DEFAULT_CONFIG at the selected probe.  Every
-    rho_BF comes off the gate's rho_BF table, built from four probes.
+    Probe scan with a cheap inner sigma search (_COARSE), simplex refinement
+    of the probe (`channel.PROBE_SIMPLEX`) at intermediate accuracy
+    (_MEDIUM), then a final sigma search at DEFAULT_CONFIG at the selected
+    probe.  Every rho_BF of a search comes off the gate's rho_BF table,
+    built from four probes.
 
     P (x) P commutes with U for P = X, Y, Z, and H2(B|F) ignores local
     unitaries, so H2 takes the same value at the probe images
-    (phi1, phi2 + pi), (pi - phi1, -phi2) and (pi - phi1, pi - phi2).  The
-    scan covers only their fundamental domain [0, pi/2] x [0, pi), at the
-    phi1 spacing of a 13 x 13 scan of the sphere and with the pole phi1 = 0
-    once: 43 probes.  The refinement moves on the whole sphere.
+    (phi1, phi2 + pi), (pi - phi1, -phi2) and (pi - phi1, pi - phi2).  Where
+    R (x) R commutes with U for a continuous family of rotations R, H2 is
+    constant on the probe's orbits too, and the search runs over one probe
+    per orbit.  The family is picked by exact equality of the angles:
+
+    - ax == ay == az (I, IS, S): U = a I + b SWAP commutes with every
+      V (x) V, so the answer is the final solve at the probe (0, 0), with no
+      scan, no refinement and no table: one isometry and one Choi state.
+    - ax == ay (ID, DS, D) or ay == az (IC, CS, C): z- or x-rotations
+      commute.  The probes (phi1, 0), phi1 in [0, pi/2], meet every orbit
+      (|q_z| = cos phi1, |q_x| = sin phi1; the X (x) X and Z (x) Z images
+      fold the signs), so the scan takes 7 values of phi1 and the simplex
+      moves phi1 alone, clamped to [0, pi/2].
+    - Any other gate, nearly equal angles included: the scan covers the
+      fundamental domain [0, pi/2] x [0, pi) of the images above, at the
+      phi1 spacing of a 13 x 13 scan of the sphere and with the pole
+      phi1 = 0 once (43 probes), and the refinement moves on the whole
+      sphere.
+
+    The face and the generic search share one scan, simplex and final
+    solve (`_search`).
     """
+    ax, ay, az = p.alpha_x, p.alpha_y, p.alpha_z
+    if ax == ay == az:
+        probe = ProbeState(0.0, 0.0)
+        final = h2_conditional(choi_bf(stinespring_isometry(p, probe)))
+        return ProbeOptimum(h2=final.value, probe=probe, sigma=final.sigma, converged=final.converged)
     table = probe_table(lambda probe: choi_bf(stinespring_isometry(p, probe)))
-    probe_pts = probe_scan(7, 7, math.pi / 2.0, math.pi)
-    scan = [h2_conditional(rho, _COARSE).value for rho in table_at(table, probe_pts)]
-
-    def neg_h2(q):
-        return -h2_conditional(table_at(table, np.array([q]))[0], _MEDIUM).value
-
-    probe_res = nelder_mead(neg_h2, probe_pts[int(np.argmax(scan))], **PROBE_SIMPLEX)
-    final = h2_conditional(table_at(table, probe_res.x[None])[0])
-    return ProbeOptimum(
-        h2=final.value,
-        probe=ProbeState(*probe_res.x),
-        sigma=final.sigma,
-        converged=probe_res.converged and final.converged,
-    )
+    if ax == ay or ay == az:
+        return _search(table, [(a,) for a in np.linspace(0.0, math.pi / 2.0, 7).tolist()], _clamp_phi1)
+    return _sphere_search(table)

@@ -537,9 +537,57 @@ def test_best_probe_deterministic():
     assert a.probe == b.probe
 
 
+def _probe_table(params) -> np.ndarray:
+    return probe_table(lambda q: choi_bf(stinespring_isometry(params, q)))
+
+
+def test_reduced_probe_search_against_the_sphere_search(monkeypatch):
+    # on IS and on the faces ax = ay and ay = az the search runs over one
+    # probe per orbit of the rotations that commute with U; where sigma is
+    # off the cap it is never more than 2e-9 below the 2-D search over the
+    # Klein-four domain.  A gate 1e-12 off a face takes the 2-D search and
+    # agrees with the face gate
+    local = np.random.default_rng(1919)
+    for _ in range(4):
+        a = local.uniform(0.1, 1.4)
+        c = local.uniform(0.0, a)
+        for params in (UnitaryParams(a, a, a), UnitaryParams(a, a, c), UnitaryParams(a, c, c)):
+            reduced, sphere = best_probe_h2(params), qrl.capacity._sphere_search(_probe_table(params))
+            assert max(np.linalg.norm(reduced.sigma), np.linalg.norm(sphere.sigma)) < 0.999, params
+            assert reduced.h2 >= sphere.h2 - 2e-9, (params, reduced.h2 - sphere.h2)
+    generic = []
+    plain = qrl.capacity._sphere_search
+
+    def recorded(table):
+        generic.append(1)
+        return plain(table)
+
+    monkeypatch.setattr(qrl.capacity, "_sphere_search", recorded)
+    for face, off in (((1.1, 1.1, 0.4), (1.1, 1.1 - 1e-12, 0.4)), ((1.2, 0.5, 0.5), (1.2, 0.5, 0.5 - 1e-12))):
+        on_face = best_probe_h2(UnitaryParams(*face)).h2
+        assert not generic
+        assert abs(best_probe_h2(UnitaryParams(*off)).h2 - on_face) <= 1e-10, off
+        assert generic == [1]
+        generic.clear()
+
+
+def test_best_probe_canonical_probes():
+    # IS reports the probe (0, 0); a face gate reports a probe (phi1, 0)
+    # with phi1 in [0, pi/2], the same bits on every call
+    for t in (1.0 / 3.0, 2.0 / 3.0, 1.0):
+        assert best_probe_h2(edge_point("IS", t)).probe == ProbeState(0.0, 0.0)
+    for edge in ("ID", "DS", "IC", "CS"):
+        for t in (1.0 / 3.0, 2.0 / 3.0):
+            a, b = best_probe_h2(edge_point(edge, t)), best_probe_h2(edge_point(edge, t))
+            assert a.probe.phi2 == 0.0 and 0.0 <= a.probe.phi1 <= math.pi / 2.0, (edge, t, a.probe)
+            assert np.array([a.h2, a.probe.phi1, *a.sigma]).tobytes() == np.array(
+                [b.h2, b.probe.phi1, *b.sigma]).tobytes()
+
+
 def test_best_probe_builds_four_channels(monkeypatch):
     # rho_BF is read off a table built from four probes: no isometry or
-    # Choi state per probe that the scan and the simplex try
+    # Choi state per probe that the scan and the simplex try, on the 2-D
+    # path (CD) and on a face (CS); IS needs one channel, at its one probe
     calls = {"stinespring_isometry": 0, "choi_bf": 0}
     for name in calls:
 
@@ -548,15 +596,19 @@ def test_best_probe_builds_four_channels(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(qrl.capacity, name, counted)
-    best_probe_h2(edge_point("CS", 0.4))
-    assert calls == {"stinespring_isometry": 4, "choi_bf": 4}
+    for edge, built in (("CD", 4), ("CS", 4), ("IS", 1)):
+        best_probe_h2(edge_point(edge, 0.4))
+        assert calls == {"stinespring_isometry": built, "choi_bf": built}, edge
+        calls.update(stinespring_isometry=0, choi_bf=0)
 
 
 def test_best_probe_certifies_every_sigma_solve(monkeypatch):
     # each sigma solve of the probe search, in the scan, the refinement and
     # the final solve, ends where the tangent-plane certificate closes to
     # round-off; near the cap the gap is the cap's own, about 7.2e-8 bits.
-    # S puts its solves at the cap
+    # S, D and a gate just off the face ax = ay near DS put solves at the
+    # cap: S one solve without Y > 0, D and the 2-D search off DS solves
+    # with and without it
     solves = []
     plain = qrl.capacity.h2_conditional
 
@@ -567,7 +619,8 @@ def test_best_probe_certifies_every_sigma_solve(monkeypatch):
 
     monkeypatch.setattr(qrl.capacity, "h2_conditional", recorded)
     gates = [edge_point(e, t) for e in ("CD", "CS") for t in (1.0 / 3.0, 2.0 / 3.0)]
-    for p in gates + [UnitaryParams(1.2, 0.7, 0.3), VERTICES["S"]]:
+    near_ds = UnitaryParams(math.pi / 2.0, math.pi / 2.0 - 1e-9, math.pi / 3.0)
+    for p in gates + [UnitaryParams(1.2, 0.7, 0.3), VERTICES["S"], VERTICES["D"], near_ds]:
         best_probe_h2(p)
     interior = near_cap = 0
     for rho, opt in solves:

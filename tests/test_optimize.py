@@ -123,18 +123,19 @@ def test_sigma_solve_matches_the_array_form(monkeypatch):
 
 
 def test_probe_searches_match_the_array_form(monkeypatch):
-    cs, is_third = edge_point("CS", 0.5), edge_point("IS", 1.0 / 3.0)
-    h2_a, qfi_a = best_probe_h2(cs), maximize_over_probe(is_third)
+    # the H2 search over (phi1, phi2) at a generic gate and over phi1 alone
+    # on the face ay = az
+    h2_gates, is_third = (edge_point("CD", 0.5), edge_point("CS", 0.5)), edge_point("IS", 1.0 / 3.0)
+    h2_a, qfi_a = [best_probe_h2(p) for p in h2_gates], maximize_over_probe(is_third)
     calls = []
     monkeypatch.setattr(qrl.capacity, "nelder_mead", _array_form(calls))
     monkeypatch.setattr(qrl.fisher, "nelder_mead", _array_form(calls))
-    h2_b = best_probe_h2(cs)
+    h2_b = [best_probe_h2(p) for p in h2_gates]
     calls.clear()
     qfi_b = maximize_over_probe(is_third)
-    assert _bits(h2_a.h2, h2_a.probe.phi1, h2_a.probe.phi2, *h2_a.sigma) == _bits(
-        h2_b.h2, h2_b.probe.phi1, h2_b.probe.phi2, *h2_b.sigma
-    )
-    assert h2_a.converged == h2_b.converged
+    for a, b in zip(h2_a, h2_b):
+        assert _bits(a.h2, a.probe.phi1, a.probe.phi2, *a.sigma) == _bits(b.h2, b.probe.phi1, b.probe.phi2, *b.sigma)
+        assert a.converged == b.converged
     assert _bits(qfi_a.value, qfi_a.probe_opt.phi1, qfi_a.probe_opt.phi2) == _bits(
         qfi_b.value, qfi_b.probe_opt.phi1, qfi_b.probe_opt.phi2
     )
