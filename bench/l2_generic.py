@@ -6,15 +6,21 @@ The benchmark's sweeps sample edges at t = 0, 1/3, 2/3 and 1, where the
 gates are vertices or lie on an edge; this script times `best_probe_h2` and
 `maximize_over_probe` at CD t = 1/3 and 2/3 and at three interior gates,
 with BLAS pinned to one thread.  It times the same at face gates, IS, ID
-and CS at t = 1/3 and 2/3, where the H2 search is reduced: one sigma solve
-on IS, a search over phi1 alone on ID and CS.  The two searches alternate
-per gate, so that drift of the machine's speed hits both alike.  Counts the
-`h2_conditional` calls of one H2 search per stage, told apart by the
-config each stage passes: the scan (`_COARSE`), the refinement (`_MEDIUM`)
-and the final solve (the default).  Prints one JSON object: per gate, the
-median and quartiles over rounds of each search's time in ms, and the
-calls per stage, under "gates" for the generic gates and under
-"face_gates" for the face gates.
+and CS at t = 1/3 and 2/3, where the searches are reduced.  The H2 search
+makes one sigma solve on IS and searches phi1 alone on ID and CS.  The QFI
+search searches phi1 alone on IS and ID (the face ax = ay) and keeps the
+2-D search on CS.  The two searches alternate per gate, so that drift of
+the machine's speed hits both alike.
+
+Counts the work of one search per stage.  For H2 these are the
+`h2_conditional` calls, told apart by the config each stage passes: the scan
+(`_COARSE`), the refinement (`_MEDIUM`) and the final solve (the default).
+For the QFI these are the probes of the batched scan and the simplex's
+evaluations, the `fisher._averages` calls that `maximize_over_probe` makes
+outside `avg_trace_qfi`.  Prints one JSON object: per gate, the median and
+quartiles over rounds of each search's time in ms, and the counts per
+stage, under "gates" for the generic gates and under "face_gates" for the
+face gates.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 
-from qrl import capacity  # noqa: E402
+from qrl import capacity, fisher  # noqa: E402
 from qrl.capacity import _COARSE, _MEDIUM, DEFAULT_CONFIG, best_probe_h2  # noqa: E402
 from qrl.fisher import maximize_over_probe  # noqa: E402
 from qrl.unitary import UnitaryParams, edge_point  # noqa: E402
@@ -67,6 +73,32 @@ def count_stages(p) -> dict:
     return {name: sum(c is config for c in configs) for name, config in STAGES.items()}
 
 
+def count_qfi_stages(p) -> dict:
+    """Scan probes and simplex evaluations of one maximize_over_probe: its
+    _averages calls outside avg_trace_qfi, the first one the scan."""
+    plain_avg, plain_trace = fisher._averages, fisher.avg_trace_qfi
+    sizes, inside = [], [0]
+
+    def counted(probes, *args):
+        if not inside[0]:
+            sizes.append(len(probes))
+        return plain_avg(probes, *args)
+
+    def traced(*args):
+        inside[0] += 1
+        try:
+            return plain_trace(*args)
+        finally:
+            inside[0] -= 1
+
+    fisher._averages, fisher.avg_trace_qfi = counted, traced
+    try:
+        maximize_over_probe(p)
+    finally:
+        fisher._averages, fisher.avg_trace_qfi = plain_avg, plain_trace
+    return {"scan_probes": sizes[0], "simplex_evaluations": len(sizes) - 1}
+
+
 def main() -> int:
     gates = {**GATES, **FACE_GATES}
     ms = {gate: {"h2": [], "qfi": []} for gate in gates}
@@ -88,6 +120,7 @@ def main() -> int:
                 "best_probe_h2": summary(ms[gate]["h2"]),
                 "maximize_over_probe": summary(ms[gate]["qfi"]),
                 "h2_conditional_calls": count_stages(p),
+                "qfi_averages": count_qfi_stages(p),
             }
     print(json.dumps(report))
     return 0

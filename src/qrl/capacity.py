@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    PROBE_SIMPLEX, ProbeState, choi_bf, clamp_probe, probe_scan, probe_table, stinespring_isometry, table_at,
+    PROBE_SIMPLEX, ProbeState, choi_bf, clamp_probe, probe_scan, probe_table, search_probe, stinespring_isometry,
+    table_at,
 )
 from .linalg import I2, PAULI, kron
 from .optimize import nelder_mead
@@ -317,12 +318,6 @@ def _clamp_phi1(x: tuple) -> tuple:
     return (min(max(x[0], 0.0), math.pi / 2.0),)
 
 
-def _probe(x: tuple) -> tuple:
-    """The probe (phi1, phi2) of a search point: a face search moves phi1
-    alone, along the probes (phi1, 0)."""
-    return x if len(x) == 2 else (x[0], 0.0)
-
-
 def _search(table: np.ndarray, scan: list, project) -> ProbeOptimum:
     """Scan, simplex and final solve over one probe domain.
 
@@ -334,7 +329,7 @@ def _search(table: np.ndarray, scan: list, project) -> ProbeOptimum:
     """
 
     def rho_at(points):
-        return table_at(table, np.array([_probe(x) for x in points]))
+        return table_at(table, np.array([search_probe(x) for x in points]))
 
     values = [h2_conditional(rho, _COARSE).value for rho in rho_at(scan)]
 
@@ -342,7 +337,7 @@ def _search(table: np.ndarray, scan: list, project) -> ProbeOptimum:
         return -h2_conditional(rho_at([x])[0], _MEDIUM).value
 
     res = nelder_mead(neg_h2, scan[int(np.argmax(values))], **{**PROBE_SIMPLEX, "project": project})
-    q = _probe(tuple(res.x.tolist()))
+    q = search_probe(tuple(res.x.tolist()))
     final = h2_conditional(rho_at([q])[0])
     return ProbeOptimum(h2=final.value, probe=ProbeState(*q), sigma=final.sigma,
                         converged=res.converged and final.converged)

@@ -14,8 +14,10 @@ V is linear in the probe ket, so everything built from V and V^dag, such as
 the channel's Bloch map or rho_BF, is linear in the probe density
 (1 + q.sigma)/2 and hence affine in the probe Bloch vector q.  Both probe
 searches use that: `probe_table` evaluates such a quantity at four probes
-once per gate and `table_at` reads it at any batch of probes.  Both start
-from a `probe_scan` grid and refine with the one `PROBE_SIMPLEX` setting.
+once per gate and `table_at` reads it at any batch of probes.  Both scan,
+then refine with the one `PROBE_SIMPLEX` setting, over (phi1, phi2) from a
+`probe_scan` grid or, where a face of the tetrahedron makes phi2 free, over
+phi1 alone (`search_probe`).
 """
 
 from __future__ import annotations
@@ -128,11 +130,17 @@ def probe_scan(n1: int, n2: int, phi1_max: float, phi2_max: float) -> np.ndarray
     return pts[(pts[:, 1] == 0.0) | ((pts[:, 0] != 0.0) & (pts[:, 0] != math.pi))]
 
 
+def search_probe(x: tuple) -> tuple:
+    """The probe (phi1, phi2) of a probe search's point: a face search moves
+    phi1 alone, along the probes (phi1, 0)."""
+    return x if len(x) == 2 else (x[0], 0.0)
+
+
 def clamp_probe(q: tuple) -> tuple:
-    """Projection of a probe search's point, the float tuple (phi1, phi2),
-    onto phi1 in [0, pi]."""
-    return (min(max(q[0], 0.0), math.pi), q[1])
+    """Projection of a probe search's point, the float tuple (phi1, phi2)
+    or (phi1,), onto phi1 in [0, pi]."""
+    return (min(max(q[0], 0.0), math.pi), *q[1:])
 
 
-# nelder_mead's step, tol, max_iter and projection in both probe searches
+# nelder_mead's step, tol, max_iter and projection in every probe search
 PROBE_SIMPLEX = dict(step=0.15, tol=1e-7, max_iter=200, project=clamp_probe)

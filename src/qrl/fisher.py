@@ -19,10 +19,14 @@ open; the probe search scans and refines on `_QUAD` too.
 For a fixed gate the output is linear in the probe density, so t and M are
 affine in the probe Bloch vector q.  The probe search builds that
 probe-affine table once per gate (`channel.probe_table`, four probes) and
-then reads (t, M) for any probe off it: its probe scan, 145 probes of a
-13x13 grid whose pole rows hold one probe each, is one batched kernel call
-and each Nelder-Mead evaluation a one-probe call, with no isometry or
-channel work per probe.
+then reads (t, M) for any probe off it: its probe scan is one batched kernel
+call and each Nelder-Mead evaluation a one-probe call, with no isometry or
+channel work per probe.  The prior is invariant under z-rotations of the
+environment, so on the face ax == ay of the tetrahedron, where U commutes
+with every z-rotation R (x) R, the average does not depend on the probe's
+phi2: there the search scans 13 probes (phi1, 0) and refines phi1 alone.
+Every other gate gets the 2-D search, whose scan takes 145 probes, a 13x13
+grid whose pole rows hold one probe each.
 
 Both roots of den lie outside (-1, 1), because the outputs at the pure
 environment states +-n are states.  The average diverges exactly when the
@@ -50,7 +54,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .channel import (
-    PROBE_SIMPLEX, UNITARY_TOL, ProbeState, apply_channel, probe_scan, probe_table, stinespring_isometry, table_at,
+    PROBE_SIMPLEX, UNITARY_TOL, ProbeState, apply_channel, probe_scan, probe_table, search_probe, stinespring_isometry,
+    table_at,
 )
 from .linalg import PAULI
 from .optimize import nelder_mead
@@ -365,27 +370,63 @@ def avg_qfi_at_probe(p: UnitaryParams, probe: ProbeState, eta_schedule=DEFAULT_E
     return AvgQfiResult(value=value, probe_opt=probe, eta_trace=trace)
 
 
+def _search(p: UnitaryParams, scan: list, schedule: list) -> AvgQfiResult:
+    """Scan, simplex and schedule over one probe domain.
+
+    The scan is one batched kernel call over the search points of `scan`,
+    the probes (phi1, phi2) or, on a face search, the points (phi1,) that
+    name the probes (phi1, 0) (`channel.search_probe`).  Nelder-Mead
+    (`channel.PROBE_SIMPLEX`) refines the first best of them with one
+    single-probe call per point, both at the widest cutoff only and reading
+    (t, M) off the gate's probe-affine table.  The schedule at the optimum
+    is `avg_qfi_at_probe`: one base-grid call over all cutoffs, then one
+    call per ladder rung.
+    """
+    eta0 = schedule[0]
+    table = probe_table(lambda probe: np.concatenate([a.ravel() for a in _probe_affine(p, probe)]))
+
+    def averages(points):
+        pts = np.array([search_probe(x) for x in points])
+        flat = table_at(table, pts)
+        return _averages(pts, flat[:, :3], flat[:, 3:].reshape(-1, 3, 3), _QUAD, eta0)
+
+    start = scan[int(np.argmax(averages(scan)))]
+    # nelder_mead evaluates projected points only
+    res = nelder_mead(lambda x: -float(averages([x])[0]), start, **PROBE_SIMPLEX)
+    probe = ProbeState(*search_probe(tuple(res.x.tolist())))
+    return replace(avg_qfi_at_probe(p, probe, schedule), converged=res.converged)
+
+
+def _sphere_search(p: UnitaryParams, schedule: list) -> AvgQfiResult:
+    """The 2-D probe search: the scan takes 145 probes, a 13 x 13 grid of
+    the sphere whose pole rows hold one probe each."""
+    return _search(p, [tuple(q) for q in probe_scan(13, 13, math.pi, 2.0 * math.pi).tolist()], schedule)
+
+
 def maximize_over_probe(p: UnitaryParams, eta_schedule=DEFAULT_ETA_SCHEDULE) -> AvgQfiResult:
     """Probe maximization of the averaged trace-QFI at the widest cutoff,
     then the full cutoff schedule at the optimum.
 
-    The gate's probe-affine table is built once; the scan of 145 probes is
-    one batched call of the averaging kernel and each Nelder-Mead evaluation
-    one single-probe call, both at the widest cutoff only and reading (t, M)
-    off the table.  The schedule at the optimum is `avg_qfi_at_probe`: one
-    base-grid call over all cutoffs, then one call per ladder rung.
+    The prior is invariant under z-rotations of the environment, and Z (x) Z
+    commutes with U, so the average takes the same value at the probe image
+    (phi1, phi2 + pi); the 2-D search does not halve its scan by it, since
+    on the base grid the two values differ by up to 1.7e-4 relative, enough
+    to move probes.  On the face ax == ay (I, IS, ID, DS, S, D),
+    XX + YY commutes with every z-rotation R (x) R, so the average, at every
+    cutoff, does not depend on phi2 at all.  The search is picked by exact
+    equality of the angles, which `edge_point` produces bit for bit:
+
+    - ax == ay: the scan takes the 13 probes (phi1, 0), phi1 in [0, pi],
+      and the simplex moves phi1 alone.
+    - Any other gate, nearly equal angles included: the 2-D search over the
+      sphere (`_sphere_search`).  The face ay == az (C, IC, CS) is such a
+      gate: x-rotations commute with U there, but the prior sin(theta1/2)
+      is not x-symmetric.
+
+    The face and the 2-D search share one scan, simplex and schedule
+    (`_search`).
     """
     schedule = _schedule(eta_schedule)
-    eta0 = schedule[0]
-    table = probe_table(lambda probe: np.concatenate([a.ravel() for a in _probe_affine(p, probe)]))
-
-    def averages(pts):
-        flat = table_at(table, pts)
-        return _averages(pts, flat[:, :3], flat[:, 3:].reshape(-1, 3, 3), _QUAD, eta0)
-
-    pts = probe_scan(13, 13, math.pi, 2.0 * math.pi)
-    start = pts[int(np.argmax(averages(pts)))]
-    # nelder_mead evaluates projected points only
-    res = nelder_mead(lambda q: -float(averages(np.array([q]))[0]), start, **PROBE_SIMPLEX)
-    probe = ProbeState(*res.x)
-    return replace(avg_qfi_at_probe(p, probe, schedule), converged=res.converged)
+    if p.alpha_x == p.alpha_y:
+        return _search(p, [(a,) for a in np.linspace(0.0, math.pi, 13).tolist()], schedule)
+    return _sphere_search(p, schedule)

@@ -312,6 +312,32 @@ def test_avg_invariant_under_probe_half_turn():
         assert b == pytest.approx(a, rel=1e-8, abs=0.0)
 
 
+def test_avg_is_phi2_free_on_the_face_ax_eq_ay():
+    # on ax = ay, XX + YY commutes with every z-rotation R (x) R, and the
+    # prior is z-rotation invariant, so at every cutoff the average at
+    # (phi1, phi2) is the average at (phi1, 0); what is left on 128^2 is
+    # quadrature error.  CD and CS are the controls that move: on the face
+    # ay = az the x-rotations commute with U, but the prior is not
+    # x-symmetric
+    local = np.random.default_rng(2020)
+    quad = QuadSpec(128, 128)
+    face = [edge_point("ID", 0.4), edge_point("IS", 0.3), edge_point("DS", 0.6)]
+    for _ in range(3):
+        a = local.uniform(0.1, 1.5)
+        face.append(UnitaryParams(a, a, local.uniform(0.0, a)))
+    phi2s = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)[1:]
+
+    def phi2_gaps(p):
+        for phi1 in (0.4, 1.2, 2.0, 2.9):
+            at_zero = avg_trace_qfi(p, ProbeState(phi1, 0.0), quad, 1e-2)
+            yield max(abs(avg_trace_qfi(p, ProbeState(phi1, phi2), quad, 1e-2) - at_zero) for phi2 in phi2s)
+
+    for p in face:
+        assert max(phi2_gaps(p)) <= 1e-11, p
+    for edge in ("CD", "CS"):
+        assert max(phi2_gaps(edge_point(edge, 0.4))) > 0.1, edge
+
+
 def test_avg_eta_domain():
     probe = ProbeState(0.3, 0.9)
     for eta in (0.41, -1e-9, math.nan, math.inf):
@@ -713,6 +739,58 @@ def test_sd_edge_value_is_alpha_z_independent():
     ref = traces[0]
     for other in traces[1:]:
         assert np.max(np.abs(other - ref) / np.abs(ref)) < 1e-8
+
+
+def _status(res):
+    return res.value == math.inf, res.converged
+
+
+def test_reduced_qfi_search_against_the_sphere_search(monkeypatch):
+    # on the face ax = ay the search runs over phi1 alone; it is never below
+    # the 2-D search over the sphere by more than the ladder's stated error,
+    # and the statuses agree.  A divergent pair compares the value the
+    # searches maximize, the one at the widest cutoff.  A gate 1e-12 off the
+    # face takes the 2-D search and agrees with the face gate
+    local = np.random.default_rng(2021)
+    gates = [edge_point("DS", 0.5)]
+    for _ in range(4):
+        a = local.uniform(0.05, np.pi / 2)
+        gates += [UnitaryParams(a, a, a), UnitaryParams(a, a, local.uniform(0.0, a))]
+    schedule = qrl.fisher._schedule(DEFAULT_ETA_SCHEDULE)
+    for p in gates:
+        reduced, sphere = maximize_over_probe(p), qrl.fisher._sphere_search(p, schedule)
+        assert _status(reduced) == _status(sphere), p
+        a, b = (r.value if math.isfinite(r.value) else r.eta_trace[0][1] for r in (reduced, sphere))
+        assert a >= b - qrl.fisher._LADDER_RTOL * max(1.0, abs(b)), (p, a - b)
+    generic = []
+    plain = qrl.fisher._sphere_search
+
+    def recorded(p, schedule):
+        generic.append(p)
+        return plain(p, schedule)
+
+    monkeypatch.setattr(qrl.fisher, "_sphere_search", recorded)
+    for a, b in ((1.1, 0.4), (0.7, 0.7), (np.pi / 2, 0.3)):
+        on_face = maximize_over_probe(UnitaryParams(a, a, b))
+        assert not generic
+        off = maximize_over_probe(UnitaryParams(a, a - 1e-12, b))
+        assert len(generic) == 1
+        generic.clear()
+        assert _status(off) == _status(on_face), (a, b)
+        if math.isfinite(on_face.value):
+            tol = qrl.fisher._LADDER_RTOL * max(1.0, abs(on_face.value))
+            assert abs(off.value - on_face.value) <= tol, (a, b, off.value - on_face.value)
+
+
+def test_qfi_face_probes_are_canonical():
+    # on IS, ID and DS the search reports a probe (phi1, 0), the same bits
+    # on every call
+    for edge in ("IS", "ID", "DS"):
+        for t in (1.0 / 3.0, 2.0 / 3.0):
+            a, b = (maximize_over_probe(edge_point(edge, t)) for _ in range(2))
+            assert a.probe_opt.phi2 == 0.0, (edge, t, a.probe_opt)
+            bits = [np.array([r.value, r.probe_opt.phi1, *np.ravel(r.eta_trace)]).tobytes() for r in (a, b)]
+            assert bits[0] == bits[1] and a.converged == b.converged, (edge, t)
 
 
 def test_avg_continuity_in_alpha():

@@ -123,22 +123,22 @@ def test_sigma_solve_matches_the_array_form(monkeypatch):
 
 
 def test_probe_searches_match_the_array_form(monkeypatch):
-    # the H2 search over (phi1, phi2) at a generic gate and over phi1 alone
-    # on the face ay = az
-    h2_gates, is_third = (edge_point("CD", 0.5), edge_point("CS", 0.5)), edge_point("IS", 1.0 / 3.0)
-    h2_a, qfi_a = [best_probe_h2(p) for p in h2_gates], maximize_over_probe(is_third)
+    # both probe searches over (phi1, phi2) at a generic gate and over phi1
+    # alone on a face: ay = az for H2, ax = ay (IS) for the QFI
+    gates = (edge_point("CD", 0.5), edge_point("CS", 0.5))
+    qfi_gates = (edge_point("CD", 0.5), edge_point("IS", 1.0 / 3.0))
+    h2_a, qfi_a = [best_probe_h2(p) for p in gates], [maximize_over_probe(p) for p in qfi_gates]
     calls = []
     monkeypatch.setattr(qrl.capacity, "nelder_mead", _array_form(calls))
     monkeypatch.setattr(qrl.fisher, "nelder_mead", _array_form(calls))
-    h2_b = [best_probe_h2(p) for p in h2_gates]
-    calls.clear()
-    qfi_b = maximize_over_probe(is_third)
+    h2_b = [best_probe_h2(p) for p in gates]
     for a, b in zip(h2_a, h2_b):
         assert _bits(a.h2, a.probe.phi1, a.probe.phi2, *a.sigma) == _bits(b.h2, b.probe.phi1, b.probe.phi2, *b.sigma)
         assert a.converged == b.converged
-    assert _bits(qfi_a.value, qfi_a.probe_opt.phi1, qfi_a.probe_opt.phi2) == _bits(
-        qfi_b.value, qfi_b.probe_opt.phi1, qfi_b.probe_opt.phi2
-    )
-    assert _bits(*qfi_a.eta_trace) == _bits(*qfi_b.eta_trace) and qfi_a.converged == qfi_b.converged
-    # the QFI probe search starts at a pole
-    assert len(calls) == 1 and calls[0][0] in (0.0, math.pi)
+    for p, a, dim in zip(qfi_gates, qfi_a, (2, 1)):
+        calls.clear()
+        b = maximize_over_probe(p)
+        assert _bits(a.value, a.probe_opt.phi1, a.probe_opt.phi2) == _bits(b.value, b.probe_opt.phi1, b.probe_opt.phi2)
+        assert _bits(*a.eta_trace) == _bits(*b.eta_trace) and a.converged == b.converged
+        # the QFI probe search starts at a pole, in its own dimension
+        assert len(calls) == 1 and len(calls[0]) == dim and calls[0][0] in (0.0, math.pi), p
