@@ -5,22 +5,24 @@
 The benchmark's sweeps sample edges at t = 0, 1/3, 2/3 and 1, where the
 gates are vertices or lie on an edge; this script times `best_probe_h2` and
 `maximize_over_probe` at CD t = 1/3 and 2/3 and at three interior gates,
-with BLAS pinned to one thread.  It times the same at face gates, IS, ID
-and CS at t = 1/3 and 2/3, where the searches are reduced.  The H2 search
-makes one sigma solve on IS and searches phi1 alone on ID and CS.  The QFI
-search searches phi1 alone on IS and ID (the face ax = ay) and keeps the
-2-D search on CS.  The two searches alternate per gate, so that drift of
-the machine's speed hits both alike.
+with BLAS pinned to one thread.  It times the same at face gates, IS, ID,
+CS and DS at t = 1/3 and 2/3 and the vertices S and D, where the searches
+are reduced.  The H2 search makes one sigma solve on IS and S and searches
+phi1 alone on ID, CS, DS and D.  The QFI search searches phi1 alone on IS
+and ID (the face ax = ay), returns at the pole probe (0, 0) with no scan or
+simplex on DS, S and D, where that probe's channel is unitary, and keeps
+the 2-D search on CS.  The two searches alternate per gate, so that drift
+of the machine's speed hits both alike.
 
 Counts the work of one search per stage.  For H2 these are the
 `h2_conditional` calls, told apart by the config each stage passes: the scan
 (`_COARSE`), the refinement (`_MEDIUM`) and the final solve (the default).
 For the QFI these are the probes of the batched scan and the simplex's
 evaluations, the `fisher._averages` calls that `maximize_over_probe` makes
-outside `avg_trace_qfi`.  Prints one JSON object: per gate, the median and
-quartiles over rounds of each search's time in ms, and the counts per
-stage, under "gates" for the generic gates and under "face_gates" for the
-face gates.
+outside `avg_trace_qfi`; both read 0 where the search returns at a pole.
+Prints one JSON object: per gate, the median and quartiles over rounds of
+each search's time in ms, and the counts per stage, under "gates" for the
+generic gates and under "face_gates" for the face gates.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import time  # noqa: E402
 from qrl import capacity, fisher  # noqa: E402
 from qrl.capacity import _COARSE, _MEDIUM, DEFAULT_CONFIG, best_probe_h2  # noqa: E402
 from qrl.fisher import maximize_over_probe  # noqa: E402
-from qrl.unitary import UnitaryParams, edge_point  # noqa: E402
+from qrl.unitary import VERTICES, UnitaryParams, edge_point  # noqa: E402
 
 GATES = {
     "CD 1/3": edge_point("CD", 1.0 / 3.0),
@@ -46,7 +48,8 @@ GATES = {
     "1.0,0.6,0.2": UnitaryParams(1.0, 0.6, 0.2),
     "1.4,1.0,0.5": UnitaryParams(1.4, 1.0, 0.5),
 }
-FACE_GATES = {f"{edge} {k}/3": edge_point(edge, k / 3.0) for edge in ("IS", "ID", "CS") for k in (1, 2)}
+FACE_GATES = {f"{edge} {k}/3": edge_point(edge, k / 3.0) for edge in ("IS", "ID", "CS", "DS") for k in (1, 2)}
+FACE_GATES.update(S=VERTICES["S"], D=VERTICES["D"])
 STAGES = {"scan": _COARSE, "refine": _MEDIUM, "final": DEFAULT_CONFIG}
 ROUNDS = 5
 
@@ -96,7 +99,7 @@ def count_qfi_stages(p) -> dict:
         maximize_over_probe(p)
     finally:
         fisher._averages, fisher.avg_trace_qfi = plain_avg, plain_trace
-    return {"scan_probes": sizes[0], "simplex_evaluations": len(sizes) - 1}
+    return {"scan_probes": sizes[0] if sizes else 0, "simplex_evaluations": max(len(sizes) - 1, 0)}
 
 
 def main() -> int:

@@ -14,7 +14,10 @@ built once per block, and only the radial moments are evaluated per cutoff.
 `avg_trace_qfi` is that kernel applied to one probe.  `avg_qfi_at_probe`
 makes one call on the base grid `_QUAD` for its whole cutoff schedule, then
 one call per rung of an angular-doubling ladder that holds the cutoffs still
-open; the probe search scans and refines on `_QUAD` too.
+open; the probe search scans and refines on `_QUAD` too.  At a pole probe
+on the face ax == ay the channel is z-covariant and the prior z-invariant,
+so tr F itself does not depend on theta2: there the base grid and the
+ladder keep `_QUAD`'s theta1 nodes and start from two theta2 nodes.
 
 For a fixed gate the output is linear in the probe density, so t and M are
 affine in the probe Bloch vector q.  The probe search builds that
@@ -24,9 +27,11 @@ call and each Nelder-Mead evaluation a one-probe call, with no isometry or
 channel work per probe.  The prior is invariant under z-rotations of the
 environment, so on the face ax == ay of the tetrahedron, where U commutes
 with every z-rotation R (x) R, the average does not depend on the probe's
-phi2: there the search scans 13 probes (phi1, 0) and refines phi1 alone.
-Every other gate gets the 2-D search, whose scan takes 145 probes, a 13x13
-grid whose pole rows hold one probe each.
+phi2: there the search first tests the two pole probes for a unitary
+channel, which settles DS, S and D at +inf, and otherwise scans 13 probes
+(phi1, 0) and refines phi1 alone.  Every other gate gets the 2-D search,
+whose scan takes 145 probes, a 13x13 grid whose pole rows hold one probe
+each.
 
 Both roots of den lie outside (-1, 1), because the outputs at the pure
 environment states +-n are states.  The average diverges exactly when the
@@ -361,12 +366,18 @@ def avg_qfi_at_probe(p: UnitaryParams, probe: ProbeState, eta_schedule=DEFAULT_E
     The trace is one `avg_trace_qfi` call on `_QUAD` over the whole schedule.
     A finite value then adds one call per ladder rung, on the doubled grid
     and over those of the last three cutoffs whose values still move
-    (`_ladder`).
+    (`_ladder`).  At a pole probe, phi1 exactly 0 or pi, on the face
+    ax == ay, tr F does not depend on theta2, so the base grid takes two
+    theta2 nodes, the fewest `QuadSpec` allows, and the rungs double from
+    there; each value matches the square grid's to round-off.
     """
     schedule = _schedule(eta_schedule)
-    trace = tuple(zip(schedule, avg_trace_qfi(p, probe, _QUAD, schedule)))
+    quad = _QUAD
+    if p.alpha_x == p.alpha_y and probe.phi1 in (0.0, math.pi):
+        quad = QuadSpec(_QUAD.n_theta1, 2)  # tr F does not depend on theta2
+    trace = tuple(zip(schedule, avg_trace_qfi(p, probe, quad, schedule)))
     divergent = _unitary(*_probe_affine(p, probe))
-    value = math.inf if divergent else _aitken(_ladder(p, probe, _QUAD, trace[-3:]))
+    value = math.inf if divergent else _aitken(_ladder(p, probe, quad, trace[-3:]))
     return AvgQfiResult(value=value, probe_opt=probe, eta_trace=trace)
 
 
@@ -416,8 +427,15 @@ def maximize_over_probe(p: UnitaryParams, eta_schedule=DEFAULT_ETA_SCHEDULE) -> 
     cutoff, does not depend on phi2 at all.  The search is picked by exact
     equality of the angles, which `edge_point` produces bit for bit:
 
-    - ax == ay: the scan takes the 13 probes (phi1, 0), phi1 in [0, pi],
-      and the simplex moves phi1 alone.
+    - ax == ay: if the channel at the pole probe (0, 0) or (pi, 0) is
+      unitary, the average diverges there, and +inf is the supremum over
+      probes: the schedule at that pole is the answer, with no probe
+      table, scan or simplex.  That happens exactly on DS (S and D
+      included): a unitary probe channel needs U = SWAP times a unitary
+      controlled in the probe's basis, so the gate lies on DS and the
+      probe is a pole, or any probe on S (README, "How the averaged QFI
+      is computed").  Otherwise the scan takes the 13 probes (phi1, 0),
+      phi1 in [0, pi], and the simplex moves phi1 alone.
     - Any other gate, nearly equal angles included: the 2-D search over the
       sphere (`_sphere_search`).  The face ay == az (C, IC, CS) is such a
       gate: x-rotations commute with U there, but the prior sin(theta1/2)
@@ -428,5 +446,8 @@ def maximize_over_probe(p: UnitaryParams, eta_schedule=DEFAULT_ETA_SCHEDULE) -> 
     """
     schedule = _schedule(eta_schedule)
     if p.alpha_x == p.alpha_y:
+        for pole in (ProbeState(0.0, 0.0), ProbeState(math.pi, 0.0)):
+            if _unitary(*_probe_affine(p, pole)):
+                return avg_qfi_at_probe(p, pole, schedule)
         return _search(p, [(a,) for a in np.linspace(0.0, math.pi, 13).tolist()], schedule)
     return _sphere_search(p, schedule)

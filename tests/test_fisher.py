@@ -338,6 +338,65 @@ def test_avg_is_phi2_free_on_the_face_ax_eq_ay():
         assert max(phi2_gaps(edge_point(edge, 0.4))) > 0.1, edge
 
 
+def test_face_pole_probes_need_two_theta2_nodes(monkeypatch):
+    # at a pole probe on the face ax = ay the channel is z-covariant and the
+    # prior z-invariant, so tr F itself does not depend on theta2: two
+    # theta2 nodes give every grid's schedule, and the ladder built on them
+    # the value of the ladder on the square grids.  A CD or CS pole probe, a
+    # non-pole face probe and phi1 = 1e-9 keep the square base grid
+    local = np.random.default_rng(2121)
+    gates = [edge_point("IS", 0.4), edge_point("ID", 0.4)]
+    for _ in range(20):
+        a = local.uniform(0.0, np.pi / 2)
+        gates.append(UnitaryParams(a, a, local.uniform(0.0, a)))
+    n0 = qrl.fisher._QUAD.n_theta1
+    grids = [(n0 * 2**k, 2**(k + 1)) for k in range(4)]  # the base grid and the three rungs
+    inner = qrl.fisher.avg_trace_qfi
+
+    def recorded_grids(p, probe):
+        calls = []
+
+        def recorded(p, probe, quad, eta):
+            calls.append((quad.n_theta1, quad.n_theta2))
+            return inner(p, probe, quad, eta)
+
+        monkeypatch.setattr(qrl.fisher, "avg_trace_qfi", recorded)
+        res = avg_qfi_at_probe(p, probe)
+        monkeypatch.setattr(qrl.fisher, "avg_trace_qfi", inner)
+        return res, calls
+
+    worst_trace = worst_value = 0.0
+    for p in gates:
+        for pole in (ProbeState(0.0, 0.0), ProbeState(np.pi, 0.0)):
+            squares = [inner(p, pole, QuadSpec(n1, n1), DEFAULT_ETA_SCHEDULE) for n1, _ in grids]
+            for (n1, n2), square in zip(grids, squares):
+                reduced = inner(p, pole, QuadSpec(n1, n2), DEFAULT_ETA_SCHEDULE)
+                worst_trace = max(worst_trace, *(abs(a - b) / max(1.0, abs(b)) for a, b in zip(reduced, square)))
+            full = squares[0]
+            res, calls = recorded_grids(p, pole)
+            assert calls == grids[:len(calls)], (p, pole, calls)
+            assert [v for _, v in res.eta_trace] == pytest.approx(full, rel=1e-12, abs=1e-12)
+            if math.isfinite(res.value):
+                trace = tuple(zip(DEFAULT_ETA_SCHEDULE, full))
+                ref = qrl.fisher._aitken(qrl.fisher._ladder(p, pole, qrl.fisher._QUAD, trace[-3:]))
+                worst_value = max(worst_value, abs(res.value - ref) / max(1.0, abs(ref)))
+            else:
+                assert qrl.fisher._unitary(*qrl.fisher._probe_affine(p, pole))
+    assert worst_trace <= 1e-12 and worst_value <= 1e-12, (worst_trace, worst_value)
+    controls = [
+        (edge_point("CD", 0.4), ProbeState(np.pi, 0.0)),
+        (edge_point("CS", 0.4), ProbeState(0.0, 0.0)),
+        (edge_point("ID", 0.4), ProbeState(1.2, 0.0)),
+        (edge_point("ID", 0.4), ProbeState(1e-9, 0.0)),
+    ]
+    for p, probe in controls:
+        assert recorded_grids(p, probe)[1][0] == (n0, n0), (p, probe)
+    # where theta2 matters, two nodes are far off
+    for p, probe in controls[:3]:
+        two = inner(p, probe, QuadSpec(n0, 2), 1e-2)
+        assert abs(two - inner(p, probe, QuadSpec(n0, n0), 1e-2)) > 1e-3, (p, probe)
+
+
 def test_avg_eta_domain():
     probe = ProbeState(0.3, 0.9)
     for eta in (0.41, -1e-9, math.nan, math.inf):
@@ -724,6 +783,44 @@ def test_maximize_swap_and_dcnot_divergent():
     for p in (SWAP, DCNOT):
         res = maximize_over_probe(p, eta_schedule=(1e-3, 1e-4, 1e-5))
         assert res.value == math.inf
+
+
+def test_unitary_probe_channels_lie_at_the_poles_of_ds(monkeypatch):
+    # a probe channel is unitary only on the DS edge, and there at a pole
+    # probe (on S at every probe): wherever a sampled probe gives a unitary
+    # channel, both poles do.  So on the face ax = ay the search tests the
+    # poles first, and on DS, S and D it returns +inf at (0, 0) with no
+    # probe table, scan or simplex
+    local = np.random.default_rng(2122)
+    gates = []
+    for _ in range(200):
+        ax = local.uniform(0.0, np.pi / 2)
+        ay = local.uniform(0.0, ax)
+        gates.append(UnitaryParams(ax, ay, local.uniform(0.0, ay)))
+    ds = [edge_point("DS", t) for t in (0.0, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0)]
+    gates += ds
+    for t in (0.0, 0.5, 1.0):
+        az = min(edge_point("DS", t).alpha_z, np.pi / 2 - 1e-9)
+        gates += [UnitaryParams(np.pi / 2, np.pi / 2 - 1e-9, az), UnitaryParams(np.pi / 2 - 1e-9, np.pi / 2 - 1e-9, az)]
+    poles = (ProbeState(0.0, 0.0), ProbeState(np.pi, 0.0))
+    unitary = 0
+    for p in gates:
+        at_poles = [qrl.fisher._unitary(*qrl.fisher._probe_affine(p, q)) for q in poles]
+        for _ in range(10):
+            probe = ProbeState(local.uniform(0, np.pi), local.uniform(0, 2 * np.pi))
+            if qrl.fisher._unitary(*qrl.fisher._probe_affine(p, probe)):
+                unitary += 1
+                assert all(at_poles), (p, probe)
+    assert unitary >= 10  # S at every probe
+
+    def searched(*args, **kwargs):
+        raise AssertionError("searched a gate whose pole probe is unitary")
+
+    for name in ("_search", "nelder_mead", "probe_table"):
+        monkeypatch.setattr(qrl.fisher, name, searched)
+    for p in [*ds, SWAP, DCNOT]:
+        res = maximize_over_probe(p)
+        assert res.value == math.inf and res.probe_opt == ProbeState(0.0, 0.0), p
 
 
 def test_sd_edge_value_is_alpha_z_independent():
