@@ -28,7 +28,6 @@ from .channel import (
 )
 from .capacity import (
     CapacityResult,
-    OptimizerConfig,
     best_probe_h2,
     delta_star,
     g_eps,
@@ -66,7 +65,6 @@ __all__ = [
     "choi_bf",
     "stinespring_isometry",
     "CapacityResult",
-    "OptimizerConfig",
     "best_probe_h2",
     "delta_star",
     "g_eps",

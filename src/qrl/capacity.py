@@ -43,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    PROBE_SIMPLEX, ProbeState, choi_bf, clamp_probe, probe_scan, probe_table, search_probe, stinespring_isometry,
-    table_at,
+    PROBE_SIMPLEX, ProbeState, choi_bf, probe_scan, probe_table, search_probe, stinespring_isometry, table_at,
 )
 from .linalg import I2, PAULI, kron
 from .optimize import nelder_mead
@@ -65,27 +64,12 @@ _EPS = np.finfo(float).eps
 _KRON_F = np.stack([kron(I2, s) for s in PAULI])
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Simplex settings for the sigma search."""
-
-    tol: float = 1e-9
-    max_iter: int = 400
-
-    def __post_init__(self):
-        # the simplex stops when its diameter drops below tol, which a
-        # NaN or non-positive tol never lets happen
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
-
-
-DEFAULT_CONFIG = OptimizerConfig()
+# nelder_mead's tol and max_iter in the sigma search
+DEFAULT_CONFIG = dict(tol=1e-9, max_iter=400)
 # staged settings used while scanning and refining probes; the final answer
 # is always recomputed at DEFAULT_CONFIG
-_COARSE = OptimizerConfig(tol=1e-6, max_iter=120)
-_MEDIUM = OptimizerConfig(tol=1e-8, max_iter=250)
+_COARSE = dict(tol=1e-6, max_iter=120)
+_MEDIUM = dict(tol=1e-8, max_iter=250)
 
 
 @dataclass(frozen=True)
@@ -230,12 +214,7 @@ def _unit_minimizer(e1: float, e2: float, w0: float, w1: float, w2: float) -> tu
     return n0 / nrm, n1 / nrm, n2 / nrm
 
 
-def _clip_radius(v: tuple) -> tuple:
-    """Projection of the radius search's point (x,) onto x in [0, _X_CAP]."""
-    return v if 0.0 <= v[0] <= _X_CAP else (min(max(v[0], 0.0), _X_CAP),)
-
-
-def h2_conditional(rho, config: OptimizerConfig = DEFAULT_CONFIG) -> H2Optimum:
+def h2_conditional(rho, config: dict = DEFAULT_CONFIG) -> H2Optimum:
     """Maximize -D2(rho || I (x) sigma) over the conditioning Bloch ball.
 
     With X = sigma^{-1/2}, the objective Tr[rho X rho X] = c^T G c is a
@@ -245,12 +224,12 @@ def h2_conditional(rho, config: OptimizerConfig = DEFAULT_CONFIG) -> H2Optimum:
     so every local minimum on the constraint surface is the global one.
     The directions are minimized exactly at each radius (`_RadialProfile`),
     which leaves a unimodal 1-D search over x = -ln(1 - |p|) on
-    [0, -ln(1 - BLOCH_CAP)]: Nelder-Mead from the best of a few fixed
-    seeds, its first step pointing into the interval; it reads the seeds'
-    values instead of evaluating them again.  The value is evaluated at the
-    reported sigma and is bounded by log2 dim(B) = 1, and both eigenvalues
-    of that sigma stay above LAMBDA_FLOOR; a breach of either is a
-    numerical fault.
+    [0, -ln(1 - BLOCH_CAP)]: Nelder-Mead, at config's tol and max_iter,
+    from the best of a few fixed seeds, its first step pointing into the
+    interval; it reads the seeds' values instead of evaluating them again.
+    The value is evaluated at the reported sigma and is bounded by
+    log2 dim(B) = 1, and both eigenvalues of that sigma stay above
+    LAMBDA_FLOOR; a breach of either is a numerical fault.
     """
     gram = _collision_gram(np.asarray(rho, dtype=complex))
     phi = _RadialProfile(gram)
@@ -258,8 +237,8 @@ def h2_conditional(rho, config: OptimizerConfig = DEFAULT_CONFIG) -> H2Optimum:
     x0 = min(seen, key=seen.__getitem__)  # the first seed of least value
     step = _RADIAL_STEP if x0 + _RADIAL_STEP <= _X_CAP else -_RADIAL_STEP
     res = nelder_mead(lambda v: seen[v[0]] if v[0] in seen else phi(v[0]), (x0,), step,
-                      tol=config.tol, max_iter=config.max_iter, project=_clip_radius)
-    p = phi.bloch(float(res.x[0]))
+                      bounds=(0.0, _X_CAP), **config)
+    p = phi.bloch(res.x[0])
     nrm = float(np.linalg.norm(p))
     if nrm > 1.0 - 2.0 * LAMBDA_FLOOR:
         raise RuntimeError(f"|p| = {nrm!r} leaves an eigenvalue below the {LAMBDA_FLOOR:.0e} floor")
@@ -312,20 +291,13 @@ def one_shot_lower_bound(h2: float, epsilon: float, n: int) -> CapacityResult:
     return CapacityResult(correction=corr, raw_bound=raw, clamped_bound=max(0.0, raw))
 
 
-def _clamp_phi1(x: tuple) -> tuple:
-    """Projection of a face search's point, the float tuple (phi1,), onto
-    phi1 in [0, pi/2]."""
-    return (min(max(x[0], 0.0), math.pi / 2.0),)
-
-
-def _search(table: np.ndarray, scan: list, project) -> ProbeOptimum:
+def _search(table: np.ndarray, scan: list) -> ProbeOptimum:
     """Scan, simplex and final solve over one probe domain.
 
     Each search point of `scan` gets a sigma solve at _COARSE; the probe
-    simplex (`channel.PROBE_SIMPLEX`'s step, tol and max_iter, with
-    `project` as its projection) refines the first best of them at _MEDIUM,
-    and the final sigma solve at DEFAULT_CONFIG gives the answer at the
-    simplex's point.
+    simplex (`channel.PROBE_SIMPLEX`, phi1 held to [0, pi]) refines the
+    first best of them at _MEDIUM, and the final sigma solve at
+    DEFAULT_CONFIG gives the answer at the simplex's point.
     """
 
     def rho_at(points):
@@ -336,8 +308,8 @@ def _search(table: np.ndarray, scan: list, project) -> ProbeOptimum:
     def neg_h2(x):
         return -h2_conditional(rho_at([x])[0], _MEDIUM).value
 
-    res = nelder_mead(neg_h2, scan[int(np.argmax(values))], **{**PROBE_SIMPLEX, "project": project})
-    q = search_probe(tuple(res.x.tolist()))
+    res = nelder_mead(neg_h2, scan[int(np.argmax(values))], **PROBE_SIMPLEX)
+    q = search_probe(res.x)
     final = h2_conditional(rho_at([q])[0])
     return ProbeOptimum(h2=final.value, probe=ProbeState(*q), sigma=final.sigma,
                         converged=res.converged and final.converged)
@@ -348,7 +320,7 @@ def _sphere_search(table: np.ndarray) -> ProbeOptimum:
     fundamental domain [0, pi/2] x [0, pi) of the Klein-four probe images,
     the simplex moves on the whole sphere."""
     scan = [tuple(q) for q in probe_scan(7, 7, math.pi / 2.0, math.pi).tolist()]
-    return _search(table, scan, clamp_probe)
+    return _search(table, scan)
 
 
 def best_probe_h2(p: UnitaryParams) -> ProbeOptimum:
@@ -374,7 +346,9 @@ def best_probe_h2(p: UnitaryParams) -> ProbeOptimum:
       commute.  The probes (phi1, 0), phi1 in [0, pi/2], meet every orbit
       (|q_z| = cos phi1, |q_x| = sin phi1; the X (x) X and Z (x) Z images
       fold the signs), so the scan takes 7 values of phi1 and the simplex
-      moves phi1 alone, clamped to [0, pi/2].
+      moves phi1 alone, clamped to [0, pi] as in every probe search: the
+      X (x) X image maps H2 at (phi1, 0) to H2 at (pi - phi1, 0), so a step
+      past pi/2 reads a value of the domain's mirror.
     - Any other gate, nearly equal angles included: the scan covers the
       fundamental domain [0, pi/2] x [0, pi) of the images above, at the
       phi1 spacing of a 13 x 13 scan of the sphere and with the pole
@@ -391,5 +365,5 @@ def best_probe_h2(p: UnitaryParams) -> ProbeOptimum:
         return ProbeOptimum(h2=final.value, probe=probe, sigma=final.sigma, converged=final.converged)
     table = probe_table(lambda probe: choi_bf(stinespring_isometry(p, probe)))
     if ax == ay or ay == az:
-        return _search(table, [(a,) for a in np.linspace(0.0, math.pi / 2.0, 7).tolist()], _clamp_phi1)
+        return _search(table, [(a,) for a in np.linspace(0.0, math.pi / 2.0, 7).tolist()])
     return _sphere_search(table)

@@ -47,7 +47,11 @@ class ProbeState:
             raise ValueError(f"phi1 must lie in [0, pi], got {self.phi1!r}")
         if not math.isfinite(self.phi2):
             raise ValueError(f"phi2 must be finite, got {self.phi2!r}")
-        object.__setattr__(self, "phi2", float(self.phi2) % TWO_PI)
+        # a pole names one state under every phi2, so it carries phi2 = 0:
+        # the label then cannot move a value computed from the ket
+        phi1 = min(max(0.0, float(self.phi1)), math.pi)
+        object.__setattr__(self, "phi1", phi1)
+        object.__setattr__(self, "phi2", 0.0 if phi1 in (0.0, math.pi) else float(self.phi2) % TWO_PI)
 
     def ket(self) -> np.ndarray:
         return np.array(
@@ -136,11 +140,6 @@ def search_probe(x: tuple) -> tuple:
     return x if len(x) == 2 else (x[0], 0.0)
 
 
-def clamp_probe(q: tuple) -> tuple:
-    """Projection of a probe search's point, the float tuple (phi1, phi2)
-    or (phi1,), onto phi1 in [0, pi]."""
-    return (min(max(q[0], 0.0), math.pi), *q[1:])
-
-
-# nelder_mead's step, tol, max_iter and projection in every probe search
-PROBE_SIMPLEX = dict(step=0.15, tol=1e-7, max_iter=200, project=clamp_probe)
+# nelder_mead's step, tol, max_iter and bounds in every probe search: the
+# bounds hold phi1, the first coordinate of both forms, to [0, pi]
+PROBE_SIMPLEX = dict(step=0.15, tol=1e-7, max_iter=200, bounds=(0.0, math.pi))

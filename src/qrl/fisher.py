@@ -402,9 +402,9 @@ def _search(p: UnitaryParams, scan: list, schedule: list) -> AvgQfiResult:
         return _averages(pts, flat[:, :3], flat[:, 3:].reshape(-1, 3, 3), _QUAD, eta0)
 
     start = scan[int(np.argmax(averages(scan)))]
-    # nelder_mead evaluates projected points only
+    # nelder_mead evaluates points with phi1 clamped to [0, pi] only
     res = nelder_mead(lambda x: -float(averages([x])[0]), start, **PROBE_SIMPLEX)
-    probe = ProbeState(*search_probe(tuple(res.x.tolist())))
+    probe = ProbeState(*search_probe(res.x))
     return replace(avg_qfi_at_probe(p, probe, schedule), converged=res.converged)
 
 

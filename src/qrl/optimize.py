@@ -2,17 +2,18 @@
 
 The simplex update uses the standard coefficients (reflection 1, expansion
 2, contraction 1/2, shrink 1/2) and declares convergence when the simplex
-diameter drops below a tolerance.  An optional projection keeps iterates
-inside a feasible set.  Callers pick the seed deterministically (a grid
-scan or a fixed seed set), so the whole pipeline is reproducible without
-randomness.
+diameter drops below a tolerance.  Optional bounds (lo, hi) clamp the
+first coordinate of every point, the one coordinate any search here bounds:
+a radius or the probe's polar angle phi1.  Callers pick the seed
+deterministically (a grid scan or a fixed seed set), so the whole pipeline
+is reproducible without randomness.
 
 The searches here have one to three dimensions, where numpy's per-array
 cost outweighs the arithmetic, so a vertex is a tuple of Python floats: the
-objective and the projection take and return such tuples.  One call
-evaluates the objective once per projected point and reads a repeat from a
+objective takes such a tuple, and the result's x is one.  One call
+evaluates the objective once per clamped point and reads a repeat from a
 dict local to the call.  Repeats are common on a bounded search: moves
-clipped to the same bound and, in 1-D, a shrink, which lands on the inside
+clamped to the same bound and, in 1-D, a shrink, which lands on the inside
 contraction point it has just rejected.  The iterates are those of the
 array form, kept as the test oracle `nelder_mead_numpy`, to the last bit;
 only the number of objective calls differs.
@@ -25,14 +26,12 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add, itemgetter, sub
 
-import numpy as np
-
 _value = itemgetter(0)
 
 
 @dataclass(frozen=True)
 class OptResult:
-    x: np.ndarray
+    x: tuple
     iterations: int
     converged: bool
 
@@ -47,21 +46,28 @@ def _diameter(verts: list) -> float:
     return max([math.sqrt(reduce(add, [d * d for d in map(sub, x, best)])) for _, x in verts[1:]])
 
 
-def nelder_mead(f, x0, step: float, tol: float = 1e-9, max_iter: int = 400, project=None) -> OptResult:
+def nelder_mead(f, x0, step: float, tol: float = 1e-9, max_iter: int = 400, bounds=None) -> OptResult:
     """Minimize f from x0 with an axis-aligned initial simplex of size step.
 
-    f and project take a point as a tuple of floats, and project returns
-    one; the result's x is an array.  f must depend on the point's value
-    only: equal points share one evaluation within the call.  Vertices are
-    ranked with a stable sort, and sums run in the order numpy's row
-    reductions use, which keeps the iterates bit-identical to the array
-    form's.
+    f takes a point as a tuple of floats; bounds, a pair (lo, hi), clamps
+    the point's first coordinate before f sees it.  f must depend on the
+    point's value only: equal points share one evaluation within the call.
+    Vertices are ranked with a stable sort, and sums run in the order
+    numpy's row reductions use, which keeps the iterates bit-identical to
+    the array form's.
     """
+    # the simplex stops when its diameter drops below tol, which a NaN or
+    # non-positive tol never lets happen
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    lo, hi = bounds if bounds is not None else (-math.inf, math.inf)
     seen = {}
 
     def vertex(x):
-        if project is not None:
-            x = project(x)
+        if not lo <= x[0] <= hi:
+            x = (min(max(x[0], lo), hi), *x[1:])
         fx = seen.get(x)
         if fx is None:
             fx = seen[x] = f(x)
@@ -74,7 +80,7 @@ def nelder_mead(f, x0, step: float, tol: float = 1e-9, max_iter: int = 400, proj
     while it < max_iter:
         verts.sort(key=_value)
         if _diameter(verts) < tol:
-            return OptResult(np.array(verts[0][1]), it, True)
+            return OptResult(verts[0][1], it, True)
         centroid = tuple([reduce(add, c) / n for c in zip(*[x for _, x in verts[:-1]])])
         worst = verts[-1][1]
         # reflection and expansion step away from the worst vertex:
@@ -93,4 +99,4 @@ def nelder_mead(f, x0, step: float, tol: float = 1e-9, max_iter: int = 400, proj
                 best = verts[0][1]
                 verts[1:] = [vertex(_toward(best, x, 0.5)) for _, x in verts[1:]]
         it += 1
-    return OptResult(np.array(min(verts, key=_value)[1]), it, False)
+    return OptResult(min(verts, key=_value)[1], it, False)

@@ -8,7 +8,6 @@ import pytest
 import qrl.capacity
 from qrl.capacity import (
     BLOCH_CAP,
-    OptimizerConfig,
     best_probe_h2,
     correction_bits,
     delta_star,
@@ -18,6 +17,7 @@ from qrl.capacity import (
 )
 from qrl.channel import ProbeState, choi_bf, probe_table, stinespring_isometry, table_at
 from qrl.linalg import PAULI
+from qrl.optimize import nelder_mead
 from qrl.unitary import VERTICES, UnitaryParams, edge_point
 from oracles import (
     delta_star_golden, h2_conditional_simplex, probe_density, renyi2_divergence, sigma_certificate, sigma_matrix,
@@ -146,13 +146,21 @@ def test_conditioning_state_validation(monkeypatch):
 
 
 def test_optimizer_config_validation():
+    # nelder_mead checks the tol and max_iter it is given, directly or from
+    # the settings dict of a sigma solve
+    rho = choi_bf(stinespring_isometry(edge_point("CS", 0.5), ProbeState(1.2, 0.7)))
+    square = lambda x: x[0] * x[0]
     for tol in (float("nan"), float("inf"), 0.0, -1.0):
         with pytest.raises(ValueError, match="tol"):
-            OptimizerConfig(tol=tol)
+            nelder_mead(square, (1.0,), 0.5, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            h2_conditional(rho, dict(tol=tol, max_iter=400))
     for max_iter in (0, -5):
         with pytest.raises(ValueError, match="max_iter"):
-            OptimizerConfig(max_iter=max_iter)
-    assert OptimizerConfig(tol=1e-12, max_iter=1).max_iter == 1
+            nelder_mead(square, (1.0,), 0.5, max_iter=max_iter)
+        with pytest.raises(ValueError, match="max_iter"):
+            h2_conditional(rho, dict(tol=1e-9, max_iter=max_iter))
+    assert nelder_mead(square, (1.0,), 0.5, tol=1e-12, max_iter=1).iterations == 1
 
 
 def test_h2_identity_channel():

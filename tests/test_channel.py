@@ -6,7 +6,6 @@ from qrl.channel import (
     ProbeState,
     apply_channel,
     choi_bf,
-    clamp_probe,
     search_probe,
     stinespring_isometry,
 )
@@ -218,10 +217,9 @@ def test_isometry_rejects_non_isometry(monkeypatch):
 
 def test_probe_search_points_of_both_forms():
     # a 2-D search point is (phi1, phi2); a face search's point (phi1,)
-    # names the probe (phi1, 0).  The one projection clamps phi1 of both
+    # names the probe (phi1, 0).  PROBE_SIMPLEX's bounds clamp phi1 of both
+    # (tests/test_optimize.py)
     assert search_probe((0.4, 5.0)) == (0.4, 5.0) and search_probe((0.4,)) == (0.4, 0.0)
-    assert clamp_probe((-0.2, 7.0)) == (0.0, 7.0) and clamp_probe((4.0, -1.0)) == (np.pi, -1.0)
-    assert clamp_probe((-0.2,)) == (0.0,) and clamp_probe((4.0,)) == (np.pi,) and clamp_probe((1.5,)) == (1.5,)
 
 
 def test_env_derivatives_examples():

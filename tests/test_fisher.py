@@ -890,6 +890,20 @@ def test_qfi_face_probes_are_canonical():
             assert bits[0] == bits[1] and a.converged == b.converged, (edge, t)
 
 
+def test_pole_probe_labels_give_identical_bits():
+    # every phi2 names the same pole state, and ProbeState reads a pole,
+    # including one up to ANGLE_TOL past [0, pi], as phi2 = 0, so the
+    # label cannot move the value (it moved the eta -> 0 value by 2.2e-9
+    # relative when the ket carried it)
+    assert ProbeState(math.pi + 1e-13, 2.0) == ProbeState(math.pi, 0.0)
+    assert ProbeState(-1e-13, 5.0) == ProbeState(0.0, 0.0)
+    p = edge_point("IS", 0.025)
+    for phi1 in (0.0, math.pi):
+        results = [avg_qfi_at_probe(p, ProbeState(phi1, phi2)) for phi2 in (0.0, 6.2457, 0.15)]
+        bits = [np.array([r.value, *np.ravel(r.eta_trace)]).tobytes() for r in results]
+        assert bits[0] == bits[1] == bits[2], phi1
+
+
 def test_avg_continuity_in_alpha():
     # fixed cutoffs at the shipped settings: nearby gates give nearby maxima
     checked = 0

@@ -1,6 +1,7 @@
 """The tuple form of Nelder-Mead against its array form."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,34 +36,61 @@ def _problems():
         # is not a stable sort, so tied vertices may be ranked differently
         if n == 3 and k % 4 == 1:
             continue
-        project = None
+        bounds = None
         if k % 2:
-            radius = rng.uniform(0.5, 1.5)
-            project = lambda x, r=radius: x * (r / np.linalg.norm(x)) if np.linalg.norm(x) > r else x
-        yield f, x0, step, project
+            lo = rng.uniform(-1.5, 0.0)
+            bounds = (lo, lo + rng.uniform(0.5, 2.0))
+        yield f, x0, step, bounds
 
 
-def _as_tuple(project):
-    """The tuple form of an array projection."""
-    return None if project is None else lambda x: tuple(project(np.asarray(x)).tolist())
+def _box(bounds):
+    """The array form's projection for bounds on the first coordinate."""
+    if bounds is None:
+        return None
+    lo, hi = bounds
+
+    def project(x):
+        x = x.copy()
+        x[0] = min(max(x[0], lo), hi)
+        return x
+
+    return project
 
 
 def test_nelder_mead_matches_the_array_form_bit_for_bit():
     seen = set()
-    for f, x0, step, project in _problems():
+    for f, x0, step, bounds in _problems():
         for tol, max_iter in ((1e-9, 400), (1e-12, 6)):
-            a = nelder_mead(f, x0, step, tol=tol, max_iter=max_iter, project=_as_tuple(project))
-            b = nelder_mead_numpy(f, x0, step, tol=tol, max_iter=max_iter, project=project)
-            assert np.array_equal(a.x, b.x) and a.x.dtype == b.x.dtype
+            a = nelder_mead(f, x0, step, tol=tol, max_iter=max_iter, bounds=bounds)
+            b = nelder_mead_numpy(f, x0, step, tol=tol, max_iter=max_iter, project=_box(bounds))
+            assert type(a.x) is tuple and _bits(*a.x) == b.x.tobytes() and b.x.dtype == float
             assert (a.iterations, a.converged) == (b.iterations, b.converged)
-            seen.add((x0.size, project is None, a.converged))
-    # every dimension, with and without projection, and both exits
+            seen.add((x0.size, bounds is None, a.converged))
+    # every dimension, with and without bounds, and both exits
     assert len(seen) == 12
+
+
+def test_nelder_mead_bounds_clamp_the_first_coordinate():
+    # a 2-D probe search's point (phi1, phi2) and a face search's (phi1,):
+    # the bounds clamp phi1 before f sees the point and leave phi2 free, so
+    # phi2 reaches its optimum 5, outside [0, pi]
+    def f(x):
+        points.append(x)
+        return -math.sin(x[0]) + sum((v - 5.0) ** 2 for v in x[1:])
+
+    for x0, first in (((-0.2, 7.0), (0.0, 7.0)), ((4.0, -1.0), (np.pi, -1.0)),
+                      ((-0.2,), (0.0,)), ((4.0,), (np.pi,)), ((1.5,), (1.5,))):
+        points = []
+        res = nelder_mead(f, x0, 0.15, tol=1e-7, max_iter=200, bounds=(0.0, np.pi))
+        assert points[0] == first and all(0.0 <= x[0] <= np.pi for x in points), x0
+        assert res.converged and len(res.x) == len(x0) and 0.0 <= res.x[0] <= np.pi, (x0, res)
+        if len(x0) == 2:
+            assert abs(res.x[1] - 5.0) < 1e-6, (x0, res)
 
 
 def test_nelder_mead_evaluates_each_point_once():
     bounded_1d = [0, 0]  # f-calls of the tuple and the array form
-    for f, x0, step, project in _problems():
+    for f, x0, step, bounds in _problems():
         for tol, max_iter in ((1e-9, 400), (1e-12, 6)):
             points, array_calls = [], [0]
 
@@ -74,11 +102,11 @@ def test_nelder_mead_evaluates_each_point_once():
                 array_calls[0] += 1
                 return f(x)
 
-            nelder_mead(counted, x0, step, tol=tol, max_iter=max_iter, project=_as_tuple(project))
-            nelder_mead_numpy(array_counted, x0, step, tol=tol, max_iter=max_iter, project=project)
+            nelder_mead(counted, x0, step, tol=tol, max_iter=max_iter, bounds=bounds)
+            nelder_mead_numpy(array_counted, x0, step, tol=tol, max_iter=max_iter, project=_box(bounds))
             assert len(set(points)) == len(points)
             assert len(points) <= array_calls[0]
-            if x0.size == 1 and project is not None:
+            if x0.size == 1 and bounds is not None:
                 bounded_1d[0] += len(points)
                 bounded_1d[1] += array_calls[0]
     # a 1-D shrink lands on the contraction point it rejected, and moves
@@ -90,11 +118,11 @@ def _array_form(calls):
     """nelder_mead with the array form's iterates and f-calls, recording
     each call's seed."""
 
-    def nm(f, x0, step, tol=1e-9, max_iter=400, project=None):
+    def nm(f, x0, step, tol=1e-9, max_iter=400, bounds=None):
         calls.append(tuple(map(float, x0)))
         as_tuple = lambda x: tuple(np.asarray(x, dtype=float).tolist())
-        array_project = None if project is None else lambda x: np.array(project(as_tuple(x)))
-        return nelder_mead_numpy(lambda x: f(as_tuple(x)), x0, step, tol=tol, max_iter=max_iter, project=array_project)
+        res = nelder_mead_numpy(lambda x: f(as_tuple(x)), x0, step, tol=tol, max_iter=max_iter, project=_box(bounds))
+        return replace(res, x=as_tuple(res.x))
 
     return nm
 
