@@ -7,8 +7,8 @@ gates are vertices or lie on an edge; this script times `best_probe_h2` and
 `maximize_over_probe` at CD t = 1/3 and 2/3 and at three interior gates,
 with BLAS pinned to one thread.  It times the same at face gates, IS, ID,
 CS and DS at t = 1/3 and 2/3 and the vertices S and D, where the searches
-are reduced.  The H2 search makes one sigma solve on IS and S and searches
-phi1 alone on ID, CS, DS and D.  The QFI search searches phi1 alone on IS
+are reduced.  The H2 search makes one sigma solve, at the probe (0, 0), on
+every one of them.  The QFI search searches phi1 alone on IS
 and ID (the face ax = ay), returns at the pole probe (0, 0) with no scan or
 simplex on DS, S and D, where that probe's channel is unitary, and keeps
 the 2-D search on CS.  The two searches alternate per gate, so that drift
@@ -20,6 +20,7 @@ Counts the work of one search per stage.  For H2 these are the
 For the QFI these are the probes of the batched scan and the simplex's
 evaluations, the `fisher._averages` calls that `maximize_over_probe` makes
 outside `avg_trace_qfi`; both read 0 where the search returns at a pole.
+On a face gate the H2 counts read 0 scan, 0 refinement and 1 final solve.
 Prints one JSON object: per gate, the median and quartiles over rounds of
 each search's time in ms, and the counts per stage, under "gates" for the
 generic gates and under "face_gates" for the face gates.

@@ -6,33 +6,33 @@ strongly entangling unitaries sits on the Bloch boundary (rank-deficient
 sigma), so the search ball is capped at radius BLOCH_CAP = 1 - 1e-7, where
 the smaller eigenvalue of sigma is 5e-8.  That cap, not the 1e-9 eigenvalue
 floor that `h2_conditional` checks at the sigma it reports, sets the gap to
-the supremum: about 5e-8/ln2 = 7e-8 bits, and S reads 0.999999932686
-against the supremum 1, 6.7e-8 below it.  The objective is convex in
-sigma^{-1/2}, so the search needs no seed cube and no restarts: the
-direction of sigma is solved exactly at each radius, and one 1-D
+the supremum: about 5e-8/ln2 = 7e-8 bits, and S, D and DS read
+0.999999927865 against the supremum 1, 7.2e-8 below it.  The objective is
+convex in sigma^{-1/2}, so the search needs no seed cube and no restarts:
+the direction of sigma is solved exactly at each radius, and one 1-D
 Nelder-Mead finds the radius (`h2_conditional`).  rho_BF comes in as a
 plain 4x4 array and sigma goes out as its Bloch 3-tuple.
 
-rho_BF is linear in the probe density, so the probe search
-(`best_probe_h2`) builds one table of rho_BF per gate from four probes
-(`channel.probe_table`) and reads rho_BF at every probe it tries off that
-table; it builds no isometry or Choi state per probe.
-
 Where U commutes with a continuous family of R (x) R, H2 takes one value on
-each orbit of the probe under that family, and the probe search shrinks to
-the orbits.  On IS (ax = ay = az, U = a I + b SWAP) every V (x) V commutes,
-so one sigma solve at the probe (0, 0) is the answer.  On the face ax = ay
-(ID, DS, D) the z-rotations commute and on the face ay = az (IC, CS, C) the
-x-rotations; there the probes (phi1, 0), phi1 in [0, pi/2], meet every orbit
-and the search is 1-D.  Every other gate, CD inside its edge and the
-interior, takes the 2-D search.  A face is detected by exact equality of the
-angles, which `edge_point` produces bit for bit; angles that are equal only
-to round-off take the 2-D search, which is valid everywhere.
+each orbit of the probe under that family.  On IS (ax = ay = az,
+U = a I + b SWAP) every V (x) V commutes, so H2 is the same at every probe.
+On the face ax = ay (ID, DS, D) the z-rotations commute and on the face
+ay = az (IC, CS, C) the x-rotations; there the probes (phi1, 0) meet every
+orbit, and H2 along them was measured to peak at the pole phi1 = 0.  So
+every gate of IS or a face takes one sigma solve at the probe (0, 0)
+(`best_probe_h2`).  Every other gate, CD inside its edge and the interior,
+takes the 2-D probe search (`_sphere_search`): rho_BF is linear in the
+probe density, so it builds one table of rho_BF per gate from four probes
+(`channel.probe_table`) and reads rho_BF at every probe it tries off that
+table.  A face is detected by exact equality of the angles, which
+`edge_point` produces bit for bit; angles that are equal only to round-off
+take the 2-D search, which is valid everywhere.
 
 The capacity lower bound per channel use is h2 - correction/n with
 correction = g(sqrt(eps/2) - delta*) + 4 log2(1/delta*) + 2.  delta* is the
-closed-form stationary point of that correction; the golden-section search
-it replaced is kept in tests/oracles.py as its oracle.
+stationary point of that correction, found by a fixed-point iteration on
+its cancellation-free stationarity condition; the golden-section search it
+replaced is kept in tests/oracles.py as its oracle.
 """
 
 from __future__ import annotations
@@ -42,9 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    PROBE_SIMPLEX, ProbeState, choi_bf, probe_scan, probe_table, search_probe, stinespring_isometry, table_at,
-)
+from .channel import PROBE_SIMPLEX, ProbeState, choi_bf, probe_scan, probe_table, stinespring_isometry, table_at
 from .linalg import I2, PAULI, kron
 from .optimize import nelder_mead
 from .unitary import UnitaryParams
@@ -250,29 +248,26 @@ def h2_conditional(rho, config: dict = DEFAULT_CONFIG) -> H2Optimum:
 
 
 def delta_star(epsilon: float) -> float:
-    """Minimizer of g(sqrt(eps/2) - delta) - 4 log2(delta) on (0, sqrt(eps/2)),
-    in closed form: the stationary point of that unimodal objective.
+    """Minimizer of g(s - delta) - 4 log2(delta) on (0, s), s = sqrt(eps/2).
 
-    Evaluated with principal complex square and cube roots; the conjugate
-    radical branch lands outside (0, sqrt(eps/2)).  Within 4e-15 relative of
-    a 60-digit reference for eps >= 0.01; the objective is flat at its
-    minimum, so a numeric search resolves delta* only to about sqrt(macheps).
+    The objective is unimodal; its stationary point solves the
+    cancellation-free delta (1 + 5w) = 4 w s, w = sqrt(1 - (s - delta)^2).
+    The map delta <- 4 w s / (1 + 5w) contracts (slope at most 0.02 at the
+    root), so iterating it from 2s/3, the small-eps root, settles in at
+    most 9 steps; not settling in 50 is a numerical fault.  Within 3e-16
+    relative of 60-digit references for eps from 1e-300 to 0.99999.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    e = epsilon + 0.0j
-    radical = (
-        np.sqrt(2.0 * e ** 3)
-        + np.sqrt(1728.0 * e ** 2 + 715392.0 * e - 5971968.0)
-        + 648.0 * np.sqrt(2.0 * e)
-    )
-    cbrt = radical ** (1.0 / 3.0)
-    value = (
-        13.0 * np.sqrt(e) / (15.0 * math.sqrt(2.0))
-        - (1.0 + 1j * math.sqrt(3.0)) * cbrt / (30.0 * 2.0 ** (2.0 / 3.0))
-        - (1.0 - 1j * math.sqrt(3.0)) * (e + 144.0) / (30.0 * 2.0 ** (1.0 / 3.0) * cbrt)
-    )
-    return float(value.real)
+    s = math.sqrt(epsilon / 2.0)
+    delta = 2.0 * s / 3.0
+    for _ in range(50):
+        w = math.sqrt(1.0 - (s - delta) ** 2)
+        new = 4.0 * w * s / (1.0 + 5.0 * w)
+        if abs(new - delta) <= 2.0 * _EPS * new:
+            return new
+        delta = new
+    raise RuntimeError(f"delta* did not settle in 50 steps at epsilon = {epsilon!r}")
 
 
 def correction_bits(epsilon: float) -> float:
@@ -291,79 +286,52 @@ def one_shot_lower_bound(h2: float, epsilon: float, n: int) -> CapacityResult:
     return CapacityResult(correction=corr, raw_bound=raw, clamped_bound=max(0.0, raw))
 
 
-def _search(table: np.ndarray, scan: list) -> ProbeOptimum:
-    """Scan, simplex and final solve over one probe domain.
+def _sphere_search(table: np.ndarray) -> ProbeOptimum:
+    """The 2-D probe search of a gate on neither face.
 
-    Each search point of `scan` gets a sigma solve at _COARSE; the probe
-    simplex (`channel.PROBE_SIMPLEX`, phi1 held to [0, pi]) refines the
-    first best of them at _MEDIUM, and the final sigma solve at
-    DEFAULT_CONFIG gives the answer at the simplex's point.
+    The scan covers the fundamental domain [0, pi/2] x [0, pi) of the
+    Klein-four probe images (43 probes, `channel.probe_scan`), each with a
+    sigma solve at _COARSE; the probe simplex (`channel.PROBE_SIMPLEX`,
+    phi1 held to [0, pi]) refines the first best of them on the whole
+    sphere at _MEDIUM, and the final sigma solve at DEFAULT_CONFIG gives
+    the answer at the simplex's point.  Every rho_BF comes off the gate's
+    table.
     """
-
-    def rho_at(points):
-        return table_at(table, np.array([search_probe(x) for x in points]))
-
-    values = [h2_conditional(rho, _COARSE).value for rho in rho_at(scan)]
+    scan = probe_scan(7, 7, math.pi / 2.0, math.pi)
+    values = [h2_conditional(rho, _COARSE).value for rho in table_at(table, scan)]
 
     def neg_h2(x):
-        return -h2_conditional(rho_at([x])[0], _MEDIUM).value
+        return -h2_conditional(table_at(table, np.array([x]))[0], _MEDIUM).value
 
     res = nelder_mead(neg_h2, scan[int(np.argmax(values))], **PROBE_SIMPLEX)
-    q = search_probe(res.x)
-    final = h2_conditional(rho_at([q])[0])
-    return ProbeOptimum(h2=final.value, probe=ProbeState(*q), sigma=final.sigma,
+    final = h2_conditional(table_at(table, np.array([res.x]))[0])
+    return ProbeOptimum(h2=final.value, probe=ProbeState(*res.x), sigma=final.sigma,
                         converged=res.converged and final.converged)
-
-
-def _sphere_search(table: np.ndarray) -> ProbeOptimum:
-    """The 2-D probe search of a generic gate: the scan covers the
-    fundamental domain [0, pi/2] x [0, pi) of the Klein-four probe images,
-    the simplex moves on the whole sphere."""
-    scan = [tuple(q) for q in probe_scan(7, 7, math.pi / 2.0, math.pi).tolist()]
-    return _search(table, scan)
 
 
 def best_probe_h2(p: UnitaryParams) -> ProbeOptimum:
     """Maximize H2(B|F) over the probe.
 
-    Probe scan with a cheap inner sigma search (_COARSE), simplex refinement
-    of the probe (`channel.PROBE_SIMPLEX`) at intermediate accuracy
-    (_MEDIUM), then a final sigma search at DEFAULT_CONFIG at the selected
-    probe.  Every rho_BF of a search comes off the gate's rho_BF table,
-    built from four probes.
-
     P (x) P commutes with U for P = X, Y, Z, and H2(B|F) ignores local
     unitaries, so H2 takes the same value at the probe images
-    (phi1, phi2 + pi), (pi - phi1, -phi2) and (pi - phi1, pi - phi2).  Where
-    R (x) R commutes with U for a continuous family of rotations R, H2 is
-    constant on the probe's orbits too, and the search runs over one probe
-    per orbit.  The family is picked by exact equality of the angles:
+    (phi1, phi2 + pi), (pi - phi1, -phi2) and (pi - phi1, pi - phi2).  The
+    answer takes one of two paths, picked by exact equality of the angles:
 
-    - ax == ay == az (I, IS, S): U = a I + b SWAP commutes with every
-      V (x) V, so the answer is the final solve at the probe (0, 0), with no
-      scan, no refinement and no table: one isometry and one Choi state.
-    - ax == ay (ID, DS, D) or ay == az (IC, CS, C): z- or x-rotations
-      commute.  The probes (phi1, 0), phi1 in [0, pi/2], meet every orbit
-      (|q_z| = cos phi1, |q_x| = sin phi1; the X (x) X and Z (x) Z images
-      fold the signs), so the scan takes 7 values of phi1 and the simplex
-      moves phi1 alone, clamped to [0, pi] as in every probe search: the
-      X (x) X image maps H2 at (phi1, 0) to H2 at (pi - phi1, 0), so a step
-      past pi/2 reads a value of the domain's mirror.
-    - Any other gate, nearly equal angles included: the scan covers the
-      fundamental domain [0, pi/2] x [0, pi) of the images above, at the
-      phi1 spacing of a 13 x 13 scan of the sphere and with the pole
-      phi1 = 0 once (43 probes), and the refinement moves on the whole
-      sphere.
-
-    The face and the generic search share one scan, simplex and final
-    solve (`_search`).
+    - ax == ay or ay == az (the faces: IS, ID, DS, IC, CS and the vertices
+      I, S, D, C): one sigma solve at DEFAULT_CONFIG at the probe (0, 0),
+      from one isometry and one Choi state.  On IS every V (x) V commutes
+      with U = a I + b SWAP, so H2 is the same at every probe.  On a face
+      the z- (ax == ay) or x-rotations (ay == az) commute, H2 is constant on
+      their orbits, and the probes (phi1, 0), phi1 in [0, pi/2], meet every
+      orbit; H2 along them peaks at the pole.  That last fact is measured,
+      not proven: on 120 random face gates neither a phi1 scan nor the 2-D
+      search beat the pole by more than 1e-14, and
+      `test_reduced_probe_search_against_the_sphere_search` holds it.
+    - Any other gate, nearly equal angles included: the 2-D search
+      (`_sphere_search`) over a table of rho_BF built from four probes.
     """
-    ax, ay, az = p.alpha_x, p.alpha_y, p.alpha_z
-    if ax == ay == az:
+    if p.alpha_x == p.alpha_y or p.alpha_y == p.alpha_z:
         probe = ProbeState(0.0, 0.0)
         final = h2_conditional(choi_bf(stinespring_isometry(p, probe)))
         return ProbeOptimum(h2=final.value, probe=probe, sigma=final.sigma, converged=final.converged)
-    table = probe_table(lambda probe: choi_bf(stinespring_isometry(p, probe)))
-    if ax == ay or ay == az:
-        return _search(table, [(a,) for a in np.linspace(0.0, math.pi / 2.0, 7).tolist()])
-    return _sphere_search(table)
+    return _sphere_search(probe_table(lambda probe: choi_bf(stinespring_isometry(p, probe))))

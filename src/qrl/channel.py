@@ -16,8 +16,8 @@ the channel's Bloch map or rho_BF, is linear in the probe density
 searches use that: `probe_table` evaluates such a quantity at four probes
 once per gate and `table_at` reads it at any batch of probes.  Both scan,
 then refine with the one `PROBE_SIMPLEX` setting, over (phi1, phi2) from a
-`probe_scan` grid or, where a face of the tetrahedron makes phi2 free, over
-phi1 alone (`search_probe`).
+`probe_scan` grid or, in the QFI search on the face ax = ay, where phi2 is
+free, over phi1 alone (`search_probe`).
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ def probe_scan(n1: int, n2: int, phi1_max: float, phi2_max: float) -> np.ndarray
 
 
 def search_probe(x: tuple) -> tuple:
-    """The probe (phi1, phi2) of a probe search's point: a face search moves
-    phi1 alone, along the probes (phi1, 0)."""
+    """The probe (phi1, phi2) of a probe search's point: the QFI face search
+    moves phi1 alone, along the probes (phi1, 0)."""
     return x if len(x) == 2 else (x[0], 0.0)
 
 

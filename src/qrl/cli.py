@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import logging
+import math
 import os
 import sys
 from dataclasses import fields
@@ -62,10 +63,9 @@ def _floats(text: str) -> tuple:
 
 def _ints(text: str) -> tuple:
     vals = _floats(text)
-    out = tuple(int(v) for v in vals)
-    if any(abs(a - b) > 0 for a, b in zip(out, vals)):
+    if not all(math.isfinite(v) and v == int(v) for v in vals):
         raise ValueError(f"expected integers, got {text!r}")
-    return out
+    return tuple(int(v) for v in vals)
 
 
 def _alpha(text: str) -> UnitaryParams:

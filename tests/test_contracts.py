@@ -181,7 +181,7 @@ def test_benchmark_tracer_enters_every_h2_layer(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracer
 
-    cfg = qrl.harness.SweepConfig(edge="CS", metric="h2", samples=2, workers=1)
+    cfg = qrl.harness.SweepConfig(edge="CD", metric="h2", samples=2, workers=1)
     plain = qrl.harness._eval_point(cfg, 0.5)
     tr = tracer.Tracer()
     tr.install(qrl)

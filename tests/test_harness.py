@@ -511,6 +511,20 @@ def test_cli_non_finite_input_exits_2(capsys):
         assert name in capsys.readouterr().err
 
 
+def test_cli_bound_non_finite_n_exits_2_and_tiny_epsilon_runs(tmp_path, capsys):
+    # a non-finite n is an invalid argument, not a numerical failure; an
+    # epsilon as small as 1e-300 gives a finite correction
+    out = tmp_path / "bound.csv"
+    bound = ["bound", "--alpha", "1.2,0.7,0.3", "--out", str(out)]
+    for ns in ("inf", "nan", "10,inf"):
+        assert main([*bound, "--epsilons", "0.05", "--ns", ns]) == 2
+        assert "expected integers" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*bound, "--epsilons", "1e-300", "--ns", "10"]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert all(math.isfinite(float(v)) for v in row)
+
+
 def test_cli_config_rejects_dashed_eta_schedule(tmp_path, capsys):
     # a file names each key by its option's dest: eta_schedule, not eta-schedule
     ini = tmp_path / "run.ini"
