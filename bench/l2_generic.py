@@ -8,18 +8,17 @@ gates are vertices or lie on an edge; this script times `best_probe_h2` and
 with BLAS pinned to one thread.  It times the same at face gates, IS, ID,
 CS and DS at t = 1/3 and 2/3 and the vertices S and D, where the searches
 are reduced.  The H2 search makes one sigma solve, at the probe (0, 0), on
-every one of them.  The QFI search searches phi1 alone on IS
-and ID (the face ax = ay), returns at the pole probe (0, 0) with no scan or
-simplex on DS, S and D, where that probe's channel is unitary, and keeps
-the 2-D search on CS.  The two searches alternate per gate, so that drift
-of the machine's speed hits both alike.
+every one of them.  The QFI search takes the cutoff schedule at the pole
+probe (pi, 0), with no scan or simplex, on IS, ID, DS, S and D (the face
+ax = ay), and keeps the 2-D search on CS.  The two searches alternate per
+gate, so that drift of the machine's speed hits both alike.
 
 Counts the work of one search per stage.  For H2 these are the
 `h2_conditional` calls, told apart by the config each stage passes: the scan
 (`_COARSE`), the refinement (`_MEDIUM`) and the final solve (the default).
 For the QFI these are the probes of the batched scan and the simplex's
 evaluations, the `fisher._averages` calls that `maximize_over_probe` makes
-outside `avg_trace_qfi`; both read 0 where the search returns at a pole.
+outside `avg_trace_qfi`; both read 0 on the face ax = ay.
 On a face gate the H2 counts read 0 scan, 0 refinement and 1 final solve.
 Prints one JSON object: per gate, the median and quartiles over rounds of
 each search's time in ms, and the counts per stage, under "gates" for the

@@ -14,10 +14,9 @@ V is linear in the probe ket, so everything built from V and V^dag, such as
 the channel's Bloch map or rho_BF, is linear in the probe density
 (1 + q.sigma)/2 and hence affine in the probe Bloch vector q.  Both probe
 searches use that: `probe_table` evaluates such a quantity at four probes
-once per gate and `table_at` reads it at any batch of probes.  Both scan,
-then refine with the one `PROBE_SIMPLEX` setting, over (phi1, phi2) from a
-`probe_scan` grid or, in the QFI search on the face ax = ay, where phi2 is
-free, over phi1 alone (`search_probe`).
+once per gate and `table_at` reads it at any batch of probes.  Both scan a
+`probe_scan` grid, then refine (phi1, phi2) with the one `PROBE_SIMPLEX`
+setting.
 """
 
 from __future__ import annotations
@@ -134,12 +133,6 @@ def probe_scan(n1: int, n2: int, phi1_max: float, phi2_max: float) -> np.ndarray
     return pts[(pts[:, 1] == 0.0) | ((pts[:, 0] != 0.0) & (pts[:, 0] != math.pi))]
 
 
-def search_probe(x: tuple) -> tuple:
-    """The probe (phi1, phi2) of a probe search's point: the QFI face search
-    moves phi1 alone, along the probes (phi1, 0)."""
-    return x if len(x) == 2 else (x[0], 0.0)
-
-
-# nelder_mead's step, tol, max_iter and bounds in every probe search: the
-# bounds hold phi1, the first coordinate of both forms, to [0, pi]
+# nelder_mead's step, tol, max_iter and bounds in both probe searches: the
+# bounds hold phi1, the first coordinate of a point (phi1, phi2), to [0, pi]
 PROBE_SIMPLEX = dict(step=0.15, tol=1e-7, max_iter=200, bounds=(0.0, math.pi))

@@ -91,7 +91,7 @@ def _build_parser():
     )
     parser.add_argument("--config", help="INI file with [global] and per-command sections")
     parser.add_argument("--workers", type=int, default=SweepConfig.workers,
-                        help="process count for sweeps (default: every CPU)")
+                        help="process count for sweeps, at most one per point (default: every CPU)")
     parser.add_argument("--eta-schedule", type=_floats, default=SweepConfig.eta_schedule,
                         help="comma-separated radial cutoffs, one or more")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -19,19 +19,18 @@ on the face ax == ay the channel is z-covariant and the prior z-invariant,
 so tr F itself does not depend on theta2: there the base grid and the
 ladder keep `_QUAD`'s theta1 nodes and start from two theta2 nodes.
 
-For a fixed gate the output is linear in the probe density, so t and M are
-affine in the probe Bloch vector q.  The probe search builds that
-probe-affine table once per gate (`channel.probe_table`, four probes) and
-then reads (t, M) for any probe off it: its probe scan is one batched kernel
-call and each Nelder-Mead evaluation a one-probe call, with no isometry or
-channel work per probe.  The prior is invariant under z-rotations of the
-environment, so on the face ax == ay of the tetrahedron, where U commutes
-with every z-rotation R (x) R, the average does not depend on the probe's
-phi2: there the search first tests the two pole probes for a unitary
-channel, which settles DS, S and D at +inf, and otherwise scans 13 probes
-(phi1, 0) and refines phi1 alone.  Every other gate gets the 2-D search,
-whose scan takes 145 probes, a 13x13 grid whose pole rows hold one probe
-each.
+The prior is invariant under z-rotations of the environment, so on the
+face ax == ay of the tetrahedron, where U commutes with every z-rotation
+R (x) R, the average does not depend on the probe's phi2, and along phi1
+it was measured to peak at the south pole: there the probe maximum is the
+schedule at the probe (pi, 0), which also settles DS, S and D at +inf.
+Every other gate gets the 2-D probe search.  For a fixed gate the output is
+linear in the probe density, so t and M are affine in the probe Bloch
+vector q.  The search builds that probe-affine table once per gate
+(`channel.probe_table`, four probes) and then reads (t, M) for any probe
+off it: its scan of 145 probes, a 13x13 grid whose pole rows hold one probe
+each, is one batched kernel call and each Nelder-Mead evaluation a
+one-probe call, with no isometry or channel work per probe.
 
 Both roots of den lie outside (-1, 1), because the outputs at the pure
 environment states +-n are states.  The average diverges exactly when the
@@ -59,8 +58,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .channel import (
-    PROBE_SIMPLEX, UNITARY_TOL, ProbeState, apply_channel, probe_scan, probe_table, search_probe, stinespring_isometry,
-    table_at,
+    PROBE_SIMPLEX, UNITARY_TOL, ProbeState, apply_channel, probe_scan, probe_table, stinespring_isometry, table_at,
 )
 from .linalg import PAULI
 from .optimize import nelder_mead
@@ -94,7 +92,7 @@ class QuadSpec:
             raise ValueError("quadrature spec needs at least 2 nodes per axis")
 
 
-_QUAD = QuadSpec()  # the base grid of both probe searches and the ladder
+_QUAD = QuadSpec()  # the base grid of the probe search and the ladder
 
 
 # --- Bayesian average -------------------------------------------------------
@@ -286,7 +284,7 @@ def avg_trace_qfi(p: UnitaryParams, probe: ProbeState, quad: QuadSpec, eta):
     quad's nodes.  At eta = 0 the average reads +inf exactly where the probe
     channel is unitary (S at any probe, D at a pole probe) and is finite
     elsewhere, also where den touches zero on the sphere at isolated
-    directions (ID t = 0.5 at probe (pi, 0.5)); near such a direction the
+    directions (ID t = 0.5 at the probe (pi, 0)); near such a direction the
     angular nodes converge slowly.  The cutoff schedules never reach eta = 0.
     """
     scalar = np.ndim(eta) == 0
@@ -381,37 +379,28 @@ def avg_qfi_at_probe(p: UnitaryParams, probe: ProbeState, eta_schedule=DEFAULT_E
     return AvgQfiResult(value=value, probe_opt=probe, eta_trace=trace)
 
 
-def _search(p: UnitaryParams, scan: list, schedule: list) -> AvgQfiResult:
-    """Scan, simplex and schedule over one probe domain.
+def _sphere_search(p: UnitaryParams, schedule: list) -> AvgQfiResult:
+    """The 2-D probe search of a gate off the face ax == ay.
 
-    The scan is one batched kernel call over the search points of `scan`,
-    the probes (phi1, phi2) or, on a face search, the points (phi1,) that
-    name the probes (phi1, 0) (`channel.search_probe`).  Nelder-Mead
-    (`channel.PROBE_SIMPLEX`) refines the first best of them with one
-    single-probe call per point, both at the widest cutoff only and reading
-    (t, M) off the gate's probe-affine table.  The schedule at the optimum
-    is `avg_qfi_at_probe`: one base-grid call over all cutoffs, then one
-    call per ladder rung.
+    The scan is one batched kernel call over 145 probes, a 13 x 13 grid of
+    the sphere whose pole rows hold one probe each (`channel.probe_scan`).
+    Nelder-Mead (`channel.PROBE_SIMPLEX`, phi1 held to [0, pi]) refines the
+    first best of them with one single-probe call per point, both at the
+    widest cutoff only and reading (t, M) off the gate's probe-affine table.
+    The schedule at the optimum is `avg_qfi_at_probe`: one base-grid call
+    over all cutoffs, then one call per ladder rung.
     """
     eta0 = schedule[0]
     table = probe_table(lambda probe: np.concatenate([a.ravel() for a in _probe_affine(p, probe)]))
 
-    def averages(points):
-        pts = np.array([search_probe(x) for x in points])
+    def averages(pts):
         flat = table_at(table, pts)
         return _averages(pts, flat[:, :3], flat[:, 3:].reshape(-1, 3, 3), _QUAD, eta0)
 
-    start = scan[int(np.argmax(averages(scan)))]
-    # nelder_mead evaluates points with phi1 clamped to [0, pi] only
-    res = nelder_mead(lambda x: -float(averages([x])[0]), start, **PROBE_SIMPLEX)
-    probe = ProbeState(*search_probe(res.x))
-    return replace(avg_qfi_at_probe(p, probe, schedule), converged=res.converged)
-
-
-def _sphere_search(p: UnitaryParams, schedule: list) -> AvgQfiResult:
-    """The 2-D probe search: the scan takes 145 probes, a 13 x 13 grid of
-    the sphere whose pole rows hold one probe each."""
-    return _search(p, [tuple(q) for q in probe_scan(13, 13, math.pi, 2.0 * math.pi).tolist()], schedule)
+    scan = probe_scan(13, 13, math.pi, 2.0 * math.pi)
+    start = tuple(scan[int(np.argmax(averages(scan)))].tolist())
+    res = nelder_mead(lambda x: -float(averages(np.array([x]))[0]), start, **PROBE_SIMPLEX)
+    return replace(avg_qfi_at_probe(p, ProbeState(*res.x), schedule), converged=res.converged)
 
 
 def maximize_over_probe(p: UnitaryParams, eta_schedule=DEFAULT_ETA_SCHEDULE) -> AvgQfiResult:
@@ -422,32 +411,28 @@ def maximize_over_probe(p: UnitaryParams, eta_schedule=DEFAULT_ETA_SCHEDULE) -> 
     commutes with U, so the average takes the same value at the probe image
     (phi1, phi2 + pi); the 2-D search does not halve its scan by it, since
     on the base grid the two values differ by up to 1.7e-4 relative, enough
-    to move probes.  On the face ax == ay (I, IS, ID, DS, S, D),
-    XX + YY commutes with every z-rotation R (x) R, so the average, at every
-    cutoff, does not depend on phi2 at all.  The search is picked by exact
+    to move probes.  The answer takes one of two paths, picked by exact
     equality of the angles, which `edge_point` produces bit for bit:
 
-    - ax == ay: if the channel at the pole probe (0, 0) or (pi, 0) is
-      unitary, the average diverges there, and +inf is the supremum over
-      probes: the schedule at that pole is the answer, with no probe
-      table, scan or simplex.  That happens exactly on DS (S and D
-      included): a unitary probe channel needs U = SWAP times a unitary
-      controlled in the probe's basis, so the gate lies on DS and the
-      probe is a pole, or any probe on S (README, "How the averaged QFI
-      is computed").  Otherwise the scan takes the 13 probes (phi1, 0),
-      phi1 in [0, pi], and the simplex moves phi1 alone.
+    - ax == ay (I, IS, ID, DS, S, D): the schedule at the south pole
+      (pi, 0), with no probe table, scan or simplex.  XX + YY commutes with
+      every z-rotation R (x) R, so the average, at every cutoff, does not
+      depend on phi2, and the probes (phi1, 0) cover every value.  Along
+      them it peaks at the pole pi.  That is measured, not proven: on 120
+      random face gates and the 41-sample IS and ID sweeps, at eta = 1e-2,
+      1e-4 and 1e-6, no phi1 of a 361-point line beat the better pole, and
+      at eta = 1e-2 (pi, 0) beat (0, 0) on 378 of 380 non-unitary face
+      gates, the other 2 being I, where every probe gives 0;
+      `test_reduced_qfi_search_against_the_sphere_search` holds it.  On DS
+      (S and D included) the channel at either pole is unitary, so (pi, 0)
+      reads +inf, the supremum over probes (README, "How the averaged QFI
+      is computed").
     - Any other gate, nearly equal angles included: the 2-D search over the
       sphere (`_sphere_search`).  The face ay == az (C, IC, CS) is such a
       gate: x-rotations commute with U there, but the prior sin(theta1/2)
       is not x-symmetric.
-
-    The face and the 2-D search share one scan, simplex and schedule
-    (`_search`).
     """
     schedule = _schedule(eta_schedule)
     if p.alpha_x == p.alpha_y:
-        for pole in (ProbeState(0.0, 0.0), ProbeState(math.pi, 0.0)):
-            if _unitary(*_probe_affine(p, pole)):
-                return avg_qfi_at_probe(p, pole, schedule)
-        return _search(p, [(a,) for a in np.linspace(0.0, math.pi, 13).tolist()], schedule)
+        return avg_qfi_at_probe(p, ProbeState(math.pi, 0.0), schedule)
     return _sphere_search(p, schedule)

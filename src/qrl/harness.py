@@ -96,7 +96,7 @@ class MeritReport:
 class SweepConfig:
     """Settings for one edge sweep; the CLI takes its defaults from these
     fields.  The edge is stored as its canonical id; workers None means
-    every CPU."""
+    every CPU, and a sweep uses at most one worker per point."""
 
     edge: str
     metric: str = "h2"
@@ -179,10 +179,11 @@ def run_edge_sweep(cfg: SweepConfig) -> list:
 
     Points are independent; failures are recorded per point and the sweep
     continues.  Results are sorted by t, so output is deterministic for any
-    worker count.
+    worker count.  The pool holds at most one worker per point, since it
+    starts all of its workers at the first submit.
     """
     ts = np.linspace(0.0, 1.0, cfg.samples)
-    workers = cfg.workers or os.cpu_count() or 1
+    workers = min(cfg.workers or os.cpu_count() or 1, len(ts))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_eval_point, [cfg] * len(ts), ts))

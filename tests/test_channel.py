@@ -6,7 +6,6 @@ from qrl.channel import (
     ProbeState,
     apply_channel,
     choi_bf,
-    search_probe,
     stinespring_isometry,
 )
 from qrl.linalg import I2, SZ, kron, partial_trace, validate_density
@@ -213,13 +212,6 @@ def test_isometry_rejects_non_isometry(monkeypatch):
     monkeypatch.setattr(qrl.channel, "build_unitary", lambda p: 1.5 * np.eye(4, dtype=complex))
     with pytest.raises(RuntimeError, match=r"V\^dag V"):
         stinespring_isometry(VERTICES["C"], ProbeState(0.7, 1.0))
-
-
-def test_probe_search_points_of_both_forms():
-    # a 2-D search point is (phi1, phi2); a face search's point (phi1,)
-    # names the probe (phi1, 0).  PROBE_SIMPLEX's bounds clamp phi1 of both
-    # (tests/test_optimize.py)
-    assert search_probe((0.4, 5.0)) == (0.4, 5.0) and search_probe((0.4,)) == (0.4, 0.0)
 
 
 def test_env_derivatives_examples():

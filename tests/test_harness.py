@@ -181,6 +181,35 @@ def test_sweep_propagates_programming_errors(monkeypatch):
         run_edge_sweep(SweepConfig(edge="IC", samples=2, workers=1))
 
 
+def test_sweep_pool_holds_at_most_one_worker_per_point(monkeypatch):
+    # the pool starts every worker it is asked for at the first submit, so
+    # the sweep asks for no more than it has points, and for none at one
+    # worker; a stub stands in for the pool and starts no process
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(qrl.harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(qrl.harness, "_eval_point", lambda cfg, t: make_report(t=float(t)))
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    for workers, samples, expected in ((None, 2, [2]), (None, 41, [41]), (8, 3, [3]), (3, 41, [3]), (1, 41, [])):
+        asked.clear()
+        rows = run_edge_sweep(SweepConfig(edge="IC", samples=samples, workers=workers))
+        assert asked == expected, (workers, samples)
+        assert [r.t for r in rows] == np.linspace(0.0, 1.0, samples).tolist()
+
+
 def test_sweep_deterministic_and_files(tmp_path):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     svg = tmp_path / "sweep.svg"
