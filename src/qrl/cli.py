@@ -8,10 +8,10 @@ parser defaults, so argparse applies the precedence and the casts.  The CLI
 writes every output file.
 
 Exit codes: 0 on success, 2 for invalid arguments (including tetrahedron
-ordering violations), 3 when any row is non-converged or an internal
-numerical invariant fails.  Log verbosity is taken from the QRL_LOG
-environment variable (error, info, debug); logs go to stderr so stdout stays
-machine readable.
+ordering violations), 3 when any row, or the H2 optimum a bound table is
+built on, is non-converged or an internal numerical invariant fails.  Log
+verbosity is taken from the QRL_LOG environment variable (error, info,
+debug); logs go to stderr so stdout stays machine readable.
 """
 
 from __future__ import annotations
@@ -206,9 +206,12 @@ def _run(args) -> int:
         out = _require(args.out, "--out")
         opt, rows = run_bound_table(params, epsilons, ns)
         write_bound_csv(rows, out)
-        log.info("bound table at h2=%.9g (probe %.6g,%.6g) -> %s",
-                 opt.h2, opt.probe.phi1, opt.probe.phi2, out)
-        return 0
+        # the table has no status column, so a non-converged optimum is
+        # logged and sets the exit code
+        log.log(logging.INFO if opt.converged else logging.ERROR,
+                "bound table at alpha=%s: h2=%.9g %s (probe %.6g,%.6g) -> %s", args.alpha, opt.h2,
+                "ok" if opt.converged else "non-converged", opt.probe.phi1, opt.probe.phi2, out)
+        return 0 if opt.converged else 3
 
     params = _alpha(_require(args.alpha, "--alpha"))
     probe = _probe(args.probe) if args.probe else None

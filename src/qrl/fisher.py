@@ -1,16 +1,17 @@
 """Quantum Fisher information of the channel output and its Bayesian average.
 
 The channel is affine in the environment Bloch vector, so output states and
-their parameter derivatives reduce to one 3-vector offset t and one 3x3
-linear map M per probe.  Along each prior direction n the output Bloch vector
-is b = t + s M n with s = 2r, so the trace-QFI is a polynomial in s plus a
-quartic over the quadratic den = 1 - |b|^2.  The averaged trace-QFI
-therefore integrates the radius in closed form, up to the cutoff 1/2 - eta,
-and only the two angles use Gauss-Legendre nodes.  One kernel, `_averages`,
-evaluates a batch of probes in blocks of at most _CHUNK probe x node
-elements, at one cutoff or at several: a block's geometry (M n, the roots
-of den and the quartic's coefficients) does not depend on the cutoff and is
-built once per block, and only the radial moments are evaluated per cutoff.
+their parameter derivatives reduce to one 3x4 map A = [t | M] per probe, an
+offset t and a linear map M with b = t + M e = A (1, e).  Along each prior
+direction n the output Bloch vector is b = t + s M n with s = 2r, so the
+trace-QFI is a polynomial in s plus a quartic over the quadratic
+den = 1 - |b|^2.  The averaged trace-QFI therefore integrates the radius in
+closed form, up to the cutoff 1/2 - eta, and only the two angles use
+Gauss-Legendre nodes.  One kernel, `_averages`, evaluates a (P, 3, 4) stack
+of probes' maps at a list of cutoffs, one row per cutoff, in blocks of at
+most _CHUNK probe x node elements: a block's geometry (M n, the roots of
+den and the quartic's coefficients) does not depend on the cutoff and is
+built once, and only the radial moments are evaluated per cutoff.
 `avg_trace_qfi` is that kernel applied to one probe.  `avg_qfi_at_probe`
 makes one call on the base grid `_QUAD` for its whole cutoff schedule, then
 one call per rung of an angular-doubling ladder that holds the cutoffs still
@@ -25,10 +26,10 @@ R (x) R, the average does not depend on the probe's phi2, and along phi1
 it was measured to peak at the south pole: there the probe maximum is the
 schedule at the probe (pi, 0), which also settles DS, S and D at +inf.
 Every other gate gets the 2-D probe search.  For a fixed gate the output is
-linear in the probe density, so t and M are affine in the probe Bloch
-vector q.  The search builds that probe-affine table once per gate
-(`channel.probe_table`, four probes) and then reads (t, M) for any probe
-off it: its scan of 145 probes, a 13x13 grid whose pole rows hold one probe
+linear in the probe density, so A is affine in the probe Bloch vector q.
+The search builds that probe-affine table once per gate
+(`channel.probe_table`, four probes) and then reads A for any probe off
+it: its scan of 145 probes, a 13x13 grid whose pole rows hold one probe
 each, is one batched kernel call and each Nelder-Mead evaluation a
 one-probe call, with no isometry or channel work per probe.
 
@@ -121,25 +122,21 @@ def _angular_tables(n1: int, n2: int):
     return T1, T2, dirs, weight
 
 
-def _probe_affine(p: UnitaryParams, probe: ProbeState):
-    """Offset t and matrix M with output Bloch b = t + M e for env Bloch e."""
+def _probe_affine(p: UnitaryParams, probe: ProbeState) -> np.ndarray:
+    """The 3x4 map A = [t | M] of the probe's channel: output Bloch
+    b = t + M e = A (1, e) for env Bloch e.  Column k is half the Bloch
+    vector of the output on sigma_k."""
     iso = stinespring_isometry(p, probe)
-
-    def bloch_of(m):
-        return np.array(
-            [2.0 * m[0, 1].real, -2.0 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real]
-        )
-
-    offset = bloch_of(apply_channel(iso, 0.5 * PAULI[0]))
-    cols = [0.5 * bloch_of(apply_channel(iso, PAULI[k])) for k in (1, 2, 3)]
-    return offset, np.stack(cols, axis=1)
+    outs = [apply_channel(iso, s) for s in PAULI]
+    return 0.5 * np.stack([[2.0 * m[0, 1].real, -2.0 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real] for m in outs], axis=1)
 
 
-def _unitary(offsets: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """Whether each channel b = t + M e is unitary, t = 0 and M^T M = I to
-    UNITARY_TOL, for offsets (..., 3) and maps (..., 3, 3)."""
-    gram_err = np.abs(np.swapaxes(maps, -1, -2) @ maps - np.eye(3)).max(axis=(-2, -1))
-    return np.maximum(np.abs(offsets).max(axis=-1), gram_err) <= UNITARY_TOL
+def _unitary(affine: np.ndarray) -> np.ndarray:
+    """Whether each channel A = [t | M], stacked as (..., 3, 4), is unitary:
+    t = 0 and M^T M = I to UNITARY_TOL."""
+    t, m = affine[..., 0], affine[..., 1:]
+    gram_err = np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(3)).max(axis=(-2, -1))
+    return np.maximum(np.abs(t).max(axis=-1), gram_err) <= UNITARY_TOL
 
 
 def _moments(x: np.ndarray) -> np.ndarray:
@@ -227,21 +224,22 @@ def _radial_integral(offsets, d0, inv_d0, vecs, big_ss) -> list:
     return polys
 
 
-def _averages(probes: np.ndarray, offsets: np.ndarray, maps: np.ndarray, quad: QuadSpec, eta) -> np.ndarray:
+def _averages(probes: np.ndarray, affine: np.ndarray, quad: QuadSpec, etas) -> np.ndarray:
     """Regularized averages of tr F over the prior for a batch of probes,
-    radius cut at 1/2 - eta; probe i has output Bloch b = offsets[i] +
-    maps[i] e.  `probes`, rows (phi1, phi2), only names a probe in errors.
-    `eta` is one cutoff, giving one average per probe, or a sequence of
-    cutoffs, giving one row of averages per cutoff, each equal to the
-    one-cutoff call.
+    one row per cutoff eta in `etas`, radius cut at 1/2 - eta; probe i has
+    the output map affine[i] = [t | M], (P, 3, 4).  `probes`, rows
+    (phi1, phi2), only names a probe in errors.
 
     Each block holds at most _CHUNK probe x node elements: several probes
     per block on grids up to 64x64, node blocks of one probe above.  The
-    block's geometry is built once for all cutoffs.
+    block's geometry is built once for all cutoffs, so each row equals the
+    one-cutoff call's to the bit.
     """
-    etas = [float(e) for e in np.atleast_1d(eta)]
     T1, T2, dirs, w_ang = _angular_tables(quad.n_theta1, quad.n_theta2)
     nodes = T1.size
+    # t as a contiguous copy, since matmul sums a strided vector in another
+    # order: the sums then match (t, M) passed apart, to the bit
+    offsets, maps = np.ascontiguousarray(affine[..., 0]), affine[None, ..., 1:]
     d0 = 1.0 - (offsets[:, None, :] @ offsets[:, :, None])[:, 0]
     # a pure offset admits only M = 0, so the output carries no cross term:
     # its inv_d0 reads 0, and d0 = 1 keeps the dropped term finite
@@ -250,12 +248,12 @@ def _averages(probes: np.ndarray, offsets: np.ndarray, maps: np.ndarray, quad: Q
     inv_d0 = np.where(pure, 0.0, 1.0 / d0)
     big_ss = [1.0 - 2.0 * e for e in etas]
     per_block, span = max(1, _CHUNK // nodes), min(nodes, _CHUNK)
-    total = np.zeros((len(etas), len(offsets)))
+    total = np.zeros((len(etas), len(affine)))
     for row, e in zip(total, etas):
         if e == 0.0:
-            row[_unitary(offsets, maps)] = np.inf  # the only divergent averages
-    maps, dirs = maps[None], dirs[:, None]
-    for p0 in range(0, len(offsets), per_block):
+            row[_unitary(affine)] = np.inf  # the only divergent averages
+    dirs = dirs[:, None]
+    for p0 in range(0, len(affine), per_block):
         batch = slice(p0, p0 + per_block)
         t, d, inv = offsets[batch], d0[batch], inv_d0[batch]
         for lo in range(0, nodes, span):
@@ -271,7 +269,7 @@ def _averages(probes: np.ndarray, offsets: np.ndarray, maps: np.ndarray, quad: Q
                     )
                 row[batch] += radial @ w_ang[lo:lo + span]
     total *= 0.5  # dr = ds/2
-    return total if np.ndim(eta) else total[0]
+    return total
 
 
 def avg_trace_qfi(p: UnitaryParams, probe: ProbeState, quad: QuadSpec, eta):
@@ -295,8 +293,7 @@ def avg_trace_qfi(p: UnitaryParams, probe: ProbeState, quad: QuadSpec, eta):
         if not 0.0 <= e <= ETA_MAX:
             name = "eta" if scalar else f"eta[{i}]"
             raise ValueError(f"{name} must lie in [0, {ETA_MAX}], got {e!r}")
-    offset, m = _probe_affine(p, probe)
-    values = _averages(np.array([[probe.phi1, probe.phi2]]), offset[None], m[None], quad, etas)[:, 0]
+    values = _averages(np.array([[probe.phi1, probe.phi2]]), _probe_affine(p, probe)[None], quad, etas)[:, 0]
     return float(values[0]) if scalar else tuple(float(v) for v in values)
 
 
@@ -374,7 +371,7 @@ def avg_qfi_at_probe(p: UnitaryParams, probe: ProbeState, eta_schedule=DEFAULT_E
     if p.alpha_x == p.alpha_y and probe.phi1 in (0.0, math.pi):
         quad = QuadSpec(_QUAD.n_theta1, 2)  # tr F does not depend on theta2
     trace = tuple(zip(schedule, avg_trace_qfi(p, probe, quad, schedule)))
-    divergent = _unitary(*_probe_affine(p, probe))
+    divergent = _unitary(_probe_affine(p, probe))
     value = math.inf if divergent else _aitken(_ladder(p, probe, quad, trace[-3:]))
     return AvgQfiResult(value=value, probe_opt=probe, eta_trace=trace)
 
@@ -386,16 +383,16 @@ def _sphere_search(p: UnitaryParams, schedule: list) -> AvgQfiResult:
     the sphere whose pole rows hold one probe each (`channel.probe_scan`).
     Nelder-Mead (`channel.PROBE_SIMPLEX`, phi1 held to [0, pi]) refines the
     first best of them with one single-probe call per point, both at the
-    widest cutoff only and reading (t, M) off the gate's probe-affine table.
+    widest cutoff only and reading A = [t | M] off the gate's probe-affine
+    table: the scan reads a (145, 3, 4) stack, and `_averages` gets the
+    one-cutoff list schedule[:1] and returns its one row.
     The schedule at the optimum is `avg_qfi_at_probe`: one base-grid call
     over all cutoffs, then one call per ladder rung.
     """
-    eta0 = schedule[0]
-    table = probe_table(lambda probe: np.concatenate([a.ravel() for a in _probe_affine(p, probe)]))
+    table = probe_table(lambda probe: _probe_affine(p, probe))
 
     def averages(pts):
-        flat = table_at(table, pts)
-        return _averages(pts, flat[:, :3], flat[:, 3:].reshape(-1, 3, 3), _QUAD, eta0)
+        return _averages(pts, table_at(table, pts), _QUAD, schedule[:1])[0]
 
     scan = probe_scan(13, 13, math.pi, 2.0 * math.pi)
     start = tuple(scan[int(np.argmax(averages(scan)))].tolist())

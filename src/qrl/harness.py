@@ -178,19 +178,16 @@ def run_edge_sweep(cfg: SweepConfig) -> list:
     """Rows of the configured metric along the edge.
 
     Points are independent; failures are recorded per point and the sweep
-    continues.  Results are sorted by t, so output is deterministic for any
-    worker count.  The pool holds at most one worker per point, since it
+    continues.  Rows come back in t order, so output is deterministic for
+    any worker count.  The pool holds at most one worker per point, since it
     starts all of its workers at the first submit.
     """
     ts = np.linspace(0.0, 1.0, cfg.samples)
     workers = min(cfg.workers or os.cpu_count() or 1, len(ts))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_eval_point, [cfg] * len(ts), ts))
-    else:
-        reports = [_eval_point(cfg, t) for t in ts]
-    reports.sort(key=lambda r: r.t)
-    return reports
+            return list(pool.map(_eval_point, [cfg] * len(ts), ts))
+    return [_eval_point(cfg, t) for t in ts]
 
 
 def run_vertex_report(

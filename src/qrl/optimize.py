@@ -2,9 +2,10 @@
 
 The simplex update uses the standard coefficients (reflection 1, expansion
 2, contraction 1/2, shrink 1/2) and declares convergence when the simplex
-diameter drops below a tolerance.  Optional bounds (lo, hi) clamp the
-first coordinate of every point, the one coordinate any search here bounds:
-a radius or the probe's polar angle phi1.  Callers pick the seed
+diameter drops below a tolerance.  The bounds (lo, hi) clamp the first
+coordinate of every point, the one coordinate any search here bounds: a
+radius or the probe's polar angle phi1.  Every caller states tol, max_iter
+and bounds; (-inf, inf) leaves the point free.  Callers pick the seed
 deterministically (a grid scan or a fixed seed set), so the whole pipeline
 is reproducible without randomness.
 
@@ -46,7 +47,7 @@ def _diameter(verts: list) -> float:
     return max([math.sqrt(reduce(add, [d * d for d in map(sub, x, best)])) for _, x in verts[1:]])
 
 
-def nelder_mead(f, x0, step: float, tol: float = 1e-9, max_iter: int = 400, bounds=None) -> OptResult:
+def nelder_mead(f, x0, step: float, *, tol: float, max_iter: int, bounds: tuple) -> OptResult:
     """Minimize f from x0 with an axis-aligned initial simplex of size step.
 
     f takes a point as a tuple of floats; bounds, a pair (lo, hi), clamps
@@ -62,7 +63,7 @@ def nelder_mead(f, x0, step: float, tol: float = 1e-9, max_iter: int = 400, boun
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    lo, hi = bounds if bounds is not None else (-math.inf, math.inf)
+    lo, hi = bounds
     seen = {}
 
     def vertex(x):

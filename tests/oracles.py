@@ -103,7 +103,8 @@ def avg_trace_qfi_ugrid(p, probe, quad, nr, eta, mask=True):
     """
     _, _, dirs, w_ang = _angular_tables(quad.n_theta1, quad.n_theta2)
     r_nodes, w_r = _radial_tables(nr, float(eta))
-    offset, m = _probe_affine(p, probe)
+    affine = _probe_affine(p, probe)
+    offset, m = affine[:, 0], affine[:, 1:]
     a, b1, b2 = m @ dirs
     dot = lambda x, y: np.einsum("jk,jk->k", x, y)
     total = 0.0

@@ -152,15 +152,15 @@ def test_optimizer_config_validation():
     square = lambda x: x[0] * x[0]
     for tol in (float("nan"), float("inf"), 0.0, -1.0):
         with pytest.raises(ValueError, match="tol"):
-            nelder_mead(square, (1.0,), 0.5, tol=tol)
+            nelder_mead(square, (1.0,), 0.5, tol=tol, max_iter=400, bounds=(-math.inf, math.inf))
         with pytest.raises(ValueError, match="tol"):
             h2_conditional(rho, dict(tol=tol, max_iter=400))
     for max_iter in (0, -5):
         with pytest.raises(ValueError, match="max_iter"):
-            nelder_mead(square, (1.0,), 0.5, max_iter=max_iter)
+            nelder_mead(square, (1.0,), 0.5, tol=1e-9, max_iter=max_iter, bounds=(-math.inf, math.inf))
         with pytest.raises(ValueError, match="max_iter"):
             h2_conditional(rho, dict(tol=1e-9, max_iter=max_iter))
-    assert nelder_mead(square, (1.0,), 0.5, tol=1e-12, max_iter=1).iterations == 1
+    assert nelder_mead(square, (1.0,), 0.5, tol=1e-12, max_iter=1, bounds=(-math.inf, math.inf)).iterations == 1
 
 
 def test_h2_identity_channel():

@@ -381,7 +381,7 @@ def test_face_pole_probes_need_two_theta2_nodes(monkeypatch):
                 ref = qrl.fisher._aitken(qrl.fisher._ladder(p, pole, qrl.fisher._QUAD, trace[-3:]))
                 worst_value = max(worst_value, abs(res.value - ref) / max(1.0, abs(ref)))
             else:
-                assert qrl.fisher._unitary(*qrl.fisher._probe_affine(p, pole))
+                assert qrl.fisher._unitary(qrl.fisher._probe_affine(p, pole))
     assert worst_trace <= 1e-12 and worst_value <= 1e-12, (worst_trace, worst_value)
     controls = [
         (edge_point("CD", 0.4), ProbeState(np.pi, 0.0)),
@@ -433,11 +433,11 @@ def test_nan_in_a_batch_names_the_probe_and_the_node():
     object.__setattr__(bad, "phi1", float("nan"))
     object.__setattr__(bad, "phi2", 0.25)
     probes = [ProbeState(0.4, 1.0), bad, ProbeState(1.2, 2.0), ProbeState(2.0, 5.0)]
-    offsets, maps = zip(*(qrl.fisher._probe_affine(CNOTV, q) for q in probes))
+    affine = np.array([qrl.fisher._probe_affine(CNOTV, q) for q in probes])
     coords = np.array([[q.phi1, q.phi2] for q in probes])
-    for eta in (1e-2, (1e-2, 1e-4, 0.0)):
+    for etas in ([1e-2], (1e-2, 1e-4, 0.0)):
         with pytest.raises(QuadratureError, match=r"probe phi1=nan, phi2=0\.25, node theta1=\S+, theta2=\S+"):
-            qrl.fisher._averages(coords, np.array(offsets), np.array(maps), QuadSpec(32, 32), eta)
+            qrl.fisher._averages(coords, affine, QuadSpec(32, 32), etas)
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +454,11 @@ def test_affine_table_reproduces_probe_affine():
     coords = np.vstack([coords, [[0.0, 0.0], [0.0, 2.1], [np.pi, 0.0], [np.pi, 4.4]]])
     for edge in EDGES:
         p = edge_point(edge, local.uniform(0.05, 0.95))
-        affine = probe_table(lambda q: np.concatenate([a.ravel() for a in qrl.fisher._probe_affine(p, q)]))
-        flat = table_at(affine, coords)
+        affine = table_at(probe_table(lambda q: qrl.fisher._probe_affine(p, q)), coords)
         rhos = table_at(probe_table(lambda q: choi_bf(stinespring_isometry(p, q))), coords)
-        for (phi1, phi2), row, rho in zip(coords, flat, rhos):
+        for (phi1, phi2), a, rho in zip(coords, affine, rhos):
             probe = ProbeState(phi1, phi2)
-            t_ref, m_ref = qrl.fisher._probe_affine(p, probe)
-            assert np.max(np.abs(row[:3] - t_ref)) <= 1e-14
-            assert np.max(np.abs(row[3:].reshape(3, 3) - m_ref)) <= 1e-14
+            assert np.max(np.abs(a - qrl.fisher._probe_affine(p, probe))) <= 1e-14
             assert np.max(np.abs(rho - choi_bf(stinespring_isometry(p, probe)))) <= 1e-15
 
 
@@ -495,10 +492,10 @@ def test_batched_kernel_equals_single_probe_calls(n):
         (UnitaryParams(1.3, 0.8, 0.2), ProbeState(2.7, 1.9)),
     ]
     quad = QuadSpec(n, n)
-    offsets, maps = zip(*(qrl.fisher._probe_affine(p, q) for p, q in cases))
+    affine = np.array([qrl.fisher._probe_affine(p, q) for p, q in cases])
     coords = np.array([[q.phi1, q.phi2] for _, q in cases])
     for eta in (1e-2, 0.0):
-        got = qrl.fisher._averages(coords, np.array(offsets), np.array(maps), quad, eta)
+        got = qrl.fisher._averages(coords, affine, quad, [eta])[0]
         ref = [avg_trace_qfi(p, q, quad, eta) for p, q in cases]
         assert got[2] == ref[2] == 0.0
         assert [k for k, v in enumerate(got) if not math.isfinite(v)] == ([3] if eta == 0.0 else [])
@@ -522,13 +519,13 @@ def test_multi_cutoff_calls_equal_single_cutoff_calls(n):
         (UnitaryParams(1.3, 0.8, 0.2), ProbeState(2.7, 1.9)),
     ]
     quad = QuadSpec(n, n)
-    offsets, maps = (np.array(a) for a in zip(*(qrl.fisher._probe_affine(p, q) for p, q in cases)))
+    affine = np.array([qrl.fisher._probe_affine(p, q) for p, q in cases])
     coords = np.array([[q.phi1, q.phi2] for _, q in cases])
     etas = (1e-2, 0.0, 1e-4, 1e-6)
-    rows = qrl.fisher._averages(coords, offsets, maps, quad, etas)
+    rows = qrl.fisher._averages(coords, affine, quad, etas)
     assert rows.shape == (len(etas), len(cases))
     for eta, row in zip(etas, rows):
-        assert np.array_equal(row, qrl.fisher._averages(coords, offsets, maps, quad, eta))
+        assert np.array_equal(row, qrl.fisher._averages(coords, affine, quad, [eta])[0])
     assert [k for k, v in enumerate(rows[1]) if not math.isfinite(v)] == [2]
     assert np.isfinite(np.delete(rows, 1, axis=0)).all()
     assert not rows[:, 1].any()
@@ -604,7 +601,8 @@ def test_eta_zero_is_the_exact_limit():
 
 
 def _unitary_residual(p, probe):
-    t, m = qrl.fisher._probe_affine(p, probe)
+    affine = qrl.fisher._probe_affine(p, probe)
+    t, m = affine[:, 0], affine[:, 1:]
     return max(np.abs(t).max(), np.abs(m.T @ m - np.eye(3)).max())
 
 
@@ -621,7 +619,7 @@ def test_divergence_rule_is_a_unitary_probe_channel():
     ]
     for p, probe in unitary:
         assert _unitary_residual(p, probe) <= 1e-15
-        assert qrl.fisher._unitary(*qrl.fisher._probe_affine(p, probe))
+        assert qrl.fisher._unitary(qrl.fisher._probe_affine(p, probe))
     finite = [
         (CNOTV, ProbeState(np.pi, 0.0)),
         (DCNOT, ProbeState(1.1, 0.4)),
@@ -632,7 +630,7 @@ def test_divergence_rule_is_a_unitary_probe_channel():
     ]
     for p, probe in finite:
         assert _unitary_residual(p, probe) > 1e-3
-        assert not qrl.fisher._unitary(*qrl.fisher._probe_affine(p, probe))
+        assert not qrl.fisher._unitary(qrl.fisher._probe_affine(p, probe))
 
 
 def test_eta_zero_reads_inf_exactly_at_unitary_probes():
@@ -805,10 +803,10 @@ def test_unitary_probe_channels_lie_at_the_poles_of_ds(monkeypatch):
     poles = (ProbeState(0.0, 0.0), ProbeState(np.pi, 0.0))
     unitary = 0
     for p in gates:
-        at_poles = [qrl.fisher._unitary(*qrl.fisher._probe_affine(p, q)) for q in poles]
+        at_poles = [qrl.fisher._unitary(qrl.fisher._probe_affine(p, q)) for q in poles]
         for _ in range(10):
             probe = ProbeState(local.uniform(0, np.pi), local.uniform(0, 2 * np.pi))
-            if qrl.fisher._unitary(*qrl.fisher._probe_affine(p, probe)):
+            if qrl.fisher._unitary(qrl.fisher._probe_affine(p, probe)):
                 unitary += 1
                 assert all(at_poles), (p, probe)
     assert unitary >= 10  # S at every probe
@@ -848,10 +846,9 @@ def _status(res):
 def _phi1_line(p, etas, n=61):
     """Averages on `_QUAD` at the probes (phi1, 0), phi1 on n points of
     [0, pi], one row per cutoff, read off the gate's probe-affine table."""
-    table = probe_table(lambda q: np.concatenate([a.ravel() for a in qrl.fisher._probe_affine(p, q)]))
+    table = probe_table(lambda q: qrl.fisher._probe_affine(p, q))
     pts = np.stack([np.linspace(0.0, np.pi, n), np.zeros(n)], axis=1)
-    flat = table_at(table, pts)
-    return qrl.fisher._averages(pts, flat[:, :3], flat[:, 3:].reshape(-1, 3, 3), qrl.fisher._QUAD, etas)
+    return qrl.fisher._averages(pts, table_at(table, pts), qrl.fisher._QUAD, etas)
 
 
 def test_reduced_qfi_search_against_the_sphere_search(monkeypatch):

@@ -1,9 +1,11 @@
 """Tests for sweep orchestration, report rows, file outputs, and the CLI."""
 
+import logging
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -404,6 +406,25 @@ def test_cli_sweep_exits_3_on_one_failed_point(monkeypatch, tmp_path, caplog):
     lines = out.read_text().strip().splitlines()
     assert [line.split(",")[8] for line in lines[1:]] == ["non-converged", "ok", "ok"]
     assert "3 points, 1 non-converged" in caplog.text
+
+
+def test_cli_bound_exits_3_on_a_non_converged_optimum(monkeypatch, tmp_path, caplog):
+    # the bound table has no status column: with a non-converged H2 optimum
+    # it is still written, one error line names the gate, and the exit is 3
+    args = ["bound", "--alpha", "1.2,0.7,0.3", "--epsilons", "0.05", "--ns", "1000", "--out"]
+    for converged, code in ((True, 0), (False, 3)):
+        caplog.clear()
+        optimum = replace(fake_optimum(), converged=converged)
+        monkeypatch.setattr(qrl.harness, "best_probe_h2", lambda params: optimum)
+        out = tmp_path / f"b{converged}.csv"
+        assert main([*args, str(out)]) == code
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == BOUND_HEADER and len(lines) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        if converged:
+            assert errors == []
+        else:
+            assert len(errors) == 1 and "alpha=1.2,0.7,0.3" in errors[0] and "non-converged" in errors[0]
 
 
 def test_cli_channel_fault_is_a_non_converged_row(monkeypatch, tmp_path):

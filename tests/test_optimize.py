@@ -14,6 +14,8 @@ from qrl.optimize import nelder_mead
 from qrl.unitary import VERTICES, edge_point
 from oracles import nelder_mead_numpy
 
+UNBOUNDED = (-math.inf, math.inf)
+
 
 def _problems():
     rng = np.random.default_rng(2024)
@@ -36,7 +38,7 @@ def _problems():
         # is not a stable sort, so tied vertices may be ranked differently
         if n == 3 and k % 4 == 1:
             continue
-        bounds = None
+        bounds = UNBOUNDED
         if k % 2:
             lo = rng.uniform(-1.5, 0.0)
             bounds = (lo, lo + rng.uniform(0.5, 2.0))
@@ -44,8 +46,9 @@ def _problems():
 
 
 def _box(bounds):
-    """The array form's projection for bounds on the first coordinate."""
-    if bounds is None:
+    """The array form's projection for bounds on the first coordinate; it
+    runs unprojected where the bounds leave the point free."""
+    if bounds == UNBOUNDED:
         return None
     lo, hi = bounds
 
@@ -65,7 +68,7 @@ def test_nelder_mead_matches_the_array_form_bit_for_bit():
             b = nelder_mead_numpy(f, x0, step, tol=tol, max_iter=max_iter, project=_box(bounds))
             assert type(a.x) is tuple and _bits(*a.x) == b.x.tobytes() and b.x.dtype == float
             assert (a.iterations, a.converged) == (b.iterations, b.converged)
-            seen.add((x0.size, bounds is None, a.converged))
+            seen.add((x0.size, bounds == UNBOUNDED, a.converged))
     # every dimension, with and without bounds, and both exits
     assert len(seen) == 12
 
@@ -106,7 +109,7 @@ def test_nelder_mead_evaluates_each_point_once():
             nelder_mead_numpy(array_counted, x0, step, tol=tol, max_iter=max_iter, project=_box(bounds))
             assert len(set(points)) == len(points)
             assert len(points) <= array_calls[0]
-            if x0.size == 1 and bounds is not None:
+            if x0.size == 1 and bounds != UNBOUNDED:
                 bounded_1d[0] += len(points)
                 bounded_1d[1] += array_calls[0]
     # a 1-D shrink lands on the contraction point it rejected, and moves
@@ -118,7 +121,7 @@ def _array_form(calls):
     """nelder_mead with the array form's iterates and f-calls, recording
     each call's seed."""
 
-    def nm(f, x0, step, tol=1e-9, max_iter=400, bounds=None):
+    def nm(f, x0, step, *, tol, max_iter, bounds):
         calls.append(tuple(map(float, x0)))
         as_tuple = lambda x: tuple(np.asarray(x, dtype=float).tolist())
         res = nelder_mead_numpy(lambda x: f(as_tuple(x)), x0, step, tol=tol, max_iter=max_iter, project=_box(bounds))
