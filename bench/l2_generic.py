@@ -10,8 +10,11 @@ CS and DS at t = 1/3 and 2/3 and the vertices S and D, where the searches
 are reduced.  The H2 search makes one sigma solve, at the probe (0, 0), on
 every one of them.  The QFI search takes the cutoff schedule at the pole
 probe (pi, 0), with no scan or simplex, on IS, ID, DS, S and D (the face
-ax = ay), and keeps the 2-D search on CS.  The two searches alternate per
-gate, so that drift of the machine's speed hits both alike.
+ax = ay), and keeps the 2-D search on CS and at the generic gates: a scan
+of 79 probes, phi2 on [0, pi) only, since the trapezoid rule on theta2
+keeps the Z (x) Z image (phi1, phi2 + pi) exact, then a simplex.  The two
+searches alternate per gate, so that drift of the machine's speed hits both
+alike.
 
 Counts the work of one search per stage.  For H2 these are the
 `h2_conditional` calls, told apart by the config each stage passes: the scan

@@ -279,7 +279,7 @@ def correction_bits(epsilon: float) -> float:
 
 def one_shot_lower_bound(h2: float, epsilon: float, n: int) -> CapacityResult:
     """Assemble the per-use lower bound h2 - correction/n and its clamp at 0."""
-    if n < 1 or int(n) != n:
+    if not (n >= 1 and n % 1 == 0):  # NaN fails the first test, inf the second
         raise ValueError(f"n must be a positive integer, got {n!r}")
     corr = correction_bits(epsilon)
     raw = h2 - corr / n
@@ -297,7 +297,7 @@ def _sphere_search(table: np.ndarray) -> ProbeOptimum:
     the answer at the simplex's point.  Every rho_BF comes off the gate's
     table.
     """
-    scan = probe_scan(7, 7, math.pi / 2.0, math.pi)
+    scan = probe_scan(7, 7, math.pi / 2.0)
     values = [h2_conditional(rho, _COARSE).value for rho in table_at(table, scan)]
 
     def neg_h2(x):

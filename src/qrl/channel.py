@@ -122,13 +122,13 @@ def table_at(table: np.ndarray, probes: np.ndarray) -> np.ndarray:
     return (coef @ table.reshape(4, -1)).reshape(-1, *table.shape[1:])
 
 
-def probe_scan(n1: int, n2: int, phi1_max: float, phi2_max: float) -> np.ndarray:
+def probe_scan(n1: int, n2: int, phi1_max: float) -> np.ndarray:
     """Scan grid, rows (phi1, phi2): n1 values of phi1 on [0, phi1_max]
-    times n2 of phi2 on [0, phi2_max), in row order, except that a pole row
-    (phi1 = 0 or pi) holds only phi2 = 0, since all its points name one
-    probe."""
+    times n2 of phi2 on [0, pi), whose Z (x) Z images phi2 + pi repeat them,
+    in row order, except that a pole row (phi1 = 0 or pi) holds only
+    phi2 = 0, since all its points name one probe."""
     a = np.linspace(0.0, phi1_max, n1)
-    b = np.linspace(0.0, phi2_max, n2, endpoint=False)
+    b = np.linspace(0.0, math.pi, n2, endpoint=False)
     pts = np.stack(np.meshgrid(a, b, indexing="ij"), axis=-1).reshape(-1, 2)
     return pts[(pts[:, 1] == 0.0) | ((pts[:, 0] != 0.0) & (pts[:, 0] != math.pi))]
 

@@ -6,12 +6,13 @@ offset t and a linear map M with b = t + M e = A (1, e).  Along each prior
 direction n the output Bloch vector is b = t + s M n with s = 2r, so the
 trace-QFI is a polynomial in s plus a quartic over the quadratic
 den = 1 - |b|^2.  The averaged trace-QFI therefore integrates the radius in
-closed form, up to the cutoff 1/2 - eta, and only the two angles use
-Gauss-Legendre nodes.  One kernel, `_averages`, evaluates a (P, 3, 4) stack
-of probes' maps at a list of cutoffs, one row per cutoff, in blocks of at
-most _CHUNK probe x node elements: a block's geometry (M n, the roots of
-den and the quartic's coefficients) does not depend on the cutoff and is
-built once, and only the radial moments are evaluated per cutoff.
+closed form, up to the cutoff 1/2 - eta; only the angles use nodes,
+Gauss-Legendre on theta1 and the trapezoid on the periodic theta2.  One
+kernel, `_averages`, evaluates a (P, 3, 4) stack of probes' maps at a list
+of cutoffs, one row per cutoff, in blocks of at most _CHUNK probe x node
+elements: a block's geometry (M n, the roots of den and the quartic's
+coefficients) does not depend on the cutoff and is built once, and only the
+radial moments are evaluated per cutoff.
 `avg_trace_qfi` is that kernel applied to one probe.  `avg_qfi_at_probe`
 makes one call on the base grid `_QUAD` for its whole cutoff schedule, then
 one call per rung of an angular-doubling ladder that holds the cutoffs still
@@ -29,9 +30,9 @@ Every other gate gets the 2-D probe search.  For a fixed gate the output is
 linear in the probe density, so A is affine in the probe Bloch vector q.
 The search builds that probe-affine table once per gate
 (`channel.probe_table`, four probes) and then reads A for any probe off
-it: its scan of 145 probes, a 13x13 grid whose pole rows hold one probe
-each, is one batched kernel call and each Nelder-Mead evaluation a
-one-probe call, with no isometry or channel work per probe.
+it: its scan of 79 probes, phi2 on [0, pi) only, is one batched kernel
+call and each Nelder-Mead evaluation a one-probe call, with no isometry or
+channel work per probe.
 
 Both roots of den lie outside (-1, 1), because the outputs at the pure
 environment states +-n are states.  The average diverges exactly when the
@@ -81,8 +82,8 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Gauss-Legendre node counts (polar, azimuthal); the radius is
-    integrated exactly."""
+    """Angular node counts: Gauss-Legendre on the polar theta1, the
+    trapezoid on the azimuthal theta2; the radius is integrated exactly."""
 
     n_theta1: int = 32
     n_theta2: int = 32
@@ -98,19 +99,15 @@ _QUAD = QuadSpec()  # the base grid of the probe search and the ladder
 
 # --- Bayesian average -------------------------------------------------------
 
-def _gl(a: float, b: float, n: int):
-    x, w = leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
 @lru_cache(maxsize=32)
 def _angular_tables(n1: int, n2: int):
     """Node angles, the direction n and its two angular partials stacked as
-    a (3, 3, nodes) array, and the prior-weighted angular weights."""
-    t1, w1 = _gl(0.0, math.pi, n1)
-    t2, w2 = _gl(0.0, 2.0 * math.pi, n2)
+    a (3, 3, nodes) array, and the prior-weighted angular weights: Gauss-
+    Legendre on theta1, the trapezoid 2 pi k / n2 on theta2."""
+    x, w1 = leggauss(n1)
+    t1, w1 = 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * w1
     T1 = np.repeat(t1, n2)
-    T2 = np.tile(t2, n1)
+    T2 = np.tile(2.0 * math.pi / n2 * np.arange(n2), n1)
     s1, c1 = np.sin(T1), np.cos(T1)
     s2, c2 = np.sin(T2), np.cos(T2)
     dirs = np.array([
@@ -118,7 +115,7 @@ def _angular_tables(n1: int, n2: int):
         [c1 * c2, c1 * s2, -s1],
         [-s1 * s2, s1 * c2, np.zeros_like(s1)],
     ])
-    weight = np.repeat(w1, n2) * np.tile(w2, n1) * np.sin(T1 / 2.0) / (2.0 * math.pi)
+    weight = np.repeat(w1, n2) / n2 * np.sin(T1 / 2.0)
     return T1, T2, dirs, weight
 
 
@@ -379,12 +376,12 @@ def avg_qfi_at_probe(p: UnitaryParams, probe: ProbeState, eta_schedule=DEFAULT_E
 def _sphere_search(p: UnitaryParams, schedule: list) -> AvgQfiResult:
     """The 2-D probe search of a gate off the face ax == ay.
 
-    The scan is one batched kernel call over 145 probes, a 13 x 13 grid of
-    the sphere whose pole rows hold one probe each (`channel.probe_scan`).
+    The scan is one batched kernel call over 79 probes, 13 x 7 on
+    [0, pi] x [0, pi) with one probe per pole row (`channel.probe_scan`).
     Nelder-Mead (`channel.PROBE_SIMPLEX`, phi1 held to [0, pi]) refines the
     first best of them with one single-probe call per point, both at the
     widest cutoff only and reading A = [t | M] off the gate's probe-affine
-    table: the scan reads a (145, 3, 4) stack, and `_averages` gets the
+    table: the scan reads a (79, 3, 4) stack, and `_averages` gets the
     one-cutoff list schedule[:1] and returns its one row.
     The schedule at the optimum is `avg_qfi_at_probe`: one base-grid call
     over all cutoffs, then one call per ladder rung.
@@ -394,7 +391,7 @@ def _sphere_search(p: UnitaryParams, schedule: list) -> AvgQfiResult:
     def averages(pts):
         return _averages(pts, table_at(table, pts), _QUAD, schedule[:1])[0]
 
-    scan = probe_scan(13, 13, math.pi, 2.0 * math.pi)
+    scan = probe_scan(13, 7, math.pi)
     start = tuple(scan[int(np.argmax(averages(scan)))].tolist())
     res = nelder_mead(lambda x: -float(averages(np.array([x]))[0]), start, **PROBE_SIMPLEX)
     return replace(avg_qfi_at_probe(p, ProbeState(*res.x), schedule), converged=res.converged)
@@ -406,10 +403,11 @@ def maximize_over_probe(p: UnitaryParams, eta_schedule=DEFAULT_ETA_SCHEDULE) -> 
 
     The prior is invariant under z-rotations of the environment, and Z (x) Z
     commutes with U, so the average takes the same value at the probe image
-    (phi1, phi2 + pi); the 2-D search does not halve its scan by it, since
-    on the base grid the two values differ by up to 1.7e-4 relative, enough
-    to move probes.  The answer takes one of two paths, picked by exact
-    equality of the angles, which `edge_point` produces bit for bit:
+    (phi1, phi2 + pi).  It shifts theta2 by pi, which maps the even theta2
+    grids of the trapezoid onto themselves, so the computed average keeps
+    the symmetry and the 2-D scan covers phi2 in [0, pi) only.  The answer
+    takes one of two paths, picked by exact equality of the angles, which
+    `edge_point` produces bit for bit:
 
     - ax == ay (I, IS, ID, DS, S, D): the schedule at the south pole
       (pi, 0), with no probe table, scan or simplex.  XX + YY commutes with

@@ -33,6 +33,9 @@ tests check the library against them.
   has no use for it.
 - `probe_density` is the probe's density matrix |psi><psi|; the library
   reads the probe through its ket alone.
+- `conditional_entropy` is the von Neumann H(R|F) = S(rho) - S(rho_F) of a
+  state on (reference) (x) F, in bits: the alpha -> 1 member of the Renyi
+  family whose alpha = 2 member `qrl.capacity.h2_conditional` computes.
 """
 
 import math
@@ -50,7 +53,7 @@ from qrl.capacity import (
     g_eps,
 )
 from qrl.channel import ANGLE_TOL, TWO_PI, apply_channel, stinespring_isometry
-from qrl.fisher import PURITY_TOL, _angular_tables, _gl, _probe_affine
+from qrl.fisher import PURITY_TOL, _angular_tables, _probe_affine
 from qrl.linalg import HERMITICITY_TOL, I2, SX, SY, SZ, kron, partial_trace
 from qrl.optimize import OptResult
 
@@ -86,11 +89,17 @@ def _env_matrix(env) -> np.ndarray:
     return env.matrix() if isinstance(env, EnvState) else np.asarray(env, dtype=complex)
 
 
+def gl_nodes(a: float, b: float, n: int):
+    """Gauss-Legendre nodes and weights on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+
+
 @lru_cache(maxsize=64)
 def _radial_tables(nr: int, eta: float):
     if eta == 0.0:
-        return _gl(0.0, 0.5, nr)
-    u, wu = _gl(math.log(2.0), math.log(1.0 / eta), nr)
+        return gl_nodes(0.0, 0.5, nr)
+    u, wu = gl_nodes(math.log(2.0), math.log(1.0 / eta), nr)
     return 0.5 - np.exp(-u), wu * np.exp(-u)
 
 
@@ -233,6 +242,18 @@ def probe_density(probe) -> np.ndarray:
     """|psi><psi| of a ProbeState."""
     k = probe.ket()
     return np.outer(k, k.conj())
+
+
+def _entropy_bits(rho) -> float:
+    w = np.linalg.eigvalsh(rho)
+    w = w[w > 1e-300]
+    return float(-(w * np.log2(w)).sum())
+
+
+def conditional_entropy(rho) -> float:
+    """von Neumann H(R|F) = S(rho_RF) - S(rho_F) in bits, for rho on
+    (reference) (x) F as `qrl.channel.choi_bf` builds it."""
+    return _entropy_bits(rho) - _entropy_bits(partial_trace(rho, keep="second"))
 
 
 def sigma_matrix(bloch) -> np.ndarray:

@@ -20,7 +20,7 @@ from qrl.linalg import PAULI
 from qrl.optimize import nelder_mead
 from qrl.unitary import VERTICES, UnitaryParams, edge_point
 from oracles import (
-    delta_star_golden, h2_conditional_simplex, probe_density, renyi2_divergence, sigma_certificate, sigma_matrix,
+    conditional_entropy, delta_star_golden, h2_conditional_simplex, probe_density, renyi2_divergence, sigma_certificate, sigma_matrix,
 )
 
 rng = np.random.default_rng(424242)
@@ -348,6 +348,28 @@ def test_h2_bounded():
         assert -1.0 - 1e-9 <= v <= 1.0 + 1e-9
 
 
+def test_h2_at_most_the_von_neumann_conditional_entropy():
+    # the sandwiched Renyi conditional entropies fall as alpha grows, so
+    # H2(B|F) <= H(R|F), the von Neumann one of the same rho_BF (measured
+    # gaps 0.016-0.24 bits on 30 random pairs).  At the pole probe (0, 0),
+    # which the search reports for every vertex, equality holds: I reads
+    # -1 and C 0 to round-off, S and D 1 up to the gap that BLOCH_CAP
+    # leaves, measured 7.2135e-8
+    local = np.random.default_rng(1414)
+    for _ in range(30):
+        ax = local.uniform(0.05, np.pi / 2)
+        ay = local.uniform(0.0, ax)
+        p = UnitaryParams(ax, ay, local.uniform(0.0, ay))
+        probe = ProbeState(local.uniform(0, np.pi), local.uniform(0, 2 * np.pi))
+        rho = choi_bf(stinespring_isometry(p, probe))
+        assert h2_conditional(rho).value <= conditional_entropy(rho) + 1e-12, (p, probe)
+    for name, exact, gap in (("I", -1.0, 1e-12), ("C", 0.0, 1e-12), ("S", 1.0, 7.5e-8), ("D", 1.0, 7.5e-8)):
+        rho = choi_bf(stinespring_isometry(VERTICES[name], ProbeState(0.0, 0.0)))
+        h2, h = h2_conditional(rho).value, conditional_entropy(rho)
+        assert h == pytest.approx(exact, abs=1e-12), name
+        assert -1e-12 <= h - h2 <= gap, (name, h - h2)
+
+
 def test_h2_same_at_the_probe_images():
     # P (x) P commutes with U for P = X, Y, Z, so the probe P|psi> gives the
     # channel conjugated by P on both sides; H2(B|F) ignores local unitaries
@@ -515,8 +537,11 @@ def test_bound_monotone_in_n():
 
 
 def test_bound_rejects_bad_n():
-    for n in (0, -1):
-        with pytest.raises(ValueError):
+    # inf and NaN are argument errors too: int(inf) raised OverflowError,
+    # which a sweep counts as a numerical fault, and int(NaN) a message
+    # about conversion
+    for n in (0, -1, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
             one_shot_lower_bound(1.0, 0.05, n)
 
 

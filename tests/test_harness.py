@@ -183,6 +183,14 @@ def test_sweep_propagates_programming_errors(monkeypatch):
         run_edge_sweep(SweepConfig(edge="IC", samples=2, workers=1))
 
 
+def test_sweep_non_finite_n_is_an_argument_error():
+    # a bound sweep with n = inf or NaN raises ValueError, not one
+    # non-converged row per point
+    for n in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            run_edge_sweep(SweepConfig(edge="IS", metric="bound", samples=2, n=n, workers=1))
+
+
 def test_sweep_pool_holds_at_most_one_worker_per_point(monkeypatch):
     # the pool starts every worker it is asked for at the first submit, so
     # the sweep asks for no more than it has points, and for none at one
