@@ -9,19 +9,24 @@ with BLAS pinned to one thread.  It times the same at face gates, IS, ID,
 CS and DS at t = 1/3 and 2/3 and the vertices S and D, where the searches
 are reduced.  The H2 search makes one sigma solve, at the probe (0, 0), on
 every one of them.  The QFI search takes the cutoff schedule at the pole
-probe (pi, 0), with no scan or simplex, on IS, ID, DS, S and D (the face
-ax = ay), and keeps the 2-D search on CS and at the generic gates: a scan
-of 79 probes, phi2 on [0, pi) only, since the trapezoid rule on theta2
-keeps the Z (x) Z image (phi1, phi2 + pi) exact, then a simplex.  The two
-searches alternate per gate, so that drift of the machine's speed hits both
-alike.
+probe (pi, 0), with no table, stencil, scan or simplex, on IS, ID, DS, S
+and D (the face ax = ay).  Every other gate reads its probe-affine table at
+both poles and a tangent stencil about each (8 probes) and takes the
+better pole where its tangent Hessian shows no ascent (the pole rule, CD
+and the interior gates here); otherwise (CS) it runs the 2-D search: a
+scan of 79 probes, phi2 on [0, pi) only, since the trapezoid rule on
+theta2 keeps the Z (x) Z image (phi1, phi2 + pi) exact, then a simplex.
+The two searches alternate per gate, so that drift of the machine's speed
+hits both alike.
 
 Counts the work of one search per stage.  For H2 these are the
 `h2_conditional` calls, told apart by the config each stage passes: the scan
 (`_COARSE`), the refinement (`_MEDIUM`) and the final solve (the default).
-For the QFI these are the probes of the batched scan and the simplex's
-evaluations, the `fisher._averages` calls that `maximize_over_probe` makes
-outside `avg_trace_qfi`; both read 0 on the face ax = ay.
+For the QFI these are the `fisher._averages` calls that
+`maximize_over_probe` makes outside `avg_trace_qfi`: the stencil's probes,
+the probes of the batched scan and the simplex's evaluations, and the rule
+they add up to: "face pole" (no such call), "pole" (the stencil alone) or
+"2-D" (stencil, scan and simplex).
 On a face gate the H2 counts read 0 scan, 0 refinement and 1 final solve.
 Prints one JSON object: per gate, the median and quartiles over rounds of
 each search's time in ms, and the counts per stage, under "gates" for the
@@ -80,8 +85,9 @@ def count_stages(p) -> dict:
 
 
 def count_qfi_stages(p) -> dict:
-    """Scan probes and simplex evaluations of one maximize_over_probe: its
-    _averages calls outside avg_trace_qfi, the first one the scan."""
+    """The rule, stencil and scan probes and simplex evaluations of one
+    maximize_over_probe: its _averages calls outside avg_trace_qfi, in
+    order the pole stencil, the scan and the simplex's."""
     plain_avg, plain_trace = fisher._averages, fisher.avg_trace_qfi
     sizes, inside = [], [0]
 
@@ -102,7 +108,14 @@ def count_qfi_stages(p) -> dict:
         maximize_over_probe(p)
     finally:
         fisher._averages, fisher.avg_trace_qfi = plain_avg, plain_trace
-    return {"scan_probes": sizes[0] if sizes else 0, "simplex_evaluations": max(len(sizes) - 1, 0)}
+    stencil, scan, simplex = sizes[:1], sizes[1:2], sizes[2:]
+    rule = "2-D" if scan else "pole" if stencil else "face pole"
+    return {
+        "rule": rule,
+        "stencil_probes": sum(stencil),
+        "scan_probes": sum(scan),
+        "simplex_evaluations": len(simplex),
+    }
 
 
 def main() -> int:

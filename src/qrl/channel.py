@@ -14,9 +14,11 @@ V is linear in the probe ket, so everything built from V and V^dag, such as
 the channel's Bloch map or rho_BF, is linear in the probe density
 (1 + q.sigma)/2 and hence affine in the probe Bloch vector q.  Both probe
 searches use that: `probe_table` evaluates such a quantity at four probes
-once per gate and `table_at` reads it at any batch of probes.  Both scan a
-`probe_scan` grid, then refine (phi1, phi2) with the one `PROBE_SIMPLEX`
-setting.
+once per gate and `table_at` reads it at any batch of probes.  Wherever a
+search runs in 2-D, it scans a `probe_scan` grid, then refines (phi1, phi2)
+with the one `PROBE_SIMPLEX` setting.  The QFI reads the table first at
+both poles and a tangent stencil about each, and runs that search only
+where the better pole's tangent Hessian shows ascent (`fisher._pole_probe`).
 """
 
 from __future__ import annotations

@@ -26,13 +26,18 @@ face ax == ay of the tetrahedron, where U commutes with every z-rotation
 R (x) R, the average does not depend on the probe's phi2, and along phi1
 it was measured to peak at the south pole: there the probe maximum is the
 schedule at the probe (pi, 0), which also settles DS, S and D at +inf.
-Every other gate gets the 2-D probe search.  For a fixed gate the output is
-linear in the probe density, so A is affine in the probe Bloch vector q.
-The search builds that probe-affine table once per gate
-(`channel.probe_table`, four probes) and then reads A for any probe off
-it: its scan of 79 probes, phi2 on [0, pi) only, is one batched kernel
-call and each Nelder-Mead evaluation a one-probe call, with no isometry or
-channel work per probe.
+For a fixed gate the output is linear in the probe density, so A is affine
+in the probe Bloch vector q.  Every other gate builds that probe-affine
+table once (`channel.probe_table`, four probes) and reads A for any probe
+off it, with no isometry or channel work per probe.  Z (x) Z makes both
+poles critical points of the average, so one batched kernel call over the
+poles and a tangent stencil about each reads the better pole's tangent
+Hessian: where it shows no ascent and the widest cutoff is at least 1e-2
+(CD, IC, C and the interior away from the face ay == az), the probe
+maximum is the schedule at that pole.  Only the other gates (CS and its
+neighbourhood, or any gate under a smaller widest cutoff) get the 2-D
+probe search: a scan of 79 probes, phi2 on [0, pi) only, in one batched
+kernel call, then one one-probe call per Nelder-Mead evaluation.
 
 Both roots of den lie outside (-1, 1), because the outputs at the pure
 environment states +-n are states.  The average diverges exactly when the
@@ -74,6 +79,15 @@ _LADDER_RTOL = 1e-4
 _CHUNK = 4096  # probe x node elements per vectorised block, bounds the temporaries
 _SERIES_X = 0.25  # |x| up to which G_k(x) is summed as a power series
 _SERIES_TERMS = 28  # 0.25**28 / 33 < 1e-18
+_POLE_STEP = 1e-3  # the tangent stencil's step in radians (`_pole_probe`)
+_POLE_ETA = 1e-2  # the smallest widest cutoff at which the pole rule holds
+# rows (phi1, phi2): the south pole, then the north pole, each followed by
+# its tangent points at the step _POLE_STEP in the directions psi = 0,
+# pi/3, 2 pi/3, where psi is phi2
+_POLE_STENCIL = np.array([
+    row for pole, near in ((math.pi, math.pi - _POLE_STEP), (0.0, _POLE_STEP))
+    for row in ([pole, 0.0], *([near, k * math.pi / 3.0] for k in range(3)))
+])
 
 
 class QuadratureError(RuntimeError):
@@ -373,8 +387,55 @@ def avg_qfi_at_probe(p: UnitaryParams, probe: ProbeState, eta_schedule=DEFAULT_E
     return AvgQfiResult(value=value, probe_opt=probe, eta_trace=trace)
 
 
-def _sphere_search(p: UnitaryParams, schedule: list) -> AvgQfiResult:
-    """The 2-D probe search of a gate off the face ax == ay.
+def _pole_probe(table: np.ndarray, schedule: list):
+    """The better pole, if the average at the widest cutoff has no ascent
+    there and that cutoff is at least _POLE_ETA, else None: one batched
+    kernel call on `_QUAD` over both poles and their tangent stencils
+    (`_POLE_STENCIL`).
+
+    Z (x) Z maps the probe Bloch vector q to (-qx, -qy, qz), fixes both
+    poles and acts as -I on their tangent planes; it commutes with every
+    canonical gate, and the trapezoid keeps it exact on the theta2 grid.  So
+    the computed average is even about either pole: its gradient there is 0
+    and the tangent point at the step d in the direction psi reads
+    f0 + d^2/2 H(psi) + O(d^4), H(psi) = e^T H e with e = (cos psi, sin psi)
+    and H the 2x2 tangent Hessian.  Opposite directions are equal, so three,
+    psi = 0, pi/3 and 2 pi/3, fix the three entries of H.  The pole is taken
+    where the larger eigenvalue of H is at most d^2 max(1, |f0|), the
+    stencil's own error: the truncation d^2/12 times a fourth derivative,
+    taken to scale with |f0| on the unit sphere, and round-off 4 eps |f0| / d^2,
+    which at eps ~ 1e-15 is 4e-9 |f0|.  Semidefinite, not definite, on
+    purpose: where ay == az == 0 (IC and C) exp(i a X (x) X) commutes with
+    x-rotations of the probe alone, so the average depends on qx only and H
+    is flat along y to round-off (measured 4e-11 to 2.5e-9 at eta = 1e-2,
+    against -0.82 to -3.3 along x).
+
+    A local test proves only a local maximum.  At widest cutoffs from 1e-2
+    to ETA_MAX the 2-D search never beat a pole the rule took, on 320
+    random gates (az = 0, interior, on and within 1e-3 of the face
+    ay == az), and not down to 2e-3 either.  Below, maxima away from the
+    poles outgrow them while the poles stay local maxima: at 1e-3 and 1e-4
+    on the face ay == az (gate (1.3645, 0.3919, 0.3919) at 1e-4: 0.113
+    above the better pole on 256^2), at 1e-6 at az = 0 gates with ay near
+    ax (gate (0.6095, 0.5711, 0): 0.069).  So the rule stops at _POLE_ETA;
+    `test_pole_rule_is_never_beaten_by_the_sphere_search` holds both sides.
+    """
+    if schedule[0] < _POLE_ETA:
+        return None
+    f = _averages(_POLE_STENCIL, table_at(table, _POLE_STENCIL), _QUAD, schedule[:1])[0].reshape(2, 4)
+    best = int(np.argmax(f[:, 0]))  # the south pole on a tie
+    f0, ring = f[best, 0], f[best, 1:]
+    s0, s1, s2 = 2.0 * (ring - f0) / _POLE_STEP**2  # H(psi) at psi = 0, pi/3, 2 pi/3
+    # H(psi) = a + b cos 2 psi + c sin 2 psi peaks at H's larger eigenvalue
+    a, b, c = (s0 + s1 + s2) / 3.0, (2.0 * s0 - s1 - s2) / 3.0, (s1 - s2) / math.sqrt(3.0)
+    if a + math.hypot(b, c) <= _POLE_STEP**2 * max(1.0, abs(f0)):
+        return ProbeState(*_POLE_STENCIL[4 * best])
+    return None
+
+
+def _sphere_search(p: UnitaryParams, schedule: list, table: np.ndarray) -> AvgQfiResult:
+    """The 2-D probe search of a gate that `_pole_probe` leaves open, on the
+    gate's probe-affine table.
 
     The scan is one batched kernel call over 79 probes, 13 x 7 on
     [0, pi] x [0, pi) with one probe per pole row (`channel.probe_scan`).
@@ -386,7 +447,6 @@ def _sphere_search(p: UnitaryParams, schedule: list) -> AvgQfiResult:
     The schedule at the optimum is `avg_qfi_at_probe`: one base-grid call
     over all cutoffs, then one call per ladder rung.
     """
-    table = probe_table(lambda probe: _probe_affine(p, probe))
 
     def averages(pts):
         return _averages(pts, table_at(table, pts), _QUAD, schedule[:1])[0]
@@ -405,9 +465,10 @@ def maximize_over_probe(p: UnitaryParams, eta_schedule=DEFAULT_ETA_SCHEDULE) -> 
     commutes with U, so the average takes the same value at the probe image
     (phi1, phi2 + pi).  It shifts theta2 by pi, which maps the even theta2
     grids of the trapezoid onto themselves, so the computed average keeps
-    the symmetry and the 2-D scan covers phi2 in [0, pi) only.  The answer
-    takes one of two paths, picked by exact equality of the angles, which
-    `edge_point` produces bit for bit:
+    the symmetry: both poles are its critical points, and the 2-D scan
+    covers phi2 in [0, pi) only.  The answer takes one of three paths, the
+    first picked by exact equality of the angles, which `edge_point`
+    produces bit for bit:
 
     - ax == ay (I, IS, ID, DS, S, D): the schedule at the south pole
       (pi, 0), with no probe table, scan or simplex.  XX + YY commutes with
@@ -422,12 +483,22 @@ def maximize_over_probe(p: UnitaryParams, eta_schedule=DEFAULT_ETA_SCHEDULE) -> 
       (S and D included) the channel at either pole is unitary, so (pi, 0)
       reads +inf, the supremum over probes (README, "How the averaged QFI
       is computed").
-    - Any other gate, nearly equal angles included: the 2-D search over the
-      sphere (`_sphere_search`).  The face ay == az (C, IC, CS) is such a
-      gate: x-rotations commute with U there, but the prior sin(theta1/2)
-      is not x-symmetric.
+    - Any other gate builds its probe-affine table once
+      (`channel.probe_table`) and takes the schedule at the better pole if
+      the widest cutoff is at least 1e-2 and the pole's tangent Hessian
+      there shows no ascent (`_pole_probe`): CD, IC, C and the interior
+      away from the face ay == az, nearly equal angles included.
+    - Otherwise the 2-D search over the sphere on the same table
+      (`_sphere_search`): the face ay == az with az > 0 (CS) and gates near
+      it, where x-rotations commute with U but the prior sin(theta1/2) is
+      not x-symmetric, and the optimum leaves the pole; and every gate
+      off the face ax == ay under a widest cutoff below 1e-2.
     """
     schedule = _schedule(eta_schedule)
     if p.alpha_x == p.alpha_y:
         return avg_qfi_at_probe(p, ProbeState(math.pi, 0.0), schedule)
-    return _sphere_search(p, schedule)
+    table = probe_table(lambda probe: _probe_affine(p, probe))
+    pole = _pole_probe(table, schedule)
+    if pole is not None:
+        return avg_qfi_at_probe(p, pole, schedule)
+    return _sphere_search(p, schedule, table)

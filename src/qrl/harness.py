@@ -3,7 +3,8 @@
 Every figure-of-merit evaluation is reduced to MeritReport rows with a fixed
 CSV schema so that runs are comparable byte for byte (modulo wall time).
 Sweep points are independent and may be fanned out to worker processes; rows
-are sorted by the edge parameter, so their order never depends on
+come back in the order of the edge parameter t, as the in-process loop and
+`ProcessPoolExecutor.map` both return them, so their order never depends on
 scheduling.  The runners only return results; the caller (the CLI) writes
 files with the writers below.
 """

@@ -888,10 +888,15 @@ def _status(res):
     return res.value == math.inf, res.converged
 
 
+def _table(p):
+    """The gate's probe-affine table of A = [t | M]."""
+    return probe_table(lambda q: qrl.fisher._probe_affine(p, q))
+
+
 def _phi1_line(p, etas, n=61):
     """Averages on `_QUAD` at the probes (phi1, 0), phi1 on n points of
     [0, pi], one row per cutoff, read off the gate's probe-affine table."""
-    table = probe_table(lambda q: qrl.fisher._probe_affine(p, q))
+    table = _table(p)
     pts = np.stack([np.linspace(0.0, np.pi, n), np.zeros(n)], axis=1)
     return qrl.fisher._averages(pts, table_at(table, pts), qrl.fisher._QUAD, etas)
 
@@ -908,8 +913,8 @@ def test_reduced_qfi_search_against_the_sphere_search(monkeypatch):
     # table at phi1 = pi).  The pole is never below the 2-D search over the
     # sphere by more than the ladder's stated error, and the statuses
     # agree; a divergent pair compares the value the searches maximize, the
-    # one at the widest cutoff.  A gate 1e-12 off the face takes the 2-D
-    # search and agrees with the face gate
+    # one at the widest cutoff.  A gate 1e-12 off the face takes the pole
+    # rule, not the 2-D search, and agrees with the face gate at its pole
     local = np.random.default_rng(2021)
     etas = (1e-2, 1e-4, 1e-6)
     line_gates = []
@@ -928,7 +933,7 @@ def test_reduced_qfi_search_against_the_sphere_search(monkeypatch):
         gates += [UnitaryParams(a, a, a), UnitaryParams(a, a, local.uniform(0.0, a))]
     schedule = qrl.fisher._schedule(DEFAULT_ETA_SCHEDULE)
     for p in gates:
-        reduced, sphere = maximize_over_probe(p), qrl.fisher._sphere_search(p, schedule)
+        reduced, sphere = maximize_over_probe(p), qrl.fisher._sphere_search(p, schedule, _table(p))
         assert reduced.probe_opt == ProbeState(np.pi, 0.0), p
         assert _status(reduced) == _status(sphere), p
         a, b = (r.value if math.isfinite(r.value) else r.eta_trace[0][1] for r in (reduced, sphere))
@@ -936,21 +941,90 @@ def test_reduced_qfi_search_against_the_sphere_search(monkeypatch):
     generic = []
     plain = qrl.fisher._sphere_search
 
-    def recorded(p, schedule):
+    def recorded(p, schedule, table):
         generic.append(p)
-        return plain(p, schedule)
+        return plain(p, schedule, table)
 
     monkeypatch.setattr(qrl.fisher, "_sphere_search", recorded)
     for a, b in ((1.1, 0.4), (0.7, 0.7), (np.pi / 2, 0.3)):
         on_face = maximize_over_probe(UnitaryParams(a, a, b))
-        assert not generic
         off = maximize_over_probe(UnitaryParams(a, a - 1e-12, b))
-        assert len(generic) == 1
-        generic.clear()
+        assert not generic
+        assert off.probe_opt == on_face.probe_opt == ProbeState(np.pi, 0.0), (a, b, off.probe_opt)
         assert _status(off) == _status(on_face), (a, b)
         if math.isfinite(on_face.value):
             tol = qrl.fisher._LADDER_RTOL * max(1.0, abs(on_face.value))
             assert abs(off.value - on_face.value) <= tol, (a, b, off.value - on_face.value)
+
+
+def _widest_values(table, probes, eta):
+    """Averages at `eta` on `_QUAD` at the given probes, off the table."""
+    pts = np.array([[q.phi1, q.phi2] for q in probes])
+    return qrl.fisher._averages(pts, table_at(table, pts), qrl.fisher._QUAD, [eta])[0]
+
+
+def test_pole_rule_is_never_beaten_by_the_sphere_search(monkeypatch):
+    # wherever `_pole_probe` takes a pole, the 2-D search on the same table
+    # does not beat it at the widest cutoff beyond round-off (measured: it
+    # ended on the pole's value to the bit every time).  Random gates (numpy
+    # default_rng(27)), 15 per group: az = 0, interior, within 1e-6 to 1e-3
+    # of the face ay = az, and on it.  The rule takes the pole at the widest
+    # cutoffs ETA_MAX and 1e-2 (measured on 15, 15, 1 and 1 gates at 1e-2)
+    # and never below 1e-2, where the search does beat poles that are local
+    # maxima (the second half).  The search's final schedule is replaced by
+    # its probe, since only the widest cutoff counts
+    monkeypatch.setattr(qrl.fisher, "avg_qfi_at_probe", lambda p, probe, schedule: AvgQfiResult(0.0, probe, ()))
+    local = np.random.default_rng(27)
+    groups = {"az = 0": [], "interior": [], "near ay = az": [], "ay = az": []}
+    for _ in range(15):
+        a = local.uniform(0.05, np.pi / 2)
+        b = local.uniform(0.02, a - 0.01)
+        c = local.uniform(0.01, b - 0.005)
+        groups["az = 0"].append(UnitaryParams(a, b, 0.0))
+        groups["interior"].append(UnitaryParams(a, b, c))
+        groups["near ay = az"].append(UnitaryParams(a, b, b - 10.0 ** local.uniform(-6.0, -3.0)))
+        groups["ay = az"].append(UnitaryParams(a, b, b))
+    poles = (ProbeState(0.0, 0.0), ProbeState(np.pi, 0.0))
+    for name, gates in groups.items():
+        taken = 0
+        for p in gates:
+            table = _table(p)
+            for eta in (qrl.fisher.ETA_MAX, 1e-2, 1e-4, 1e-6):
+                pole = qrl.fisher._pole_probe(table, [eta])
+                if eta < 1e-2:
+                    assert pole is None, (p, eta)
+                if pole is None:
+                    continue
+                taken += eta == 1e-2
+                assert pole in poles
+                found = qrl.fisher._sphere_search(p, [eta], table).probe_opt
+                at_pole, at_found = _widest_values(table, (pole, found), eta)
+                assert at_found - at_pole <= 1e-12 * max(1.0, abs(at_pole)), (name, p, eta, found, at_found - at_pole)
+        if name in ("az = 0", "interior"):
+            assert taken == len(gates), name
+    # the positive control: CS leaves the pole, and the search beats the
+    # better pole (measured 0.26 at t = 1/3 and 0.75 at t = 2/3, eta = 1e-2).
+    # Below 1e-2 a pole with no ascent can still lose: with the cutoff
+    # guard lifted, the Hessian takes the pole of gate (1.3645, 0.3919,
+    # 0.3919) at 1e-4 and of (0.6095, 0.5711, 0) at 1e-6, and the search
+    # beats it by 0.104 and 0.068 (256^2: 0.113 and 0.069), so the rule stops
+    # at 1e-2
+    for t in (1.0 / 3.0, 2.0 / 3.0):
+        p = edge_point("CS", t)
+        table = _table(p)
+        assert qrl.fisher._pole_probe(table, [1e-2]) is None
+        found = qrl.fisher._sphere_search(p, [1e-2], table).probe_opt
+        values = _widest_values(table, (*poles, found), 1e-2)
+        assert values[2] - values[:2].max() > 0.1, (t, values)
+    monkeypatch.setattr(qrl.fisher, "_POLE_ETA", 0.0)
+    for gate, eta in (((1.3645, 0.3919, 0.3919), 1e-4), ((0.6095, 0.5711, 0.0), 1e-6)):
+        p = UnitaryParams(*gate)
+        table = _table(p)
+        pole = qrl.fisher._pole_probe(table, [eta])
+        assert pole is not None, gate
+        found = qrl.fisher._sphere_search(p, [eta], table).probe_opt
+        at_pole, at_found = _widest_values(table, (pole, found), eta)
+        assert at_found - at_pole > 0.05, (gate, eta, at_found - at_pole)
 
 
 def test_qfi_face_probes_are_canonical():

@@ -241,6 +241,27 @@ def test_sweep_deterministic_and_files(tmp_path):
     assert all(r.status == "divergent" for r in rep_a)
 
 
+def test_qfi_pole_rows_are_exact_and_reproducible():
+    # the qfi-sweep rows of IC and CD, C among them (CD t = 0, IC t = 1),
+    # and the C vertex's qfi row take the pole rule: each reports an exact
+    # pole probe, status ok (converged), and the same bits when run again.
+    # I (IC t = 0) and D (CD t = 1, divergent) take the face rule's pole.
+    # The 2-D search stopped 8.9e-9 from the pole on CD t = 1/3 and printed
+    # an arbitrary phi2 there (8.94069671631e-09,0.0749999955297)
+    def rows():
+        sweeps = [run_edge_sweep(SweepConfig(edge=e, metric="qfi", samples=4, workers=1)) for e in ("IC", "CD")]
+        vertex = [r for r in run_vertex_report("C", 0.05, 1000) if r.metric == "qfi"]
+        return [r for rows in sweeps for r in rows] + vertex
+
+    first, again = rows(), rows()
+    assert len(first) == 9
+    for a, b in zip(first, again):
+        assert a.status == ("divergent" if (a.edge, a.t) == ("CD", 1.0) else "ok"), a
+        assert a.probe in ((0.0, 0.0), (math.pi, 0.0)), a
+        assert np.array([a.value, *a.probe]).tobytes() == np.array([b.value, *b.probe]).tobytes(), a
+        assert a.csv_fields()[:-1] == b.csv_fields()[:-1]
+
+
 def test_sweep_svg_draws_finite_series(tmp_path):
     reports = [
         make_report(t=t, value=v, alpha=(t, 0.0, 0.0))
