@@ -24,10 +24,14 @@ Counts the work of one search per stage.  For H2 these are the
 (`_COARSE`), the refinement (`_MEDIUM`) and the final solve (the default).
 For the QFI these are the `fisher._averages` calls that
 `maximize_over_probe` makes outside `avg_trace_qfi`: the stencil's probes,
-the probes of the batched scan and the simplex's evaluations, and the rule
+the probes of the batched scan and the simplex's solves, and the rule
 they add up to: "face pole" (no such call), "pole" (the stencil alone) or
 "2-D" (stencil, scan and simplex).
 On a face gate the H2 counts read 0 scan, 0 refinement and 1 final solve.
+Beside the simplex's solves stand the points it evaluates (`simplex_points`,
+each distinct point once): a search solves each distinct probe once, so a
+point that names a probe solved before, such as the pole under another
+phi2, adds a point and no solve (`channel.once_per_probe`).
 Prints one JSON object: per gate, the median and quartiles over rounds of
 each search's time in ms, and the counts per stage, under "gates" for the
 generic gates and under "face_gates" for the face gates.
@@ -67,29 +71,51 @@ def summary(ms: list) -> dict:
     return {"median_ms": med, "q1_ms": q1, "q3_ms": q3}
 
 
+def counting_simplex(module, points: list):
+    """`module.nelder_mead` that adds to points[0] one per point a probe
+    simplex (a 2-D search) evaluates; the sigma solve's 1-D search is left
+    uncounted."""
+    plain = module.nelder_mead
+
+    def counted(f, x0, *args, **kwargs):
+        if len(x0) != 2:
+            return plain(f, x0, *args, **kwargs)
+
+        def seen(x):
+            points[0] += 1
+            return f(x)
+
+        return plain(seen, x0, *args, **kwargs)
+
+    return counted
+
+
 def count_stages(p) -> dict:
-    """h2_conditional calls of one best_probe_h2 search, per stage."""
-    plain = capacity.h2_conditional
-    configs = []
+    """h2_conditional calls of one best_probe_h2 search, per stage, and the
+    points its simplex evaluates."""
+    plain, plain_nm = capacity.h2_conditional, capacity.nelder_mead
+    configs, points = [], [0]
 
     def counted(rho, config=DEFAULT_CONFIG):
         configs.append(config)
         return plain(rho, config)
 
-    capacity.h2_conditional = counted
+    capacity.h2_conditional, capacity.nelder_mead = counted, counting_simplex(capacity, points)
     try:
         best_probe_h2(p)
     finally:
-        capacity.h2_conditional = plain
-    return {name: sum(c is config for c in configs) for name, config in STAGES.items()}
+        capacity.h2_conditional, capacity.nelder_mead = plain, plain_nm
+    counts = {name: sum(c is config for c in configs) for name, config in STAGES.items()}
+    return {**counts, "simplex_points": points[0]}
 
 
 def count_qfi_stages(p) -> dict:
-    """The rule, stencil and scan probes and simplex evaluations of one
-    maximize_over_probe: its _averages calls outside avg_trace_qfi, in
-    order the pole stencil, the scan and the simplex's."""
-    plain_avg, plain_trace = fisher._averages, fisher.avg_trace_qfi
-    sizes, inside = [], [0]
+    """The rule, stencil and scan probes, simplex solves and simplex points
+    of one maximize_over_probe: its _averages calls outside avg_trace_qfi,
+    in order the pole stencil, the scan and the simplex's, and the points
+    the simplex evaluates."""
+    plain_avg, plain_trace, plain_nm = fisher._averages, fisher.avg_trace_qfi, fisher.nelder_mead
+    sizes, inside, points = [], [0], [0]
 
     def counted(probes, *args):
         if not inside[0]:
@@ -104,17 +130,19 @@ def count_qfi_stages(p) -> dict:
             inside[0] -= 1
 
     fisher._averages, fisher.avg_trace_qfi = counted, traced
+    fisher.nelder_mead = counting_simplex(fisher, points)
     try:
         maximize_over_probe(p)
     finally:
-        fisher._averages, fisher.avg_trace_qfi = plain_avg, plain_trace
+        fisher._averages, fisher.avg_trace_qfi, fisher.nelder_mead = plain_avg, plain_trace, plain_nm
     stencil, scan, simplex = sizes[:1], sizes[1:2], sizes[2:]
     rule = "2-D" if scan else "pole" if stencil else "face pole"
     return {
         "rule": rule,
         "stencil_probes": sum(stencil),
         "scan_probes": sum(scan),
-        "simplex_evaluations": len(simplex),
+        "simplex_solves": len(simplex),
+        "simplex_points": points[0],
     }
 
 

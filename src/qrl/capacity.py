@@ -42,7 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PROBE_SIMPLEX, ProbeState, choi_bf, probe_scan, probe_table, stinespring_isometry, table_at
+from .channel import (
+    PROBE_SIMPLEX, ProbeState, choi_bf, once_per_probe, probe_scan, probe_table, stinespring_isometry, table_at,
+)
 from .linalg import I2, PAULI, kron
 from .optimize import nelder_mead
 from .unitary import UnitaryParams
@@ -293,9 +295,13 @@ def _sphere_search(table: np.ndarray) -> ProbeOptimum:
     Klein-four probe images (43 probes, `channel.probe_scan`), each with a
     sigma solve at _COARSE; the probe simplex (`channel.PROBE_SIMPLEX`,
     phi1 held to [0, pi]) refines the first best of them on the whole
-    sphere at _MEDIUM, and the final sigma solve at DEFAULT_CONFIG gives
-    the answer at the simplex's point.  Every rho_BF comes off the gate's
-    table.
+    sphere at _MEDIUM, one solve per distinct probe
+    (`channel.once_per_probe`), and the final sigma solve at DEFAULT_CONFIG
+    gives the answer at the simplex's point.  From the pole (0, 0), where
+    the scan starts CD and most interior gates, about half of the simplex's
+    points are moves clamped to phi1 = 0, which name the pole again under
+    another phi2 and read its first solve.  Every rho_BF comes off the
+    gate's table.
     """
     scan = probe_scan(7, 7, math.pi / 2.0)
     values = [h2_conditional(rho, _COARSE).value for rho in table_at(table, scan)]
@@ -303,7 +309,7 @@ def _sphere_search(table: np.ndarray) -> ProbeOptimum:
     def neg_h2(x):
         return -h2_conditional(table_at(table, np.array([x]))[0], _MEDIUM).value
 
-    res = nelder_mead(neg_h2, scan[int(np.argmax(values))], **PROBE_SIMPLEX)
+    res = nelder_mead(once_per_probe(neg_h2), scan[int(np.argmax(values))], **PROBE_SIMPLEX)
     final = h2_conditional(table_at(table, np.array([res.x]))[0])
     return ProbeOptimum(h2=final.value, probe=ProbeState(*res.x), sigma=final.sigma,
                         converged=res.converged and final.converged)

@@ -16,7 +16,8 @@ the channel's Bloch map or rho_BF, is linear in the probe density
 searches use that: `probe_table` evaluates such a quantity at four probes
 once per gate and `table_at` reads it at any batch of probes.  Wherever a
 search runs in 2-D, it scans a `probe_scan` grid, then refines (phi1, phi2)
-with the one `PROBE_SIMPLEX` setting.  The QFI reads the table first at
+with the one `PROBE_SIMPLEX` setting, solving each distinct probe once
+(`once_per_probe`).  The QFI reads the table first at
 both poles and a tangent stencil about each, and runs that search only
 where the better pole's tangent Hessian shows ascent (`fisher._pole_probe`).
 """
@@ -136,5 +137,22 @@ def probe_scan(n1: int, n2: int, phi1_max: float) -> np.ndarray:
 
 
 # nelder_mead's step, tol, max_iter and bounds in both probe searches: the
-# bounds hold phi1, the first coordinate of a point (phi1, phi2), to [0, pi]
+# bounds hold phi1, the first coordinate of a point (phi1, phi2), to [0, pi];
+# each search hands the simplex its objective through `once_per_probe`
 PROBE_SIMPLEX = dict(step=0.15, tol=1e-7, max_iter=200, bounds=(0.0, math.pi))
+
+
+def once_per_probe(f):
+    """f at points (phi1, phi2), evaluated once per probe: a later point
+    that names the same `ProbeState`, such as a pole under another phi2,
+    reads the value f gave at the first.  Each search makes its own, so the
+    memo lives no longer than one search call."""
+    seen = {}
+
+    def memo(x):
+        key = ProbeState(*x)
+        if key not in seen:
+            seen[key] = f(x)
+        return seen[key]
+
+    return memo

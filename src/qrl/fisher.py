@@ -37,7 +37,8 @@ Hessian: where it shows no ascent and the widest cutoff is at least 1e-2
 maximum is the schedule at that pole.  Only the other gates (CS and its
 neighbourhood, or any gate under a smaller widest cutoff) get the 2-D
 probe search: a scan of 79 probes, phi2 on [0, pi) only, in one batched
-kernel call, then one one-probe call per Nelder-Mead evaluation.
+kernel call, then one one-probe call per distinct probe the Nelder-Mead
+simplex tries.
 
 Both roots of den lie outside (-1, 1), because the outputs at the pure
 environment states +-n are states.  The average diverges exactly when the
@@ -65,7 +66,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .channel import (
-    PROBE_SIMPLEX, UNITARY_TOL, ProbeState, apply_channel, probe_scan, probe_table, stinespring_isometry, table_at,
+    PROBE_SIMPLEX, UNITARY_TOL, ProbeState, apply_channel, once_per_probe, probe_scan, probe_table,
+    stinespring_isometry, table_at,
 )
 from .linalg import PAULI
 from .optimize import nelder_mead
@@ -440,10 +442,13 @@ def _sphere_search(p: UnitaryParams, schedule: list, table: np.ndarray) -> AvgQf
     The scan is one batched kernel call over 79 probes, 13 x 7 on
     [0, pi] x [0, pi) with one probe per pole row (`channel.probe_scan`).
     Nelder-Mead (`channel.PROBE_SIMPLEX`, phi1 held to [0, pi]) refines the
-    first best of them with one single-probe call per point, both at the
-    widest cutoff only and reading A = [t | M] off the gate's probe-affine
-    table: the scan reads a (79, 3, 4) stack, and `_averages` gets the
-    one-cutoff list schedule[:1] and returns its one row.
+    first best of them with one single-probe call per distinct probe
+    (`channel.once_per_probe`), both at the widest cutoff only and reading
+    A = [t | M] off the gate's probe-affine table: the scan reads a
+    (79, 3, 4) stack, and `_averages` gets the one-cutoff list schedule[:1]
+    and returns its one row.  A simplex that starts at the south pole never
+    leaves it, since its step in phi1 clamps back to pi: every point it
+    tries names that pole, and it makes one call in all.
     The schedule at the optimum is `avg_qfi_at_probe`: one base-grid call
     over all cutoffs, then one call per ladder rung.
     """
@@ -453,7 +458,7 @@ def _sphere_search(p: UnitaryParams, schedule: list, table: np.ndarray) -> AvgQf
 
     scan = probe_scan(13, 7, math.pi)
     start = tuple(scan[int(np.argmax(averages(scan)))].tolist())
-    res = nelder_mead(lambda x: -float(averages(np.array([x]))[0]), start, **PROBE_SIMPLEX)
+    res = nelder_mead(once_per_probe(lambda x: -float(averages(np.array([x]))[0])), start, **PROBE_SIMPLEX)
     return replace(avg_qfi_at_probe(p, ProbeState(*res.x), schedule), converged=res.converged)
 
 

@@ -688,3 +688,48 @@ def test_best_probe_certifies_every_sigma_solve(monkeypatch):
             near_cap += 1
             assert bound - opt.value <= 1e-7
     assert interior > 0 and near_cap > 0
+
+
+def test_probe_simplex_solves_each_probe_once(monkeypatch):
+    # the refinement makes one _MEDIUM solve per distinct ProbeState among
+    # the points the simplex evaluates: its moves clamped to phi1 = 0 name
+    # the pole under many phi2 and read the pole's first solve.  Measured:
+    # 68, 74 and 69 solves against 134, 146 and 136 points.  The memo only
+    # skips repeats, so the result has the bits of the search without it
+    gates = (edge_point("CD", 1.0 / 3.0), edge_point("CD", 2.0 / 3.0), UnitaryParams(1.2, 0.7, 0.3))
+    plain_h2, plain_nm = qrl.capacity.h2_conditional, qrl.capacity.nelder_mead
+    solves, points = [0], []
+
+    def counted(rho, config=qrl.capacity.DEFAULT_CONFIG):
+        solves[0] += config is qrl.capacity._MEDIUM
+        return plain_h2(rho, config)
+
+    def recorded(f, x0, *args, **kwargs):
+        if len(x0) == 1:  # a sigma solve's radius search
+            return plain_nm(f, x0, *args, **kwargs)
+
+        def seen(x):
+            points.append(x)
+            return f(x)
+
+        return plain_nm(seen, x0, *args, **kwargs)
+
+    def bits(opt):
+        return np.array([opt.h2, opt.probe.phi1, opt.probe.phi2, *opt.sigma]).tobytes(), opt.converged
+
+    shipped = []
+    monkeypatch.setattr(qrl.capacity, "h2_conditional", counted)
+    monkeypatch.setattr(qrl.capacity, "nelder_mead", recorded)
+    for p in gates:
+        solves[0] = 0
+        points.clear()
+        shipped.append(best_probe_h2(p))
+        probes = {ProbeState(*x) for x in points}
+        assert solves[0] == len(probes) < len(points) // 2 + 2, (p, solves[0], len(points))
+    monkeypatch.setattr(qrl.capacity, "once_per_probe", lambda f: f)
+    for p, a in zip(gates, shipped):
+        solves[0] = 0
+        points.clear()
+        b = best_probe_h2(p)
+        assert solves[0] == len(points), p
+        assert bits(a) == bits(b), p

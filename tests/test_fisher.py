@@ -1053,6 +1053,42 @@ def test_pole_probe_labels_give_identical_bits():
         assert bits[0] == bits[1] == bits[2], phi1
 
 
+def test_qfi_simplex_solves_each_probe_once(monkeypatch):
+    # below the pole rule's cutoff this gate takes the 2-D search, whose
+    # scan starts the simplex at the south pole, the optimum; every point
+    # the simplex tries names that pole under some phi2, so the simplex
+    # makes one `_averages` call (44 when each point was solved), and the
+    # row keeps the bits of the search without the memo
+    p = UnitaryParams(1.279, 0.469, 0.411)
+    plain_avg, plain_nm = qrl.fisher._averages, qrl.fisher.nelder_mead
+    inside, calls = [False], [0]
+
+    def counted(probes, *args):
+        calls[0] += inside[0]
+        return plain_avg(probes, *args)
+
+    def simplex(*args, **kwargs):
+        inside[0] = True
+        try:
+            return plain_nm(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def row(res):
+        return np.array([res.value, res.probe_opt.phi1, res.probe_opt.phi2, *np.ravel(res.eta_trace)]).tobytes()
+
+    monkeypatch.setattr(qrl.fisher, "_averages", counted)
+    monkeypatch.setattr(qrl.fisher, "nelder_mead", simplex)
+    shipped = maximize_over_probe(p, eta_schedule=(1e-3, 1e-4))
+    assert shipped.probe_opt == ProbeState(math.pi, 0.0) and shipped.converged
+    assert calls[0] == 1
+    calls[0] = 0
+    monkeypatch.setattr(qrl.fisher, "once_per_probe", lambda f: f)
+    unmemoized = maximize_over_probe(p, eta_schedule=(1e-3, 1e-4))
+    assert calls[0] > 40
+    assert row(shipped) == row(unmemoized) and unmemoized.converged
+
+
 def test_avg_continuity_in_alpha():
     # fixed cutoffs at the shipped settings: nearby gates give nearby maxima
     checked = 0
