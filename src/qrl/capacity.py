@@ -142,29 +142,27 @@ class _RadialProfile:
         self.g = (q.T @ gram[0, 1:]).tolist()
         self.e1, self.e2 = self.d[1] - self.d[0], self.d[2] - self.d[0]
 
-    def _point(self, x: float):
-        """(m, h, n in the eigenbasis of A) of the best sigma at log-radius x."""
+    def __call__(self, x: float) -> float:
+        """phi at log-radius x; keeps the best direction n, in the
+        eigenbasis of A, as self.n."""
         r = -math.expm1(-x)
         # on [0, _X_CAP] both eigenvalues stay above LAMBDA_FLOOR
         a, b = ((1.0 + r) / 2.0) ** -0.5, ((1.0 - r) / 2.0) ** -0.5
         m, h = (a + b) / 2.0, (a - b) / 2.0
+        g0, g1, g2 = self.g
         if h == 0.0:
-            return m, h, (1.0, 0.0, 0.0)
-        t = m / h
-        g0, g1, g2 = self.g
-        return m, h, _unit_minimizer(self.e1, self.e2, t * g0, t * g1, t * g2)
-
-    def __call__(self, x: float) -> float:
-        m, h, (n0, n1, n2) = self._point(x)
-        g0, g1, g2 = self.g
+            self.n = n0, n1, n2 = 1.0, 0.0, 0.0
+        else:
+            t = m / h
+            self.n = n0, n1, n2 = _unit_minimizer(self.e1, self.e2, t * g0, t * g1, t * g2)
         d0, d1, d2 = self.d
         gn = g0 * n0 + g1 * n1 + g2 * n2
         an = d0 * n0 * n0 + d1 * n1 * n1 + d2 * n2 * n2
         return m * m * self.g00 + 2.0 * m * h * gn + h * h * an
 
     def bloch(self, x: float) -> np.ndarray:
-        _, _, n = self._point(x)
-        return -math.expm1(-x) * (self.q @ np.array(n))
+        self(x)
+        return -math.expm1(-x) * (self.q @ np.array(self.n))
 
 
 def _unit_minimizer(e1: float, e2: float, w0: float, w1: float, w2: float) -> tuple:
@@ -233,11 +231,10 @@ def h2_conditional(rho, config: dict = DEFAULT_CONFIG) -> H2Optimum:
     """
     gram = _collision_gram(np.asarray(rho, dtype=complex))
     phi = _RadialProfile(gram)
-    seen = {x: phi(x) for x in _RADIAL_SEEDS}
-    x0 = min(seen, key=seen.__getitem__)  # the first seed of least value
+    seeds = [phi(x) for x in _RADIAL_SEEDS]
+    x0 = _RADIAL_SEEDS[seeds.index(min(seeds))]  # the first seed of least value
     step = _RADIAL_STEP if x0 + _RADIAL_STEP <= _X_CAP else -_RADIAL_STEP
-    res = nelder_mead(lambda v: seen[v[0]] if v[0] in seen else phi(v[0]), (x0,), step,
-                      bounds=(0.0, _X_CAP), **config)
+    res = nelder_mead(lambda v: phi(v[0]), (x0,), step, bounds=(0.0, _X_CAP), **config)
     p = phi.bloch(res.x[0])
     nrm = float(np.linalg.norm(p))
     if nrm > 1.0 - 2.0 * LAMBDA_FLOOR:

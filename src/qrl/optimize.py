@@ -9,15 +9,27 @@ and bounds; (-inf, inf) leaves the point free.  Callers pick the seed
 deterministically (a grid scan or a fixed seed set), so the whole pipeline
 is reproducible without randomness.
 
-The searches here have one to three dimensions, where numpy's per-array
-cost outweighs the arithmetic, so a vertex is a tuple of Python floats: the
-objective takes such a tuple, and the result's x is one.  One call
-evaluates the objective once per clamped point and reads a repeat from a
-dict local to the call.  Repeats are common on a bounded search: moves
-clamped to the same bound and, in 1-D, a shrink, which lands on the inside
-contraction point it has just rejected.  The iterates are those of the
-array form, kept as the test oracle `nelder_mead_numpy`, to the last bit;
-only the number of objective calls differs.
+The searches here have one or two coordinates, where numpy's per-array cost
+outweighs the arithmetic.  The objective takes a point as a tuple of Python
+floats, and the result's x is one.  A search over two or more coordinates,
+the probe searches over (phi1, phi2), holds each vertex as such a tuple.  A
+one-coordinate search, the sigma radius of `capacity.h2_conditional` and
+most of the work of an H2 row, holds its simplex as two plain floats, the
+best vertex b and the worst w, and builds a tuple only to call the
+objective (`_nelder_mead_1d`).  One call evaluates the objective once per
+clamped point and reads a repeat from a dict local to the call.  Repeats
+are common on a bounded search, where moves clamp to the same bound.  In
+1-D a shrink also lands on the inside contraction point it has just
+rejected, which the float loop keeps without a second call.
+
+The iterates are those of the array form, kept as the test oracle
+`nelder_mead_numpy`, to the last bit; only the number of objective calls
+differs.  Both forms compute each move as c + t (w - c), a shrink as
+b + 0.5 (x - b), the diameter as the root of a sum of squares, and rank
+tied vertices in their present order.  The float loop leaves out only what
+is exact in 1-D: the centroid of the one vertex besides w is b (b / 1
+equals b to the bit), the second-worst vertex is b, so a reflection that
+does not beat b is contracted, and the sum of squares has one term.
 """
 
 from __future__ import annotations
@@ -55,7 +67,8 @@ def nelder_mead(f, x0, step: float, *, tol: float, max_iter: int, bounds: tuple)
     point's value only: equal points share one evaluation within the call.
     Vertices are ranked with a stable sort, and sums run in the order
     numpy's row reductions use, which keeps the iterates bit-identical to
-    the array form's.
+    the array form's.  A one-coordinate x0 takes the float loop
+    `_nelder_mead_1d`, with the same iterates.
     """
     # the simplex stops when its diameter drops below tol, which a NaN or
     # non-positive tol never lets happen
@@ -64,6 +77,9 @@ def nelder_mead(f, x0, step: float, *, tol: float, max_iter: int, bounds: tuple)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     lo, hi = bounds
+    x0 = tuple(map(float, x0))
+    if len(x0) == 1:
+        return _nelder_mead_1d(f, x0[0], step, tol, max_iter, lo, hi)
     seen = {}
 
     def vertex(x):
@@ -74,7 +90,6 @@ def nelder_mead(f, x0, step: float, *, tol: float, max_iter: int, bounds: tuple)
             fx = seen[x] = f(x)
         return fx, x
 
-    x0 = tuple(map(float, x0))
     n = len(x0)
     verts = [vertex(x0)] + [vertex(x0[:i] + (x0[i] + step,) + x0[i + 1:]) for i in range(n)]
     it = 0
@@ -101,3 +116,46 @@ def nelder_mead(f, x0, step: float, *, tol: float, max_iter: int, bounds: tuple)
                 verts[1:] = [vertex(_toward(best, x, 0.5)) for _, x in verts[1:]]
         it += 1
     return OptResult(min(verts, key=_value)[1], it, False)
+
+
+def _nelder_mead_1d(f, x0: float, step: float, tol: float, max_iter: int, lo: float, hi: float) -> OptResult:
+    """nelder_mead on one coordinate, the simplex (b, w) held as floats.
+
+    The centroid is b and the second-worst vertex is b, so a reflection
+    that does not beat b is contracted; a shrink lands on the contraction
+    point b + 0.5 (w - b), so either way that point replaces w.
+    """
+    seen = {}
+
+    def value(x):
+        fx = seen.get(x)
+        if fx is None:
+            fx = seen[x] = f((x,))
+        return fx
+
+    b = min(max(x0, lo), hi)
+    w = min(max(x0 + step, lo), hi)
+    fb, fw = value(b), value(w)
+    for it in range(max_iter):
+        if fw < fb:  # the stable sort: a tie keeps b first
+            b, fb, w, fw = w, fw, b, fb
+        d = w - b
+        if math.sqrt(d * d) < tol:
+            return OptResult((b,), it, True)
+        # the moves c + t (w - c), each clamped where it leaves the bounds
+        r = b + -1.0 * d
+        if not lo <= r <= hi:
+            r = min(max(r, lo), hi)
+        fr = value(r)
+        if fr < fb:
+            e = b + -2.0 * d
+            if not lo <= e <= hi:
+                e = min(max(e, lo), hi)
+            fe = value(e)
+            w, fw = (e, fe) if fe < fr else (r, fr)
+        else:
+            w = b + 0.5 * d
+            if not lo <= w <= hi:
+                w = min(max(w, lo), hi)
+            fw = value(w)
+    return OptResult((w if fw < fb else b,), max_iter, False)

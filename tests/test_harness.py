@@ -1,5 +1,6 @@
 """Tests for sweep orchestration, report rows, file outputs, and the CLI."""
 
+import concurrent.futures
 import logging
 import math
 import os
@@ -210,7 +211,7 @@ def test_sweep_pool_holds_at_most_one_worker_per_point(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(qrl.harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(qrl.harness, "_eval_point", lambda cfg, t: make_report(t=float(t)))
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     for workers, samples, expected in ((None, 2, [2]), (None, 41, [41]), (8, 3, [3]), (3, 41, [3]), (1, 41, [])):
@@ -218,6 +219,17 @@ def test_sweep_pool_holds_at_most_one_worker_per_point(monkeypatch):
         rows = run_edge_sweep(SweepConfig(edge="IC", samples=samples, workers=workers))
         assert asked == expected, (workers, samples)
         assert [r.t for r in rows] == np.linspace(0.0, 1.0, samples).tolist()
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the sweep imports the pool where it starts one, so an in-process
+    # caller pays neither its import time nor its memory
+    src = os.path.dirname(os.path.dirname(qrl.harness.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, qrl, qrl.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_sweep_deterministic_and_files(tmp_path):

@@ -7,7 +7,10 @@ import numpy as np
 
 import qrl.capacity
 import qrl.fisher
-from qrl.capacity import _COARSE, _MEDIUM, DEFAULT_CONFIG, best_probe_h2, h2_conditional
+from qrl.capacity import (
+    _COARSE, _MEDIUM, _RADIAL_SEEDS, _RADIAL_STEP, _X_CAP, DEFAULT_CONFIG, _collision_gram, _RadialProfile, best_probe_h2,
+    h2_conditional,
+)
 from qrl.channel import ProbeState, choi_bf, stinespring_isometry
 from qrl.fisher import maximize_over_probe
 from qrl.optimize import nelder_mead
@@ -43,6 +46,37 @@ def _problems():
             lo = rng.uniform(-1.5, 0.0)
             bounds = (lo, lo + rng.uniform(0.5, 2.0))
         yield f, x0, step, bounds
+    yield from _sigma_problems()
+
+
+def _sigma_problems():
+    """The radius searches of `h2_conditional`: phi of a state whose optimum
+    lies inside the ball (CS), at x = 0 (IC), at the cap (S) and at a
+    generic gate (CD), plus a stepped profile whose vertices tie, over
+    [0, _X_CAP] from every seed, each first step of +-0.5 that points
+    inward."""
+    states = [
+        choi_bf(stinespring_isometry(p, ProbeState(1.2, 0.7)))
+        for p in (edge_point("CS", 0.5), edge_point("IC", 0.5), VERTICES["S"], edge_point("CD", 1.0 / 3.0))
+    ]
+    profiles = [_RadialProfile(_collision_gram(rho)) for rho in states]
+    objectives = [lambda x, phi=phi: phi(x[0]) for phi in profiles]
+    objectives.append(lambda x: math.floor(abs(x[0] - 5.3)))
+    for f in objectives:
+        for x0 in _RADIAL_SEEDS:
+            for step in (_RADIAL_STEP, -_RADIAL_STEP):
+                if 0.0 <= x0 + step <= _X_CAP:
+                    yield f, np.array([x0]), step, (0.0, _X_CAP)
+
+
+def test_sigma_problems_match_the_array_form_at_every_stage():
+    # the tol and max_iter of each stage the sigma solve runs at
+    for f, x0, step, bounds in _sigma_problems():
+        for config in (_COARSE, _MEDIUM, DEFAULT_CONFIG):
+            a = nelder_mead(f, x0, step, bounds=bounds, **config)
+            b = nelder_mead_numpy(f, x0, step, project=_box(bounds), **config)
+            assert _bits(*a.x) == b.x.tobytes(), (x0, step, config)
+            assert (a.iterations, a.converged) == (b.iterations, b.converged), (x0, step, config)
 
 
 def _box(bounds):
