@@ -14,9 +14,12 @@ its side is named `parent_copy`.
 
 From each run it reads the result line and, from `os.wait4`, the run's
 minor page faults and max RSS (that of the benchmark process and the
-set-up interpreters it waited for).  A run near 1M minor faults per 10 s
-is in the glibc heap-trimming state, which costs the QFI workloads 35-45%
-of p50, whatever the change.
+set-up interpreters it waited for).  The QFI kernel keeps its
+temporaries in one workspace per call, so a QFI run reads tens of
+thousands of minor faults (about 58k per 25 s `qfi-sweep` run); a run near
+1M per 10 s means block-sized temporaries are back and glibc returns them
+to the OS between blocks (heap trimming), a kernel regression that cost
+the QFI workloads 35-45% of p50.
 
 Prints, to stderr, one line per run and then per end-to-end metric of
 `BENCHMARK.json` the median of each side and the pairs each side won

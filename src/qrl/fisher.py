@@ -11,8 +11,12 @@ Gauss-Legendre on theta1 and the trapezoid on the periodic theta2.  One
 kernel, `_averages`, evaluates a (P, 3, 4) stack of probes' maps at a list
 of cutoffs, one row per cutoff, in blocks of at most _CHUNK probe x node
 elements: a block's geometry (M n, the roots of den and the quartic's
-coefficients) does not depend on the cutoff and is built once, and only the
-radial moments are evaluated per cutoff.
+coefficients) does not depend on the cutoff and is built once, and the
+radial moments, their mix and the cross sum take as many cutoffs per pass
+as keep cutoff x probe x node within _CHUNK.  A call allocates one flat
+workspace for its largest block, and every block array is a view of it,
+computed in place (`_Block`), so a call's temporaries do not grow with its
+blocks or cutoffs.
 `avg_trace_qfi` is that kernel applied to one probe.  `avg_qfi_at_probe`
 makes one call on the base grid `_QUAD` for its whole cutoff schedule, then
 one call per rung of an angular-doubling ladder that holds the cutoffs still
@@ -78,7 +82,9 @@ ETA_MAX = 0.4
 DEFAULT_ETA_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 _LADDER_CAP = 256
 _LADDER_RTOL = 1e-4
-_CHUNK = 4096  # probe x node elements per vectorised block, bounds the temporaries
+# probe x node elements per block, and cutoff x probe x node elements per
+# pass of the moments; sizes the per-call workspace (`_Block.size`)
+_CHUNK = 4096
 _SERIES_X = 0.25  # |x| up to which G_k(x) is summed as a power series
 _SERIES_TERMS = 28  # 0.25**28 / 33 < 1e-18
 _POLE_STEP = 1e-3  # the tangent stencil's step in radians (`_pole_probe`)
@@ -152,45 +158,109 @@ def _unitary(affine: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(t).max(axis=-1), gram_err) <= UNITARY_TOL
 
 
-def _moments(x: np.ndarray) -> np.ndarray:
-    """G_k(x) = int_0^1 t^k / (1 - x t) dt for k = 0..4 and x < 1, stacked.
+def _moments(x: np.ndarray, work=None) -> np.ndarray:
+    """G_k(x) = int_0^1 t^k / (1 - x t) dt for k = 0..4 and x < 1, stacked:
+    rows 0..4 of `work`, the (8, x.size) scratch that the call fills in
+    place, or of a fresh one; x is 1-D.
 
     G_0 = -log1p(-x)/x, then the upward recurrence G_k = (G_{k-1} - 1/k)/x,
     which loses a factor 1/|x| per step.  Where |x| <= _SERIES_X, G_4 comes
     from its power series sum_j x^j/(j+5) instead and the lower G_k from the
-    downward recurrence G_{k-1} = x G_k + 1/k, which only shrinks errors.
+    downward recurrence G_{k-1} = x G_k + 1/k, which only shrinks errors;
+    those x are gathered into the one array the call allocates.
     """
-    x = x.ravel()
-    near = np.flatnonzero(np.abs(x) <= _SERIES_X)
-    far = x.copy()
-    far[near] = 0.5
-    inv = 1.0 / far
-    g = np.empty((5, x.size))
-    g[0] = -np.log1p(-far) * inv
+    if work is None:
+        work = np.empty((8, x.size))
+    g, inv, h = work[:5], work[5], work[6]
+    near = work[7].view(np.bool_)[:x.size]
+    np.less_equal(np.abs(x, out=inv), _SERIES_X, out=near)
+    count = np.count_nonzero(near)
+    # inv holds -x (-0.5 where the series takes over), then -1/-x = 1/x
+    np.negative(x, out=inv)
+    if count:
+        np.copyto(inv, -0.5, where=near)
+    np.log1p(inv, out=g[0])
+    np.negative(g[0], out=g[0])
+    np.divide(-1.0, inv, out=inv)
+    g[0] *= inv
     for k in range(1, 5):
-        g[k] = (g[k - 1] - 1.0 / k) * inv
-    if near.size:
-        xs = x[near]
-        h = np.full_like(xs, 1.0 / (_SERIES_TERMS + 4))
+        np.subtract(g[k - 1], 1.0 / k, out=g[k])
+        g[k] *= inv
+    if count:
+        xs, h = x[near], h[:count]
+        h.fill(1.0 / (_SERIES_TERMS + 4))
         for j in range(_SERIES_TERMS + 3, 4, -1):
             h *= xs
             h += 1.0 / j
-        g[4, near] = h
+        g[4][near] = h
         for k in range(4, 0, -1):
-            h = xs * h + 1.0 / k
-            g[k - 1, near] = h
+            h *= xs
+            h += 1.0 / k
+            g[k - 1][near] = h
     return g
 
 
-def _radial_integral(offsets, d0, inv_d0, vecs, big_ss) -> list:
-    """int_0^S tr F ds per probe and angular node, one array per S = 1 - 2 eta
-    in big_ss.
+class _Block:
+    """The arrays of one block of P probes x `width` nodes: views of the
+    workspace of one `_averages` call, which `size` sizes for its largest
+    block.  Each row holds one value per probe and node, (P, width).  The
+    geometry's rows come first: the direction products (3, P, 3, width),
+    the offset dots ta, tb1, tb2, the direction dots aa, ab1, ab2,
+    bb = |b1|^2 + |b2|^2, two scratch rows and the six products that the
+    cross term's coefficients are summed from.  The passes reuse them, flat,
+    for the terms S^(k+1) c_k, x = (u S, -|v| S) and the `_moments` scratch
+    of `stack` cutoffs.  Then come the rows that live through the passes:
+    the roots u and |v| (big and small until they are sorted), the five
+    coefficients, one radial row and one scratch row per cutoff, d0, d0/2,
+    and per cutoff of a pass 1/d0 and w_u; last the sign mask of ta.
+    Per-probe columns are spread over rows, so that every ufunc call sees
+    operands of one shape or a scalar and runs without numpy's iteration
+    buffers.
+    """
 
-    offsets is (P, 3); d0 = 1 - |t|^2 and inv_d0 = 1/d0 are (P, 1), except
-    that a pure offset has d0 = 1 and inv_d0 = 0 (see _averages), so a
-    block of pure offsets (the identity gate) skips the cross term.
-    vecs (3, P, 3, nodes) stacks a = M n and the partials b1 = M dn/dtheta1,
-    b2 = M dn/dtheta2.
+    __slots__ = ("vecs", "tvec", "ta", "tb", "dots", "aa", "ab", "bb", "sq", "tmp", "prods", "terms", "xs", "work",
+                 "big", "small", "coeffs", "polys", "scratch", "columns", "d0", "half_d0", "inv_d0", "w_u", "neg")
+
+    @staticmethod
+    def rows(n_etas: int, stack: int) -> tuple:
+        """Rows of the geometry and the passes, then all rows."""
+        front = max(24, 23 * stack)
+        return front, front + 9 + 2 * n_etas + 2 * stack
+
+    @staticmethod
+    def size(n_probes: int, width: int, n_etas: int, stack: int) -> int:
+        """Workspace elements for one block: its rows and the mask's bytes."""
+        e = n_probes * width
+        return _Block.rows(n_etas, stack)[1] * e + -(-e // 8)
+
+    def __init__(self, work: np.ndarray, n_probes: int, width: int, n_etas: int, stack: int):
+        e, (at, n_rows) = n_probes * width, self.rows(n_etas, stack)
+        rows = work[:n_rows * e].reshape(n_rows, n_probes, width)
+        self.vecs = rows[:9].reshape(3, n_probes, 3, width)
+        self.tvec = rows[9:12].reshape(3, n_probes, 1, width)
+        self.ta, self.tb = rows[9], rows[10:12]
+        self.dots, self.aa, self.ab, self.bb = rows[12:15], rows[12], rows[13:15], rows[15]
+        self.sq, self.tmp, self.prods = rows[16], rows[17], rows[18:24].reshape(3, 2, n_probes, width)
+        self.terms, self.xs = work[:5 * stack * e], work[5 * stack * e:7 * stack * e]
+        self.work = work[7 * stack * e:23 * stack * e]
+        self.big, self.small, self.coeffs = rows[at], rows[at + 1], rows[at + 2:at + 7]
+        self.polys, self.scratch = rows[at + 7:at + 7 + n_etas], rows[at + 7 + n_etas:at + 7 + 2 * n_etas]
+        at += 7 + 2 * n_etas
+        self.columns, self.d0, self.half_d0 = rows[at:at + 3], rows[at], rows[at + 1]
+        self.inv_d0, self.w_u = rows[at + 2:at + 2 + stack], rows[at + 2 + stack:at + 2 + 2 * stack]
+        self.neg = work[n_rows * e:].view(np.bool_)[:e].reshape(n_probes, width)
+
+
+def _radial_integral(offsets, columns, big_ss: list, block: _Block, stack: int) -> np.ndarray:
+    """int_0^S tr F ds per cutoff, probe and angular node, (cutoffs, P,
+    nodes), for each S = 1 - 2 eta in big_ss, computed in place in `block`,
+    whose vecs the caller has filled.
+
+    offsets is (P, 3); columns (3, P, 1) stacks d0 = 1 - |t|^2, d0/2 and
+    1/d0, except that a pure offset has d0 = 1 and 1/d0 read 0 (see
+    _averages), so a block of pure offsets (the identity gate) skips the
+    cross term.  vecs (3, P, 3, nodes) stacks a = M n and the partials
+    b1 = M dn/dtheta1, b2 = M dn/dtheta2.
     With b = t + s a the trace is 4|a|^2 + s^2 (|b1|^2 + |b2|^2) plus
     cross/den, where cross is a quartic in s and den = 1 - |b|^2 =
     d0 (1 - u s)(1 - v s) with u >= 0 >= v, both in [-1, 1] because the
@@ -198,42 +268,85 @@ def _radial_integral(offsets, d0, inv_d0, vecs, big_ss) -> list:
     int_0^S s^k/den ds = S^(k+1) [w_u G_k(uS) + w_v G_k(vS)] / d0 with
     w_u = u/(u - v) = u d0 / (2 sq), w_v = 1 - w_u: a convex mix of
     positive terms, so nothing cancels.  Everything but the powers of S and
-    G_k(uS), G_k(vS) is independent of the cutoff and computed once.
+    G_k(uS), G_k(vS) is independent of the cutoff and computed once; the
+    moments, their mix and the cross sum take `stack` cutoffs per pass.
     """
-    aa, ab1, ab2 = np.einsum("pjk,ipjk->ipk", vecs[0], vecs)
-    bb = np.einsum("ipjk,ipjk->pk", vecs[1:], vecs[1:])
-    polys = [4.0 * big_s * aa + big_s**3 / 3.0 * bb for big_s in big_ss]
-    if not inv_d0.any():
+    b = block
+    vecs, ta, aa, polys = b.vecs, b.ta, b.aa, b.polys
+    np.einsum("pjk,ipjk->ipk", vecs[0], vecs, out=b.dots)
+    np.einsum("ipjk,ipjk->pk", vecs[1:], vecs[1:], out=b.bb)
+    for poly, tmp, big_s in zip(polys, b.scratch, big_ss):
+        np.multiply(aa, 4.0 * big_s, out=poly)
+        poly += np.multiply(b.bb, big_s**3 / 3.0, out=tmp)
+    if not columns[2].any():
         return polys
-    ta, tb1, tb2 = (offsets[:, None, :] @ vecs)[:, :, 0]
+    np.matmul(offsets[:, None, :], vecs, out=b.tvec)
+    np.copyto(b.columns, columns)
     # roots of d0 rho^2 - 2 ta rho - aa: the larger one from |ta| + sq, which
-    # cannot cancel, the other from their product -aa/d0
-    sq = np.sqrt(ta * ta + d0 * aa)
-    big = np.abs(ta) + sq
-    small = aa / np.maximum(big, 1e-300)
-    big /= d0
-    pos = ta >= 0.0
-    u = np.where(pos, big, small)
-    v_abs = np.where(pos, small, big)
-    w_u = u * (0.5 * d0) / np.maximum(sq, 1e-300)  # u = v = 0 when sq = 0
-    coeffs = (
-        4.0 * ta * ta,
-        8.0 * ta * aa,
-        4.0 * aa * aa + tb1 * tb1 + tb2 * tb2,
-        2.0 * (tb1 * ab1 + tb2 * ab2),
-        ab1 * ab1 + ab2 * ab2,
-    )
-    for poly, big_s in zip(polys, big_ss):
+    # cannot cancel, the other from their product -aa/d0; then u = big and
+    # |v| = small where ta >= 0, swapped where ta < 0
+    sq, u, v_abs, w_u = b.sq, b.big, b.small, b.w_u
+    np.multiply(ta, ta, out=sq)
+    sq += np.multiply(b.d0, aa, out=b.tmp)
+    np.sqrt(sq, out=sq)
+    np.abs(ta, out=u)
+    u += sq
+    np.divide(aa, np.maximum(u, 1e-300, out=v_abs), out=v_abs)
+    u /= b.d0
+    np.less(ta, 0.0, out=b.neg)
+    np.copyto(b.tmp, u, where=b.neg)
+    np.copyto(u, v_abs, where=b.neg)
+    np.copyto(v_abs, b.tmp, where=b.neg)
+    np.multiply(u, b.half_d0, out=w_u[0])
+    w_u[0] /= np.maximum(sq, 1e-300, out=sq)  # u = v = 0 when sq = 0
+    if stack > 1:
+        np.copyto(w_u[1:], w_u[0])
+        np.copyto(b.inv_d0[1:], b.inv_d0[0])
+    # 4 ta^2, 8 ta aa, 4 aa^2 + tb1^2 + tb2^2, 2 (tb1 ab1 + tb2 ab2) and
+    # ab1^2 + ab2^2, from the products tb_i^2, tb_i ab_i and ab_i^2
+    coeffs, prods, tb, ab = b.coeffs, b.prods, b.tb, b.ab
+    np.multiply(tb, tb, out=prods[0])
+    np.multiply(tb, ab, out=prods[1])
+    np.multiply(ab, ab, out=prods[2])
+    np.multiply(4.0, ta, out=coeffs[0])
+    coeffs[0] *= ta
+    np.multiply(8.0, ta, out=coeffs[1])
+    coeffs[1] *= aa
+    np.multiply(4.0, aa, out=coeffs[2])
+    coeffs[2] *= aa
+    coeffs[2] += prods[0, 0]
+    coeffs[2] += prods[0, 1]
+    np.add(prods[1, 0], prods[1, 1], out=coeffs[3])
+    coeffs[3] *= 2.0
+    np.add(prods[2, 0], prods[2, 1], out=coeffs[4])
+    for c0 in range(0, len(polys), stack):
+        pass_ss = big_ss[c0:c0 + stack]
+        n, e = len(pass_ss), u.size
+        x = b.xs[:2 * n * e].reshape(2, n, *u.shape)
+        terms = b.terms[:5 * n * e].reshape(5, n, *u.shape)
+        for c, big_s in enumerate(pass_ss):
+            np.multiply(u, big_s, out=x[0, c])
+            np.multiply(v_abs, -big_s, out=x[1, c])
+            for k in range(5):
+                np.multiply(coeffs[k], big_s ** (k + 1), out=terms[k, c])
         # u S < 1 except for round-off at S = 1, where a root on the cutoff
         # is integrable unless the channel is unitary (see _averages)
-        x = np.minimum(u * big_s, 1.0 - 2.0**-53)
-        g = _moments(np.stack([x, -big_s * v_abs])).reshape(5, 2, *u.shape)
-        mix = g[:, 1] + w_u * (g[:, 0] - g[:, 1])
-        cross = big_s * coeffs[0] * mix[0]
-        for k in range(1, 5):
-            cross += big_s ** (k + 1) * coeffs[k] * mix[k]
-        cross *= inv_d0
-        poly += cross
+        np.minimum(x[0], 1.0 - 2.0**-53, out=x[0])
+        g = _moments(x.reshape(-1), b.work[:16 * n * e].reshape(8, 2 * n * e)).reshape(5, *x.shape)
+        # per k, in k order: mix_k = G_k(vS) + w_u (G_k(uS) - G_k(vS)) in
+        # place of G_k(uS), then the term (S^(k+1) c_k) mix_k, summed
+        w_n = w_u[:n]
+        for k, (mix, rest) in enumerate(g):
+            mix -= rest
+            mix *= w_n
+            mix += rest
+            mix *= terms[k]
+            if k:
+                cross += mix
+            else:
+                cross = mix
+        cross *= b.inv_d0[:n]
+        polys[c0:c0 + n] += cross
     return polys
 
 
@@ -245,22 +358,38 @@ def _averages(probes: np.ndarray, affine: np.ndarray, quad: QuadSpec, etas) -> n
 
     Each block holds at most _CHUNK probe x node elements: several probes
     per block on grids up to 64x64, node blocks of one probe above.  The
-    block's geometry is built once for all cutoffs, so each row equals the
-    one-cutoff call's to the bit.
+    block's geometry is built once for all cutoffs, and its moments, mix
+    and cross sum take as many cutoffs per pass as keep cutoff x probe x
+    node within _CHUNK (all five of the face base grid 32x2, four of the
+    base grid 32x32, one on the 64x64 and larger rungs).  Every element
+    sees the operations of a one-cutoff call in the same order, so each row
+    equals that call's to the bit.  The block arrays are views of one flat
+    workspace, which the call allocates for its largest block (`_Block`)
+    and drops on return; beside it a call allocates only its small
+    per-probe arrays and, per pass, the gather of the power series'
+    arguments (`_moments`).
     """
     T1, T2, dirs, w_ang = _angular_tables(quad.n_theta1, quad.n_theta2)
     nodes = T1.size
     # t as a contiguous copy, since matmul sums a strided vector in another
     # order: the sums then match (t, M) passed apart, to the bit
     offsets, maps = np.ascontiguousarray(affine[..., 0]), affine[None, ..., 1:]
-    d0 = 1.0 - (offsets[:, None, :] @ offsets[:, :, None])[:, 0]
-    # a pure offset admits only M = 0, so the output carries no cross term:
-    # its inv_d0 reads 0, and d0 = 1 keeps the dropped term finite
+    # per probe d0 = 1 - |t|^2, d0/2 and 1/d0, (3, P, 1).  A pure offset
+    # admits only M = 0, so the output carries no cross term: its 1/d0 reads
+    # 0, and d0 = 1 keeps the dropped term finite
+    columns = np.empty((3, len(affine), 1))
+    d0 = np.subtract(1.0, (offsets[:, None, :] @ offsets[:, :, None])[:, 0], out=columns[0])
     pure = d0 <= 4.0 * PURITY_TOL
-    d0 = np.where(pure, 1.0, d0)
-    inv_d0 = np.where(pure, 0.0, 1.0 / d0)
+    np.copyto(d0, 1.0, where=pure)
+    np.multiply(0.5, d0, out=columns[1])
+    np.divide(1.0, d0, out=columns[2])
+    np.copyto(columns[2], 0.0, where=pure)
     big_ss = [1.0 - 2.0 * e for e in etas]
     per_block, span = max(1, _CHUNK // nodes), min(nodes, _CHUNK)
+    n_probes = min(len(affine), per_block)
+    stack = min(len(etas), max(1, _CHUNK // (n_probes * span)))
+    work = np.empty(_Block.size(n_probes, span, len(etas), stack))
+    blocks = {}
     total = np.zeros((len(etas), len(affine)))
     for row, e in zip(total, etas):
         if e == 0.0:
@@ -268,19 +397,27 @@ def _averages(probes: np.ndarray, affine: np.ndarray, quad: QuadSpec, etas) -> n
     dirs = dirs[:, None]
     for p0 in range(0, len(affine), per_block):
         batch = slice(p0, p0 + per_block)
-        t, d, inv = offsets[batch], d0[batch], inv_d0[batch]
+        t, cols = offsets[batch], columns[:, batch]
         for lo in range(0, nodes, span):
-            vecs = maps[:, batch] @ dirs[..., lo:lo + span]
-            for row, radial in zip(total, _radial_integral(t, d, inv, vecs, big_ss)):
-                nan = np.isnan(radial)
-                if nan.any():
-                    i, k = np.argwhere(nan)[0]
-                    phi1, phi2 = probes[p0 + i]
-                    raise QuadratureError(
-                        f"NaN integrand at probe phi1={float(phi1)!r}, phi2={float(phi2)!r}, "
-                        f"node theta1={float(T1[lo + k])!r}, theta2={float(T2[lo + k])!r}"
-                    )
-                row[batch] += radial @ w_ang[lo:lo + span]
+            w = w_ang[lo:lo + span]
+            shape = (len(t), len(w))
+            if shape not in blocks:
+                blocks[shape] = _Block(work, *shape, len(etas), stack)
+            block = blocks[shape]
+            np.matmul(maps[:, batch], dirs[..., lo:lo + span], out=block.vecs)
+            radial = _radial_integral(t, cols, big_ss, block, stack)
+            for row, r in zip(total, radial):
+                row[batch] += r @ w
+            if np.isnan(total[:, batch]).any():
+                for r in radial:
+                    nan = np.isnan(r)
+                    if nan.any():
+                        i, k = np.argwhere(nan)[0]
+                        phi1, phi2 = probes[p0 + i]
+                        raise QuadratureError(
+                            f"NaN integrand at probe phi1={float(phi1)!r}, phi2={float(phi2)!r}, "
+                            f"node theta1={float(T1[lo + k])!r}, theta2={float(T2[lo + k])!r}"
+                        )
     total *= 0.5  # dr = ds/2
     return total
 

@@ -3,6 +3,11 @@
 Each is the literal route that an exact reduction in `qrl` replaced; the
 tests check the library against them.
 
+- `averages_reference` is the QFI kernel `qrl.fisher._averages` as it was
+  before it worked in one workspace per call: fresh temporaries per block
+  and per cutoff, with `_radial_integral_reference` and
+  `moments_reference` below it.  The library runs the same operations in
+  the same order, so it must match to the bit.
 - `avg_trace_qfi_ugrid` is the radial quadrature that
   `qrl.fisher.avg_trace_qfi` used before its radial integral was written in
   closed form: Gauss-Legendre in u = -ln(1/2 - r), `nr` nodes, one
@@ -53,7 +58,9 @@ from qrl.capacity import (
     g_eps,
 )
 from qrl.channel import ANGLE_TOL, TWO_PI, apply_channel, stinespring_isometry
-from qrl.fisher import PURITY_TOL, _angular_tables, _probe_affine
+from qrl.fisher import (
+    _CHUNK, _SERIES_TERMS, _SERIES_X, PURITY_TOL, QuadratureError, _angular_tables, _probe_affine, _unitary,
+)
 from qrl.linalg import HERMITICITY_TOL, I2, SX, SY, SZ, kron, partial_trace
 from qrl.optimize import OptResult
 
@@ -129,6 +136,111 @@ def avg_trace_qfi_ugrid(p, probe, quad, nr, eta, mask=True):
         else:
             tr_f = tr_f + cross / den
         total += wr * float(tr_f @ w_ang)
+    return total
+
+
+def moments_reference(x: np.ndarray) -> np.ndarray:
+    """G_k(x) = int_0^1 t^k / (1 - x t) dt for k = 0..4 and x < 1, stacked:
+    `qrl.fisher._moments` as it was before it wrote into a workspace.
+
+    G_0 = -log1p(-x)/x, then the upward recurrence G_k = (G_{k-1} - 1/k)/x;
+    where |x| <= _SERIES_X, G_4 from its power series and the lower G_k
+    from the downward recurrence G_{k-1} = x G_k + 1/k.
+    """
+    x = x.ravel()
+    near = np.flatnonzero(np.abs(x) <= _SERIES_X)
+    far = x.copy()
+    far[near] = 0.5
+    inv = 1.0 / far
+    g = np.empty((5, x.size))
+    g[0] = -np.log1p(-far) * inv
+    for k in range(1, 5):
+        g[k] = (g[k - 1] - 1.0 / k) * inv
+    if near.size:
+        xs = x[near]
+        h = np.full_like(xs, 1.0 / (_SERIES_TERMS + 4))
+        for j in range(_SERIES_TERMS + 3, 4, -1):
+            h *= xs
+            h += 1.0 / j
+        g[4, near] = h
+        for k in range(4, 0, -1):
+            h = xs * h + 1.0 / k
+            g[k - 1, near] = h
+    return g
+
+
+def _radial_integral_reference(offsets, d0, inv_d0, vecs, big_ss) -> list:
+    """int_0^S tr F ds per probe and angular node, one fresh array per
+    S = 1 - 2 eta in big_ss: `qrl.fisher._radial_integral` before it worked
+    in place, one cutoff at a time."""
+    aa, ab1, ab2 = np.einsum("pjk,ipjk->ipk", vecs[0], vecs)
+    bb = np.einsum("ipjk,ipjk->pk", vecs[1:], vecs[1:])
+    polys = [4.0 * big_s * aa + big_s**3 / 3.0 * bb for big_s in big_ss]
+    if not inv_d0.any():
+        return polys
+    ta, tb1, tb2 = (offsets[:, None, :] @ vecs)[:, :, 0]
+    sq = np.sqrt(ta * ta + d0 * aa)
+    big = np.abs(ta) + sq
+    small = aa / np.maximum(big, 1e-300)
+    big /= d0
+    pos = ta >= 0.0
+    u = np.where(pos, big, small)
+    v_abs = np.where(pos, small, big)
+    w_u = u * (0.5 * d0) / np.maximum(sq, 1e-300)
+    coeffs = (
+        4.0 * ta * ta,
+        8.0 * ta * aa,
+        4.0 * aa * aa + tb1 * tb1 + tb2 * tb2,
+        2.0 * (tb1 * ab1 + tb2 * ab2),
+        ab1 * ab1 + ab2 * ab2,
+    )
+    for poly, big_s in zip(polys, big_ss):
+        x = np.minimum(u * big_s, 1.0 - 2.0**-53)
+        g = moments_reference(np.stack([x, -big_s * v_abs])).reshape(5, 2, *u.shape)
+        mix = g[:, 1] + w_u * (g[:, 0] - g[:, 1])
+        cross = big_s * coeffs[0] * mix[0]
+        for k in range(1, 5):
+            cross += big_s ** (k + 1) * coeffs[k] * mix[k]
+        cross *= inv_d0
+        poly += cross
+    return polys
+
+
+def averages_reference(probes, affine, quad, etas) -> np.ndarray:
+    """`qrl.fisher._averages` as it was before its blocks worked in one
+    per-call workspace: fresh temporaries per block and per cutoff, one
+    cutoff per pass.  Same blocks, same operations in the same order, so
+    the library must match it to the bit."""
+    T1, T2, dirs, w_ang = _angular_tables(quad.n_theta1, quad.n_theta2)
+    nodes = T1.size
+    offsets, maps = np.ascontiguousarray(affine[..., 0]), affine[None, ..., 1:]
+    d0 = 1.0 - (offsets[:, None, :] @ offsets[:, :, None])[:, 0]
+    pure = d0 <= 4.0 * PURITY_TOL
+    d0 = np.where(pure, 1.0, d0)
+    inv_d0 = np.where(pure, 0.0, 1.0 / d0)
+    big_ss = [1.0 - 2.0 * e for e in etas]
+    per_block, span = max(1, _CHUNK // nodes), min(nodes, _CHUNK)
+    total = np.zeros((len(etas), len(affine)))
+    for row, e in zip(total, etas):
+        if e == 0.0:
+            row[_unitary(affine)] = np.inf
+    dirs = dirs[:, None]
+    for p0 in range(0, len(affine), per_block):
+        batch = slice(p0, p0 + per_block)
+        t, d, inv = offsets[batch], d0[batch], inv_d0[batch]
+        for lo in range(0, nodes, span):
+            vecs = maps[:, batch] @ dirs[..., lo:lo + span]
+            for row, radial in zip(total, _radial_integral_reference(t, d, inv, vecs, big_ss)):
+                nan = np.isnan(radial)
+                if nan.any():
+                    i, k = np.argwhere(nan)[0]
+                    phi1, phi2 = probes[p0 + i]
+                    raise QuadratureError(
+                        f"NaN integrand at probe phi1={float(phi1)!r}, phi2={float(phi2)!r}, "
+                        f"node theta1={float(T1[lo + k])!r}, theta2={float(T2[lo + k])!r}"
+                    )
+                row[batch] += radial @ w_ang[lo:lo + span]
+    total *= 0.5
     return total
 
 

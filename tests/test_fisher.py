@@ -1,6 +1,7 @@
 """Tests for the QFI matrix, the Bayesian average, and its regularization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from qrl.fisher import (
     maximize_over_probe,
 )
 from qrl.unitary import VERTICES, UnitaryParams, edge_point
-from oracles import EnvState, QfiMatrix, avg_trace_qfi_ugrid, channel_qfi, gl_nodes, prior_weight, qfi_matrix
+from oracles import (
+    EnvState, QfiMatrix, averages_reference, avg_trace_qfi_ugrid, channel_qfi, gl_nodes, prior_weight, qfi_matrix,
+)
 
 rng = np.random.default_rng(77)
 
@@ -557,6 +560,95 @@ def test_multi_cutoff_calls_equal_single_cutoff_calls(n):
     assert not rows[:, 1].any()
     for p, q in cases:
         assert avg_trace_qfi(p, q, quad, etas) == tuple(avg_trace_qfi(p, q, quad, eta) for eta in etas)
+
+
+# ---------------------------------------------------------------------------
+# The workspace kernel against the reference kernel
+
+# I is a pure offset at every probe, C finite, S unitary at every probe and
+# D at the poles, so eta = 0 reads inf in their slots only
+KERNEL_CASES = (
+    (IDENT, ProbeState(0.7, 0.3)),
+    (CNOTV, ProbeState(1.1, 0.4)),
+    (SWAP, ProbeState(2.2, 5.1)),
+    (DCNOT, ProbeState(0.0, 0.0)),
+    (DCNOT, ProbeState(np.pi, 0.0)),
+)
+KERNEL_CUTOFFS = ([1e-2], [0.0], [1e-2, 0.0], [0.4, 1e-3, 1e-6], [1e-2, 0.0, 1e-4, 0.2], list(DEFAULT_ETA_SCHEDULE))
+
+
+def kernel_batch(local, count: int):
+    """`count` probes' (coordinates, maps): the special cases first, then
+    random gates at random probes."""
+    cases = list(KERNEL_CASES[:count])
+    while len(cases) < count:
+        cases.append((UnitaryParams(*sorted(local.uniform(0.0, np.pi / 2, 3), reverse=True)),
+                      ProbeState(local.uniform(0, np.pi), local.uniform(0, 2 * np.pi))))
+    local.shuffle(cases)
+    coords = np.array([[q.phi1, q.phi2] for _, q in cases])
+    return coords, np.array([qrl.fisher._probe_affine(p, q) for p, q in cases])
+
+
+@pytest.mark.parametrize("n1, n2", ((32, 2), (32, 32), (64, 64), (96, 48), (128, 128), (256, 256)))
+def test_kernel_equals_the_reference_kernel(n1, n2):
+    # every row to the bit, over 1, _CHUNK // nodes +- 1 and 79 probes and
+    # 1-5 cutoffs: one probe block or several, a short last block, node
+    # blocks of one probe (nodes > _CHUNK; 96 x 48 leaves a short last
+    # one), one pass over all cutoffs or several, the last one short
+    local = np.random.default_rng(n1 * 1000 + n2)
+    quad = QuadSpec(n1, n2)
+    per_block = max(1, qrl.fisher._CHUNK // (n1 * n2))
+    counts = sorted({1, per_block + 1, 79} | ({per_block - 1} if per_block > 1 else set()))
+    for count in counts:
+        coords, affine = kernel_batch(local, count)
+        # the 79-probe batch of the two largest grids runs one cutoff list
+        for etas in KERNEL_CUTOFFS if count * n1 * n2 <= 79 * 64 * 64 else KERNEL_CUTOFFS[-2:-1]:
+            got = qrl.fisher._averages(coords, affine, quad, etas)
+            assert np.array_equal(got, averages_reference(coords, affine, quad, etas)), (count, etas)
+
+
+def test_kernel_temporaries_stay_in_its_workspace(monkeypatch):
+    # one call allocates its workspace, the gather of the power series'
+    # arguments |x| <= _SERIES_X (8 bytes each, in the pass that has most of
+    # them) and little else: the peak of traced memory above the call's
+    # start exceeds those two by at most 24 KiB, where one 4096-element
+    # block array is 32 KiB.  Measured 15.3-16.2 KiB over the 79-probe scan
+    # (its offsets and d0 columns, the view objects of its two block
+    # shapes, the iterators of masked copies) and 7.8 KiB over the 256^2
+    # rung, whose gather is a whole half block, 32 KiB
+    chunk = qrl.fisher._CHUNK
+    table = probe_table(lambda q: qrl.fisher._probe_affine(edge_point("CS", 0.5), q))
+    scan = probe_scan(13, 7, np.pi)
+    probe = ProbeState(0.57, 1.82)
+    calls = (
+        (scan, table_at(table, scan), QuadSpec(32, 32), [1e-2]),
+        (np.array([[probe.phi1, probe.phi2]]), qrl.fisher._probe_affine(UnitaryParams(0.6, 0.4, 0.2), probe)[None],
+         QuadSpec(256, 256), [1e-5, 1e-6]),
+    )
+    moments, counts = qrl.fisher._moments, []
+
+    def counting(x, work):
+        counts.append(np.count_nonzero(np.abs(x) <= qrl.fisher._SERIES_X))
+        return moments(x, work)
+
+    for coords, affine, quad, etas in calls:
+        nodes = quad.n_theta1 * quad.n_theta2
+        n_probes, span = min(len(coords), max(1, chunk // nodes)), min(nodes, chunk)
+        stack = min(len(etas), max(1, chunk // (n_probes * span)))
+        workspace = 8 * qrl.fisher._Block.size(n_probes, span, len(etas), stack)
+        counts.clear()  # one untraced call, which also caches the angular tables
+        monkeypatch.setattr(qrl.fisher, "_moments", counting)
+        qrl.fisher._averages(coords, affine, quad, etas)
+        monkeypatch.setattr(qrl.fisher, "_moments", moments)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            qrl.fisher._averages(coords, affine, quad, etas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak - start - workspace - 8 * max(counts)
+        assert extra <= 24 * 1024, (quad, extra)
 
 
 # ---------------------------------------------------------------------------
