@@ -7,27 +7,29 @@ gates are vertices or lie on an edge; this script times `best_probe_h2` and
 `maximize_over_probe` at CD t = 1/3 and 2/3 and at three interior gates,
 with BLAS pinned to one thread.  It times the same at face gates, IS, ID,
 CS and DS at t = 1/3 and 2/3 and the vertices S and D, where the searches
-are reduced.  The H2 search makes one sigma solve, at the probe (0, 0), on
-every one of them.  The QFI search takes the cutoff schedule at the pole
-probe (pi, 0), with no table, stencil, scan or simplex, on IS, ID, DS, S
-and D (the face ax = ay).  Every other gate reads its probe-affine table at
-both poles and a tangent stencil about each (8 probes) and takes the
-better pole where its tangent Hessian shows no ascent (the pole rule, CD
-and the interior gates here); otherwise (CS) it runs the 2-D search: a
-scan of 79 probes, phi2 on [0, pi) only, since the trapezoid rule on
-theta2 keeps the Z (x) Z image (phi1, phi2 + pi) exact, then a simplex.
-The two searches alternate per gate, so that drift of the machine's speed
-hits both alike.
+are reduced.  The H2 search makes no sigma search on any of them: one pole
+closed form (`capacity.h2_at_pole`) at the probe (0, 0).  The QFI search
+takes the cutoff schedule at the pole probe (pi, 0), with no table,
+stencil, scan or simplex, on IS, ID, DS, S and D (the face ax = ay).  Every
+other gate reads its probe-affine table at both poles and a tangent stencil
+about each (8 probes) and takes the better pole where its tangent Hessian
+shows no ascent (the pole rule, CD and the interior gates here); otherwise
+(CS) it runs the 2-D search: a scan of 79 probes, phi2 on [0, pi) only,
+since the trapezoid rule on theta2 keeps the Z (x) Z image (phi1, phi2 +
+pi) exact, then a simplex.  The two searches alternate per gate, so that
+drift of the machine's speed hits both alike.
 
 Counts the work of one search per stage.  For H2 these are the
 `h2_conditional` calls, told apart by the config each stage passes: the scan
-(`_COARSE`), the refinement (`_MEDIUM`) and the final solve (the default).
+(`_COARSE`), the refinement (`_MEDIUM`) and the final solve (the default),
+and the pole closed forms (`pole`).
 For the QFI these are the `fisher._averages` calls that
 `maximize_over_probe` makes outside `avg_trace_qfi`: the stencil's probes,
 the probes of the batched scan and the simplex's solves, and the rule
 they add up to: "face pole" (no such call), "pole" (the stencil alone) or
 "2-D" (stencil, scan and simplex).
-On a face gate the H2 counts read 0 scan, 0 refinement and 1 final solve.
+On a face gate the H2 counts read 0 scan, 0 refinement, 0 final solves
+and 1 pole closed form; on the others 0 pole closed forms.
 Beside the simplex's solves stand the points it evaluates (`simplex_points`,
 each distinct point once): a search solves each distinct probe once, so a
 point that names a probe solved before, such as the pole under another
@@ -91,22 +93,27 @@ def counting_simplex(module, points: list):
 
 
 def count_stages(p) -> dict:
-    """h2_conditional calls of one best_probe_h2 search, per stage, and the
-    points its simplex evaluates."""
-    plain, plain_nm = capacity.h2_conditional, capacity.nelder_mead
+    """h2_conditional calls of one best_probe_h2 search, per stage, its pole
+    closed forms and the points its simplex evaluates."""
+    plain, plain_pole, plain_nm = capacity.h2_conditional, capacity.h2_at_pole, capacity.nelder_mead
     configs, points = [], [0]
 
     def counted(rho, config=DEFAULT_CONFIG):
         configs.append(config)
         return plain(rho, config)
 
-    capacity.h2_conditional, capacity.nelder_mead = counted, counting_simplex(capacity, points)
+    def counted_pole(rho):
+        configs.append("pole")
+        return plain_pole(rho)
+
+    capacity.h2_conditional, capacity.h2_at_pole = counted, counted_pole
+    capacity.nelder_mead = counting_simplex(capacity, points)
     try:
         best_probe_h2(p)
     finally:
-        capacity.h2_conditional, capacity.nelder_mead = plain, plain_nm
+        capacity.h2_conditional, capacity.h2_at_pole, capacity.nelder_mead = plain, plain_pole, plain_nm
     counts = {name: sum(c is config for c in configs) for name, config in STAGES.items()}
-    return {**counts, "simplex_points": points[0]}
+    return {**counts, "pole": configs.count("pole"), "simplex_points": points[0]}
 
 
 def count_qfi_stages(p) -> dict:

@@ -5,13 +5,29 @@ sandwiched Renyi-2 divergence from I (x) sigma_F.  The supremum for the
 strongly entangling unitaries sits on the Bloch boundary (rank-deficient
 sigma), so the search ball is capped at radius BLOCH_CAP = 1 - 1e-7, where
 the smaller eigenvalue of sigma is 5e-8.  That cap, not the 1e-9 eigenvalue
-floor that `h2_conditional` checks at the sigma it reports, sets the gap to
-the supremum: about 5e-8/ln2 = 7e-8 bits, and S, D and DS read
-0.999999927865 against the supremum 1, 7.2e-8 below it.  The objective is
-convex in sigma^{-1/2}, so the search needs no seed cube and no restarts:
-the direction of sigma is solved exactly at each radius, and one 1-D
-Nelder-Mead finds the radius (`h2_conditional`).  rho_BF comes in as a
-plain 4x4 array and sigma goes out as its Bloch 3-tuple.
+floor checked at every reported sigma, sets the gap to the supremum: S, D
+and DS read log2(1 + BLOCH_CAP) = 0.999999927865 against the supremum 1,
+7.2e-8 below it.  The objective is convex in sigma^{-1/2}, so the search
+needs no seed cube and no restarts: the direction of sigma is solved
+exactly at each radius, and one 1-D Nelder-Mead finds the radius
+(`h2_conditional`).  rho_BF comes in as a plain 4x4 array and sigma goes
+out as its Bloch 3-tuple.
+
+Pole closed form (`h2_at_pole`).  At the pole probe (0, 0) of every gate
+Z (x) Z leaves rho_BF invariant: it commutes with U and fixes the probe.
+Z on F alone then acts on rho_BF as Z on the reference, which commutes
+with I (x) X, so the objective Tr[rho X rho X] is the same at
+X = sigma^{-1/2} and at Z X Z.  It is convex in X (the alpha = 2 case of
+the joint convexity of the sandwiched quasi-entropy; Frank & Lieb 2013,
+Beigi 2013), and the set Tr X^{-2} <= 1 is convex and closed under that
+map, so the mean of X and Z X Z, the diagonal part of X, does no worse: a
+diagonal sigma = diag(lam, 1 - lam) is optimal.  There the objective is
+A/lam + B/(1 - lam) + 2C/sqrt(lam (1 - lam)), with A, B and C block sums
+of |rho|^2, every term convex and non-negative, so nothing cancels.  With
+u = sqrt((1 - lam)/lam) its stationary point is the root of
+A u^4 + C u^3 - C u - B, whose coefficients change sign once, so it has
+one positive root (Descartes).  lam is clipped to
+[(1 - BLOCH_CAP)/2, (1 + BLOCH_CAP)/2], the cap of the generic search.
 
 Where U commutes with a continuous family of R (x) R, H2 takes one value on
 each orbit of the probe under that family.  On IS (ax = ay = az,
@@ -19,7 +35,7 @@ U = a I + b SWAP) every V (x) V commutes, so H2 is the same at every probe.
 On the face ax = ay (ID, DS, D) the z-rotations commute and on the face
 ay = az (IC, CS, C) the x-rotations; there the probes (phi1, 0) meet every
 orbit, and H2 along them was measured to peak at the pole phi1 = 0.  So
-every gate of IS or a face takes one sigma solve at the probe (0, 0)
+every gate of IS or a face takes the pole closed form at the probe (0, 0)
 (`best_probe_h2`).  Every other gate, CD inside its edge and the interior,
 takes the 2-D probe search (`_sphere_search`): rho_BF is linear in the
 probe density, so it builds one table of rho_BF per gate from four probes
@@ -58,6 +74,9 @@ _X_CAP = -math.log(1.0 - BLOCH_CAP)
 _RADIAL_SEEDS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, _X_CAP)
 _RADIAL_STEP = 0.5
 _SECULAR_MAX_ITER = 100
+# the pole closed form's root u = sqrt((1 - lam)/lam) at lam = (1 + BLOCH_CAP)/2;
+# its inverse is the root at the other end of the cap
+_U_CAP = math.sqrt((1.0 - BLOCH_CAP) / (1.0 + BLOCH_CAP))
 _EPS = np.finfo(float).eps
 
 # I (x) sigma_k stacked over k = 0..3
@@ -246,6 +265,69 @@ def h2_conditional(rho, config: dict = DEFAULT_CONFIG) -> H2Optimum:
     return H2Optimum(value=value, sigma=tuple(p.tolist()), converged=res.converged)
 
 
+def _pole_blocks(rho) -> tuple:
+    """A, B and C of a rho_BF on (reference) (x) F: the sums of |rho|^2 over
+    the blocks f = g = 0 and f = g = 1 of the F index, and half the sum over
+    f != g, so that Tr[rho X rho X] = A/lam + B/mu + 2C/sqrt(lam mu) at
+    X = I (x) diag(lam, mu)^{-1/2}."""
+    rho = np.asarray(rho)
+    s = (rho.real * rho.real + rho.imag * rho.imag).reshape(2, 2, 2, 2).sum(axis=(0, 2))
+    return float(s[0, 0]), float(s[1, 1]), 0.5 * float(s[0, 1] + s[1, 0])
+
+
+def _pole_sigma(a: float, b: float, c: float) -> tuple:
+    """Eigenvalues lam, mu = 1 - lam and Bloch z = lam - mu of the diagonal
+    sigma minimizing a/lam + b/mu + 2c/sqrt(lam mu), |z| <= BLOCH_CAP.
+
+    With u = sqrt(mu/lam) the stationary point is the root of
+    f(u) = a u^4 + c u^3 - c u - b, the only positive one (Descartes: one
+    sign change).  f is convex on u > 0, and so is the objective in lam,
+    so the capped minimizer is the root clipped to [_U_CAP, 1/_U_CAP]: the
+    sign of f at either end decides a clip.  Otherwise Newton's method runs
+    down from the upper end of the bracket between r = (b/a)^(1/4) and 1
+    (f <= a u^4 - b on u <= 1 and f >= a u^4 - b on u >= 1); on a convex f
+    its iterates fall monotonically to the root, so it stops when one no
+    longer falls, and the lower end of the bracket floors it.
+    """
+    def f(u):
+        return ((a * u + c) * u * u - c) * u - b
+
+    if f(_U_CAP) >= 0.0:
+        return (1.0 + BLOCH_CAP) / 2.0, (1.0 - BLOCH_CAP) / 2.0, BLOCH_CAP
+    if f(1.0 / _U_CAP) <= 0.0:
+        return (1.0 - BLOCH_CAP) / 2.0, (1.0 + BLOCH_CAP) / 2.0, -BLOCH_CAP
+    r = (b / a) ** 0.25
+    lo, u = max(min(r, 1.0), _U_CAP), min(max(r, 1.0), 1.0 / _U_CAP)
+    for _ in range(_SECULAR_MAX_ITER):
+        new = max(u - f(u) / ((4.0 * a * u + 3.0 * c) * u * u - c), lo)
+        if not new < u:
+            break
+        u = new
+    else:
+        raise RuntimeError(f"the pole quartic's Newton iteration did not settle at (A, B, C) = {(a, b, c)!r}")
+    lam = 1.0 / (1.0 + u * u)
+    mu = u * u * lam
+    return lam, mu, lam - mu
+
+
+def h2_at_pole(rho) -> H2Optimum:
+    """H2(B|F) of a rho_BF that Z (x) Z leaves invariant, as at the pole
+    probe (0, 0) of every gate, in closed form: the diagonal sigma whose
+    eigenvalue is the quartic's root, clipped to the cap (see the module
+    docstring).  The checks of `h2_conditional` hold: both eigenvalues of
+    sigma above LAMBDA_FLOOR and the value at most log2 dim(B) = 1.
+    """
+    a, b, c = _pole_blocks(rho)
+    lam, mu, z = _pole_sigma(a, b, c)
+    if min(lam, mu) <= LAMBDA_FLOOR:
+        raise RuntimeError(f"sigma = diag({lam!r}, {mu!r}) has an eigenvalue below the {LAMBDA_FLOOR:.0e} floor")
+    # 0.0 - log2 is -log2, but keeps an exact 0, as at C, positive
+    value = 0.0 - math.log2(a / lam + b / mu + 2.0 * c / math.sqrt(lam * mu))
+    if value > 1.0 + 1e-9:
+        raise RuntimeError(f"H2 exceeded the dimension bound: {value}")
+    return H2Optimum(value=value, sigma=(0.0, 0.0, z), converged=True)
+
+
 def delta_star(epsilon: float) -> float:
     """Minimizer of g(s - delta) - 4 log2(delta) on (0, s), s = sqrt(eps/2).
 
@@ -321,7 +403,7 @@ def best_probe_h2(p: UnitaryParams) -> ProbeOptimum:
     answer takes one of two paths, picked by exact equality of the angles:
 
     - ax == ay or ay == az (the faces: IS, ID, DS, IC, CS and the vertices
-      I, S, D, C): one sigma solve at DEFAULT_CONFIG at the probe (0, 0),
+      I, S, D, C): the pole closed form (`h2_at_pole`) at the probe (0, 0),
       from one isometry and one Choi state.  On IS every V (x) V commutes
       with U = a I + b SWAP, so H2 is the same at every probe.  On a face
       the z- (ax == ay) or x-rotations (ay == az) commute, H2 is constant on
@@ -335,6 +417,6 @@ def best_probe_h2(p: UnitaryParams) -> ProbeOptimum:
     """
     if p.alpha_x == p.alpha_y or p.alpha_y == p.alpha_z:
         probe = ProbeState(0.0, 0.0)
-        final = h2_conditional(choi_bf(stinespring_isometry(p, probe)))
+        final = h2_at_pole(choi_bf(stinespring_isometry(p, probe)))
         return ProbeOptimum(h2=final.value, probe=probe, sigma=final.sigma, converged=final.converged)
     return _sphere_search(probe_table(lambda probe: choi_bf(stinespring_isometry(p, probe))))

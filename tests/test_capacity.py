@@ -1,6 +1,7 @@
 """Tests for the conditional Renyi-2 machinery and the one-shot bound."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qrl.capacity import (
     correction_bits,
     delta_star,
     g_eps,
+    h2_at_pole,
     h2_conditional,
     one_shot_lower_bound,
 )
@@ -137,6 +139,11 @@ def test_conditioning_state_validation(monkeypatch):
     monkeypatch.setattr(qrl.capacity, "_X_CAP", 30.0)  # |p| up to 1 - 9e-14
     with pytest.raises(RuntimeError, match="floor"):
         h2_conditional(rho)
+    # so does the pole closed form, whose S optimum is clipped to the cap
+    monkeypatch.setattr(qrl.capacity, "BLOCH_CAP", 1.0 - 1e-10)
+    monkeypatch.setattr(qrl.capacity, "_U_CAP", math.sqrt(1e-10 / (2.0 - 1e-10)))
+    with pytest.raises(RuntimeError, match="floor"):
+        h2_at_pole(choi_bf(stinespring_isometry(VERTICES["S"], ProbeState(0.0, 0.0))))
     mat = sigma_matrix((0.2, -0.1, 0.3))
     assert np.allclose(mat, 0.5 * (I2 + 0.2 * PAULI[1] - 0.1 * PAULI[2] + 0.3 * PAULI[3]))
 
@@ -182,7 +189,8 @@ def test_h2_swap_channel():
 
 
 def test_h2_dimension_bound_violation_raises(monkeypatch):
-    # a Gram matrix scaled below the physical one drives H2 past log2 dim(B)
+    # a Gram matrix, or block sums, scaled below the physical ones drive H2
+    # past log2 dim(B)
     gram = qrl.capacity._collision_gram
     monkeypatch.setattr(qrl.capacity, "_collision_gram", lambda rho: 0.1 * gram(rho))
     rho = choi_bf(
@@ -190,6 +198,10 @@ def test_h2_dimension_bound_violation_raises(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="dimension bound"):
         h2_conditional(rho)
+    blocks = qrl.capacity._pole_blocks
+    monkeypatch.setattr(qrl.capacity, "_pole_blocks", lambda rho: tuple(0.1 * v for v in blocks(rho)))
+    with pytest.raises(RuntimeError, match="dimension bound"):
+        h2_at_pole(rho)
 
 
 def test_h2_cnot_vertex_near_zero():
@@ -568,11 +580,12 @@ def test_best_probe_ic_edge():
 
 def test_best_probe_exact_on_identity_edges():
     # along IC the optimum is -log2(1 + cos^2 a) at a = t pi/2, and inside
-    # the IS and ID edges the two optima agree exactly
+    # the IS and ID edges the two optima agree exactly.  Measured: 2.2e-16
+    # and 0 (6.3e-16 and 0 over 41 t); 1e-15 leaves a few ulps for the log
     for t in (0.25, 0.5, 0.75):
         a = t * math.pi / 2.0
-        assert abs(best_probe_h2(edge_point("IC", t)).h2 + math.log2(1.0 + math.cos(a) ** 2)) <= 1e-12
-        assert abs(best_probe_h2(edge_point("IS", t)).h2 - best_probe_h2(edge_point("ID", t)).h2) <= 1e-12
+        assert abs(best_probe_h2(edge_point("IC", t)).h2 + math.log2(1.0 + math.cos(a) ** 2)) <= 1e-15
+        assert abs(best_probe_h2(edge_point("IS", t)).h2 - best_probe_h2(edge_point("ID", t)).h2) <= 1e-15
 
 
 def test_best_probe_is_edge_threshold_sides():
@@ -637,6 +650,88 @@ def test_best_probe_canonical_probes():
             assert np.array([a.h2, *a.sigma]).tobytes() == np.array([b.h2, *b.sigma]).tobytes()
 
 
+def _pole_rho(params) -> np.ndarray:
+    return choi_bf(stinespring_isometry(params, ProbeState(0.0, 0.0)))
+
+
+def _pole_gates() -> list:
+    """200 random gates of the tetrahedron and every edge at 41 t."""
+    local = np.random.default_rng(3131)
+    gates = []
+    for _ in range(200):
+        ax = local.uniform(0.0, math.pi / 2.0)
+        ay = local.uniform(0.0, ax)
+        gates.append(UnitaryParams(ax, ay, local.uniform(0.0, ay)))
+    edges = ("IS", "ID", "DS", "IC", "CS", "CD")
+    return gates + [edge_point(e, t) for e in edges for t in np.linspace(0.0, 1.0, 41).tolist()]
+
+
+def _pole_reference(a: float, b: float, c: float) -> float:
+    """-log2 of the least of a/lam + b/(1 - lam) + 2c/sqrt(lam (1 - lam))
+    over the capped lam, in 40-digit decimal arithmetic: 140 bisections on
+    the sign of its derivative, which is increasing in lam."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a, b, c, cap = map(Decimal, (a, b, c, BLOCH_CAP))
+        lo, hi = (1 - cap) / 2, (1 + cap) / 2
+        for _ in range(140):
+            lam = (lo + hi) / 2
+            mu = 1 - lam
+            if b / (mu * mu) - a / (lam * lam) - c * (mu - lam) / (lam * mu).sqrt() ** 3 > 0:
+                hi = lam
+            else:
+                lo = lam
+        mu = 1 - lo
+        return float(-(a / lo + b / mu + 2 * c / (lo * mu).sqrt()).ln() / Decimal(2).ln())
+
+
+def test_h2_at_pole_against_the_generic_solve():
+    # at the pole probe Z (x) Z leaves rho_BF invariant, and the closed form
+    # agrees with the generic sigma solve.  Off the cap they agree within
+    # 2e-14 (measured 1.2e-14, at |sigma| near 0.99 on CS and CD, where the
+    # generic value is the one off: the closed form sits within 3.3e-16 of
+    # the decimal reference below) and the certificate closes on the closed
+    # form's sigma as it does on the generic one's; at the cap the closed
+    # form reads the cap's exact value, never below the search (measured
+    # 4.4e-13 and more above it)
+    zz = np.diag([1.0, -1.0, -1.0, 1.0])
+    off = at_cap = 0
+    for params in _pole_gates():
+        rho = _pole_rho(params)
+        assert np.max(np.abs(zz @ rho @ zz - rho)) <= 1e-15, params
+        closed, generic = h2_at_pole(rho), h2_conditional(rho)
+        assert closed.converged and closed.sigma[:2] == (0.0, 0.0)
+        assert abs(closed.value - _pole_reference(*qrl.capacity._pole_blocks(rho))) <= 1e-15, params
+        if abs(closed.sigma[2]) < 0.999:
+            off += 1
+            assert abs(closed.value - generic.value) <= 2e-14, (params, closed.value - generic.value)
+            assert -1e-13 <= sigma_certificate(rho, closed) - closed.value <= 1e-12, params
+        else:
+            at_cap += 1
+            assert abs(closed.sigma[2]) == BLOCH_CAP
+            assert closed.value >= generic.value - 1e-15, (params, closed.value - generic.value)
+    assert off > 300 and at_cap > 0
+
+
+def test_h2_at_pole_follows_the_angles():
+    # with cm, sm = cos^2, sin^2 of (ax - ay)/2 and cp, sp those of
+    # (ax + ay)/2 the block sums are A = (cm^2 + sp^2)/4,
+    # B = (sm^2 + cp^2)/4 and C = (cm cp + sm sp)/4, independent of az;
+    # I reads -1, C reads 0 and S the cap's value log2(1 + BLOCH_CAP)
+    local = np.random.default_rng(3132)
+    for _ in range(50):
+        ax = local.uniform(0.0, math.pi / 2.0)
+        ay = local.uniform(0.0, ax)
+        blocks = qrl.capacity._pole_blocks(_pole_rho(UnitaryParams(ax, ay, local.uniform(0.0, ay))))
+        cm, sm = math.cos((ax - ay) / 2.0) ** 2, math.sin((ax - ay) / 2.0) ** 2
+        cp, sp = math.cos((ax + ay) / 2.0) ** 2, math.sin((ax + ay) / 2.0) ** 2
+        expected = ((cm * cm + sp * sp) / 4.0, (sm * sm + cp * cp) / 4.0, (cm * cp + sm * sp) / 4.0)
+        assert np.max(np.abs(np.subtract(blocks, expected))) <= 1e-15, (ax, ay)
+    assert abs(best_probe_h2(VERTICES["I"]).h2 + 1.0) <= 1e-15
+    assert abs(best_probe_h2(VERTICES["C"]).h2) <= 1e-15
+    assert abs(best_probe_h2(VERTICES["S"]).h2 - math.log2(1.0 + BLOCH_CAP)) <= 2e-16
+
+
 def test_ds_edge_reads_the_swap_value():
     # on DS sigma sits at the cap and H2 is the cap's value, the one S and
     # D read: every row of a 41-sample DS sweep lies within 1e-15 of S's H2
@@ -665,26 +760,30 @@ def test_best_probe_builds_four_channels(monkeypatch):
 
 def test_best_probe_certifies_every_sigma_solve(monkeypatch):
     # each sigma solve of the probe search, in the scan, the refinement and
-    # the final solve, ends where the tangent-plane certificate closes to
-    # round-off; near the cap the gap is the cap's own, about 7.2e-8 bits.
-    # S, D and a gate just off the face ax = ay near DS put solves at the
-    # cap: S and D one solve each without Y > 0, the 2-D search off DS
-    # solves with and without it
-    solves = []
-    plain = qrl.capacity.h2_conditional
+    # the final solve, and each pole closed form ends where the tangent-plane
+    # certificate closes to round-off; near the cap the gap is the cap's
+    # own, about 7.2e-8 bits.  S, D and a gate just off the face ax = ay
+    # near DS put solves at the cap: S and D one closed form each without
+    # Y > 0, the 2-D search off DS solves with and without it
+    solves, closed = [], []
 
-    def recorded(rho, config=qrl.capacity.DEFAULT_CONFIG):
-        opt = plain(rho, config)
-        solves.append((rho, opt))
-        return opt
+    def recording(solve, into):
+        def recorded(rho, *config):
+            opt = solve(rho, *config)
+            into.append((rho, opt))
+            return opt
 
-    monkeypatch.setattr(qrl.capacity, "h2_conditional", recorded)
+        return recorded
+
+    monkeypatch.setattr(qrl.capacity, "h2_conditional", recording(qrl.capacity.h2_conditional, solves))
+    monkeypatch.setattr(qrl.capacity, "h2_at_pole", recording(qrl.capacity.h2_at_pole, closed))
     gates = [edge_point(e, t) for e in ("CD", "CS") for t in (1.0 / 3.0, 2.0 / 3.0)]
     near_ds = UnitaryParams(math.pi / 2.0, math.pi / 2.0 - 1e-9, math.pi / 3.0)
     for p in gates + [UnitaryParams(1.2, 0.7, 0.3), VERTICES["S"], VERTICES["D"], near_ds]:
         best_probe_h2(p)
+    assert len(closed) == 4  # CS t = 1/3 and 2/3, S and D
     interior = near_cap = 0
-    for rho, opt in solves:
+    for rho, opt in solves + closed:
         bound = sigma_certificate(rho, opt)
         if np.linalg.norm(opt.sigma) < 0.999:
             interior += 1
