@@ -7,8 +7,9 @@ gates are vertices or lie on an edge; this script times `best_probe_h2` and
 `maximize_over_probe` at CD t = 1/3 and 2/3 and at three interior gates,
 with BLAS pinned to one thread.  It times the same at face gates, IS, ID,
 CS and DS at t = 1/3 and 2/3 and the vertices S and D, where the searches
-are reduced.  The H2 search makes no sigma search on any of them: one pole
-closed form (`capacity.h2_at_pole`) at the probe (0, 0).  The QFI search
+are reduced.  The H2 search makes no sigma search on any of them: one
+`h2_conditional` at the probe (0, 0), whose Z (x) Z-invariant rho_BF takes
+the closed branch.  The QFI search
 takes the cutoff schedule at the pole probe (pi, 0), with no table,
 stencil, scan or simplex, on IS, ID, DS, S and D (the face ax = ay).  Every
 other gate reads its probe-affine table at both poles and a tangent stencil
@@ -22,14 +23,17 @@ drift of the machine's speed hits both alike.
 Counts the work of one search per stage.  For H2 these are the
 `h2_conditional` calls, told apart by the config each stage passes: the scan
 (`_COARSE`), the refinement (`_MEDIUM`) and the final solve (the default),
-and the pole closed forms (`pole`).
+and, of all of them, those whose rho_BF takes the closed branch (`pole`):
+every entry that Z (x) Z flips is zero, read off the state itself.
 For the QFI these are the `fisher._averages` calls that
 `maximize_over_probe` makes outside `avg_trace_qfi`: the stencil's probes,
 the probes of the batched scan and the simplex's solves, and the rule
 they add up to: "face pole" (no such call), "pole" (the stencil alone) or
 "2-D" (stencil, scan and simplex).
-On a face gate the H2 counts read 0 scan, 0 refinement, 0 final solves
-and 1 pole closed form; on the others 0 pole closed forms.
+On a face gate the H2 counts read 1 final solve, on the closed branch
+(1 pole); on the others, whose searches start at the pole, 2 or 3: the
+scan's and the refinement's pole solves, and the final one where the
+simplex ends on the pole.
 Beside the simplex's solves stand the points it evaluates (`simplex_points`,
 each distinct point once): a search solves each distinct probe once, so a
 point that names a probe solved before, such as the pole under another
@@ -93,27 +97,24 @@ def counting_simplex(module, points: list):
 
 
 def count_stages(p) -> dict:
-    """h2_conditional calls of one best_probe_h2 search, per stage, its pole
-    closed forms and the points its simplex evaluates."""
-    plain, plain_pole, plain_nm = capacity.h2_conditional, capacity.h2_at_pole, capacity.nelder_mead
-    configs, points = [], [0]
+    """h2_conditional calls of one best_probe_h2 search, per stage, those on
+    the closed branch and the points its simplex evaluates."""
+    plain, plain_nm = capacity.h2_conditional, capacity.nelder_mead
+    configs, pole, points = [], [0], [0]
 
     def counted(rho, config=DEFAULT_CONFIG):
         configs.append(config)
+        pole[0] += not any(rho[i, j] for i, j in capacity._ZZ_ODD)
         return plain(rho, config)
 
-    def counted_pole(rho):
-        configs.append("pole")
-        return plain_pole(rho)
-
-    capacity.h2_conditional, capacity.h2_at_pole = counted, counted_pole
+    capacity.h2_conditional = counted
     capacity.nelder_mead = counting_simplex(capacity, points)
     try:
         best_probe_h2(p)
     finally:
-        capacity.h2_conditional, capacity.h2_at_pole, capacity.nelder_mead = plain, plain_pole, plain_nm
+        capacity.h2_conditional, capacity.nelder_mead = plain, plain_nm
     counts = {name: sum(c is config for c in configs) for name, config in STAGES.items()}
-    return {**counts, "pole": configs.count("pole"), "simplex_points": points[0]}
+    return {**counts, "pole": pole[0], "simplex_points": points[0]}
 
 
 def count_qfi_stages(p) -> dict:

@@ -7,42 +7,32 @@ sigma), so the search ball is capped at radius BLOCH_CAP = 1 - 1e-7, where
 the smaller eigenvalue of sigma is 5e-8.  That cap, not the 1e-9 eigenvalue
 floor checked at every reported sigma, sets the gap to the supremum: S, D
 and DS read log2(1 + BLOCH_CAP) = 0.999999927865 against the supremum 1,
-7.2e-8 below it.  The objective is convex in sigma^{-1/2}, so the search
-needs no seed cube and no restarts: the direction of sigma is solved
-exactly at each radius, and one 1-D Nelder-Mead finds the radius
-(`h2_conditional`).  rho_BF comes in as a plain 4x4 array and sigma goes
-out as its Bloch 3-tuple.
+7.2e-8 below it.  rho_BF comes in as a plain 4x4 array and sigma goes out
+as its Bloch 3-tuple.
 
-Pole closed form (`h2_at_pole`).  At the pole probe (0, 0) of every gate
-Z (x) Z leaves rho_BF invariant: it commutes with U and fixes the probe.
-Z on F alone then acts on rho_BF as Z on the reference, which commutes
-with I (x) X, so the objective Tr[rho X rho X] is the same at
-X = sigma^{-1/2} and at Z X Z.  It is convex in X (the alpha = 2 case of
-the joint convexity of the sandwiched quasi-entropy; Frank & Lieb 2013,
-Beigi 2013), and the set Tr X^{-2} <= 1 is convex and closed under that
-map, so the mean of X and Z X Z, the diagonal part of X, does no worse: a
-diagonal sigma = diag(lam, 1 - lam) is optimal.  There the objective is
-A/lam + B/(1 - lam) + 2C/sqrt(lam (1 - lam)), with A, B and C block sums
-of |rho|^2, every term convex and non-negative, so nothing cancels.  With
-u = sqrt((1 - lam)/lam) its stationary point is the root of
-A u^4 + C u^3 - C u - B, whose coefficients change sign once, so it has
-one positive root (Descartes).  lam is clipped to
-[(1 - BLOCH_CAP)/2, (1 + BLOCH_CAP)/2], the cap of the generic search.
+`h2_conditional` evaluates one formula: with F turned into the eigenbasis
+of sigma = diag(lam, mu), Tr[rho X rho X] at X = sigma^{-1/2} is
+A/lam + B/mu + 2C/sqrt(lam mu), A, B and C block sums of |rho|^2; every
+term is non-negative, so nothing cancels at the cap.  Where Z (x) Z leaves
+rho_BF invariant, as at the pole probe (0, 0) of every gate (it commutes
+with U and fixes the probe), Z on F alone acts on rho_BF as Z on the
+reference, which commutes with I (x) X, so the objective is the same at X
+and at Z X Z.  It is convex in X (the alpha = 2 case of the joint
+convexity of the sandwiched quasi-entropy; Frank & Lieb 2013, Beigi 2013),
+and the set Tr X^{-2} <= 1 is convex and closed under that map, so their
+mean, the diagonal part of X, does no worse: sigma is diagonal, and with
+u = sqrt(mu/lam) the optimum is the one positive root (Descartes) of
+A u^4 + C u^3 - C u - B, lam clipped to the cap.  Elsewhere the radius
+search gives sigma: the objective is c^T G c, convex in the Pauli
+coefficients c of X, so the direction of sigma is solved exactly at each
+radius and one 1-D Nelder-Mead finds the radius; c^T G c, a difference of
+terms near 1e6 at the cap, only steers it.
 
-Where U commutes with a continuous family of R (x) R, H2 takes one value on
-each orbit of the probe under that family.  On IS (ax = ay = az,
-U = a I + b SWAP) every V (x) V commutes, so H2 is the same at every probe.
-On the face ax = ay (ID, DS, D) the z-rotations commute and on the face
-ay = az (IC, CS, C) the x-rotations; there the probes (phi1, 0) meet every
-orbit, and H2 along them was measured to peak at the pole phi1 = 0.  So
-every gate of IS or a face takes the pole closed form at the probe (0, 0)
-(`best_probe_h2`).  Every other gate, CD inside its edge and the interior,
-takes the 2-D probe search (`_sphere_search`): rho_BF is linear in the
-probe density, so it builds one table of rho_BF per gate from four probes
-(`channel.probe_table`) and reads rho_BF at every probe it tries off that
-table.  A face is detected by exact equality of the angles, which
-`edge_point` produces bit for bit; angles that are equal only to round-off
-take the 2-D search, which is valid everywhere.
+`best_probe_h2` takes one solve, on the closed branch, at the probe (0, 0)
+on IS and both faces, where the R (x) R that commute with U make H2
+constant on orbits of probes that the pole meets; every other gate takes
+the 2-D probe search (`_sphere_search`) over a table of rho_BF built from
+four probes, whose state at the pole is invariant too.
 
 The capacity lower bound per channel use is h2 - correction/n with
 correction = g(sqrt(eps/2) - delta*) + 4 log2(1/delta*) + 2.  delta* is the
@@ -62,7 +52,7 @@ from .channel import (
     PROBE_SIMPLEX, ProbeState, choi_bf, once_per_probe, probe_scan, probe_table, stinespring_isometry, table_at,
 )
 from .linalg import I2, PAULI, kron
-from .optimize import nelder_mead
+from .optimize import check_settings, nelder_mead
 from .unitary import UnitaryParams
 
 LAMBDA_FLOOR = 1e-9
@@ -81,6 +71,8 @@ _EPS = np.finfo(float).eps
 
 # I (x) sigma_k stacked over k = 0..3
 _KRON_F = np.stack([kron(I2, s) for s in PAULI])
+# the entries of a 4x4 rho_BF that Z (x) Z = diag(1, -1, -1, 1) flips
+_ZZ_ODD = ((0, 1), (0, 2), (1, 0), (2, 0), (1, 3), (2, 3), (3, 1), (3, 2))
 
 
 # nelder_mead's tol and max_iter in the sigma search
@@ -124,20 +116,10 @@ def g_eps(x: float) -> float:
 
 
 def _collision_gram(rho: np.ndarray) -> np.ndarray:
-    # G_kl = Tr[rho (I (x) s_k) rho (I (x) s_l)]; real symmetric
-    return np.einsum("ab,kbc,cd,lda->kl", rho, _KRON_F, rho, _KRON_F).real
-
-
-def _inv_sqrt_coeffs(p: np.ndarray) -> np.ndarray:
-    """Pauli coefficients of sigma^{-1/2} for |p| <= BLOCH_CAP, so that
-    c^T G c = Tr[rho s^{-1/2} rho s^{-1/2}]."""
-    nrm = math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2])
-    a, b = ((1.0 + nrm) / 2.0) ** -0.5, ((1.0 - nrm) / 2.0) ** -0.5
-    mean, half_gap = (a + b) / 2.0, (a - b) / 2.0
-    if nrm < 1e-15:
-        return np.array([mean, 0.0, 0.0, 0.0])
-    s = half_gap / nrm
-    return np.array([mean, s * p[0], s * p[1], s * p[2]])
+    # G_kl = Tr[M_k M_l] with M_k = rho (I (x) s_k), whose entries are those
+    # of rho moved, signed or times i, so exact; real symmetric
+    m = rho @ _KRON_F
+    return np.einsum("kab,lba->kl", m, m).real
 
 
 class _RadialProfile:
@@ -150,12 +132,12 @@ class _RadialProfile:
     A = G[1:, 1:].  At fixed x that is the boundary case of the trust-region
     subproblem in the unit vector n, solved exactly in the eigenbasis of A
     (More & Sorensen 1983).  phi(x), its minimum, is unimodal in x: see
-    `h2_conditional`.
+    `_radius_solve`.
     """
 
     def __init__(self, gram: np.ndarray):
         d, q = np.linalg.eigh(gram[1:, 1:])
-        self.q = q
+        self.q = q.tolist()
         self.g00 = float(gram[0, 0])
         self.d = [float(v) for v in d]
         self.g = (q.T @ gram[0, 1:]).tolist()
@@ -179,9 +161,11 @@ class _RadialProfile:
         an = d0 * n0 * n0 + d1 * n1 * n1 + d2 * n2 * n2
         return m * m * self.g00 + 2.0 * m * h * gn + h * h * an
 
-    def bloch(self, x: float) -> np.ndarray:
+    def direction(self, x: float) -> tuple:
+        """The unit Bloch direction of the best sigma at log-radius x."""
         self(x)
-        return -math.expm1(-x) * (self.q @ np.array(self.n))
+        n0, n1, n2 = self.n
+        return tuple([q0 * n0 + q1 * n1 + q2 * n2 for q0, q1, q2 in self.q])
 
 
 def _unit_minimizer(e1: float, e2: float, w0: float, w1: float, w2: float) -> tuple:
@@ -231,48 +215,47 @@ def _unit_minimizer(e1: float, e2: float, w0: float, w1: float, w2: float) -> tu
     return n0 / nrm, n1 / nrm, n2 / nrm
 
 
-def h2_conditional(rho, config: dict = DEFAULT_CONFIG) -> H2Optimum:
-    """Maximize -D2(rho || I (x) sigma) over the conditioning Bloch ball.
-
-    With X = sigma^{-1/2}, the objective Tr[rho X rho X] = c^T G c is a
-    convex quadratic in the Pauli coefficients c of X, homogeneous of degree
-    2, and Tr X^{-2} = Tr sigma = 1 bounds the convex set Tr X^{-2} <= 1.
-    Scaling a point of that set out to its boundary lowers the objective,
-    so every local minimum on the constraint surface is the global one.
-    The directions are minimized exactly at each radius (`_RadialProfile`),
-    which leaves a unimodal 1-D search over x = -ln(1 - |p|) on
-    [0, -ln(1 - BLOCH_CAP)]: Nelder-Mead, at config's tol and max_iter,
-    from the best of a few fixed seeds, its first step pointing into the
-    interval; it reads the seeds' values instead of evaluating them again.
-    The value is evaluated at the reported sigma and is bounded by
-    log2 dim(B) = 1, and both eigenvalues of that sigma stay above
-    LAMBDA_FLOOR; a breach of either is a numerical fault.
-    """
-    gram = _collision_gram(np.asarray(rho, dtype=complex))
-    phi = _RadialProfile(gram)
+def _radius_solve(rho: np.ndarray, config: dict) -> H2Optimum:
+    """H2 of any rho_BF by the radius search at config's tol and max_iter:
+    scaling a point of Tr X^{-2} <= 1 out to its boundary lowers the
+    objective, so every local minimum on the constraint surface is global,
+    and with the directions minimized exactly at each radius
+    (`_RadialProfile`) Nelder-Mead over x = -ln(1 - |p|) finds it."""
+    phi = _RadialProfile(_collision_gram(rho))
     seeds = [phi(x) for x in _RADIAL_SEEDS]
     x0 = _RADIAL_SEEDS[seeds.index(min(seeds))]  # the first seed of least value
     step = _RADIAL_STEP if x0 + _RADIAL_STEP <= _X_CAP else -_RADIAL_STEP
     res = nelder_mead(lambda v: phi(v[0]), (x0,), step, bounds=(0.0, _X_CAP), **config)
-    p = phi.bloch(res.x[0])
-    nrm = float(np.linalg.norm(p))
-    if nrm > 1.0 - 2.0 * LAMBDA_FLOOR:
-        raise RuntimeError(f"|p| = {nrm!r} leaves an eigenvalue below the {LAMBDA_FLOOR:.0e} floor")
-    c = _inv_sqrt_coeffs(p)
-    value = -math.log2(c @ gram @ c)
-    if value > 1.0 + 1e-9:
-        raise RuntimeError(f"H2 exceeded the dimension bound: {value}")
-    return H2Optimum(value=value, sigma=tuple(p.tolist()), converged=res.converged)
+    x = res.x[0]
+    r, n = -math.expm1(-x), phi.direction(x)
+    # the eigenvalues (1 +- r)/2, the smaller as e^{-x}/2 without cancellation
+    return _optimum(_pole_blocks(_eigenbasis(rho.tolist(), n)), (1.0 + r) / 2.0, math.exp(-x) / 2.0,
+                    (r * n[0], r * n[1], r * n[2]), res.converged)
 
 
-def _pole_blocks(rho) -> tuple:
-    """A, B and C of a rho_BF on (reference) (x) F: the sums of |rho|^2 over
-    the blocks f = g = 0 and f = g = 1 of the F index, and half the sum over
-    f != g, so that Tr[rho X rho X] = A/lam + B/mu + 2C/sqrt(lam mu) at
-    X = I (x) diag(lam, mu)^{-1/2}."""
-    rho = np.asarray(rho)
-    s = (rho.real * rho.real + rho.imag * rho.imag).reshape(2, 2, 2, 2).sum(axis=(0, 2))
-    return float(s[0, 0]), float(s[1, 1]), 0.5 * float(s[0, 1] + s[1, 0])
+def _eigenbasis(rows: list, n: tuple) -> list:
+    """The rows of (I (x) W)^dag rho (I (x) W), W's columns the eigenvectors
+    e0 = (a, b) and e1 = (-b*, a*) of n.sigma, n a unit vector."""
+    nx, ny, nz = n
+    s = math.sqrt(2.0 * (1.0 + abs(nz)))
+    a, b = ((1.0 + nz) / s, complex(nx, ny) / s) if nz >= 0.0 else (complex(nx, -ny) / s, (1.0 - nz) / s)
+    ac, bc = a.conjugate(), b.conjugate()
+    # W on the right of each row's F pairs, then W^dag on the left of each F pair of rows
+    u0, u1, u2, u3 = [(v0 * a + v1 * b, v1 * ac - v0 * bc, v2 * a + v3 * b, v3 * ac - v2 * bc)
+                      for v0, v1, v2, v3 in rows]
+    return [[ac * x + bc * y for x, y in zip(u0, u1)], [a * y - b * x for x, y in zip(u0, u1)],
+            [ac * x + bc * y for x, y in zip(u2, u3)], [a * y - b * x for x, y in zip(u2, u3)]]
+
+
+def _pole_blocks(rows) -> tuple:
+    """A, B and C of a rho_BF on (reference) (x) F, given by its rows: the
+    sums of |rho|^2 over the blocks f = g = 0 and f = g = 1 of the F index,
+    and half the sum over f != g, so that Tr[rho X rho X] =
+    A/lam + B/mu + 2C/sqrt(lam mu) at X = I (x) diag(lam, mu)^{-1/2}."""
+    s00, s01, s02, s03, s10, s11, s12, s13, s20, s21, s22, s23, s30, s31, s32, s33 = [
+        v.real * v.real + v.imag * v.imag for row in rows for v in row]
+    return (s00 + s02 + s20 + s22, s11 + s13 + s31 + s33,
+            0.5 * ((s01 + s03 + s21 + s23) + (s10 + s12 + s30 + s32)))
 
 
 def _pole_sigma(a: float, b: float, c: float) -> tuple:
@@ -310,22 +293,34 @@ def _pole_sigma(a: float, b: float, c: float) -> tuple:
     return lam, mu, lam - mu
 
 
-def h2_at_pole(rho) -> H2Optimum:
-    """H2(B|F) of a rho_BF that Z (x) Z leaves invariant, as at the pole
-    probe (0, 0) of every gate, in closed form: the diagonal sigma whose
-    eigenvalue is the quartic's root, clipped to the cap (see the module
-    docstring).  The checks of `h2_conditional` hold: both eigenvalues of
-    sigma above LAMBDA_FLOOR and the value at most log2 dim(B) = 1.
-    """
-    a, b, c = _pole_blocks(rho)
-    lam, mu, z = _pole_sigma(a, b, c)
+def _optimum(blocks: tuple, lam: float, mu: float, sigma: tuple, converged: bool) -> H2Optimum:
+    """H2 at the sigma with eigenvalues lam, mu and Bloch vector sigma, from
+    rho_BF's block sums in its eigenbasis; both checks are numerical faults."""
     if min(lam, mu) <= LAMBDA_FLOOR:
-        raise RuntimeError(f"sigma = diag({lam!r}, {mu!r}) has an eigenvalue below the {LAMBDA_FLOOR:.0e} floor")
+        raise RuntimeError(f"sigma's eigenvalues {lam!r}, {mu!r} reach the {LAMBDA_FLOOR:.0e} floor")
+    a, b, c = blocks
     # 0.0 - log2 is -log2, but keeps an exact 0, as at C, positive
     value = 0.0 - math.log2(a / lam + b / mu + 2.0 * c / math.sqrt(lam * mu))
     if value > 1.0 + 1e-9:
         raise RuntimeError(f"H2 exceeded the dimension bound: {value}")
-    return H2Optimum(value=value, sigma=(0.0, 0.0, z), converged=True)
+    return H2Optimum(value=value, sigma=sigma, converged=converged)
+
+
+def h2_conditional(rho, config: dict = DEFAULT_CONFIG) -> H2Optimum:
+    """Maximize -D2(rho || I (x) sigma) over the conditioning Bloch ball.
+
+    A rho_BF whose eight entries that Z (x) Z flips are exactly zero takes
+    the pole quartic's root (`_pole_sigma`), any other the radius search at
+    config's tol and max_iter (`_radius_solve`); config is checked on both.
+    """
+    check_settings(**config)
+    rho = np.asarray(rho, dtype=complex)
+    rows = rho.tolist()
+    if any([rows[i][j] for i, j in _ZZ_ODD]):
+        return _radius_solve(rho, config)
+    blocks = _pole_blocks(rows)
+    lam, mu, z = _pole_sigma(*blocks)
+    return _optimum(blocks, lam, mu, (0.0, 0.0, z), True)
 
 
 def delta_star(epsilon: float) -> float:
@@ -379,8 +374,8 @@ def _sphere_search(table: np.ndarray) -> ProbeOptimum:
     gives the answer at the simplex's point.  From the pole (0, 0), where
     the scan starts CD and most interior gates, about half of the simplex's
     points are moves clamped to phi1 = 0, which name the pole again under
-    another phi2 and read its first solve.  Every rho_BF comes off the
-    gate's table.
+    another phi2 and read its first solve; every solve at the pole takes
+    the closed branch.  Every rho_BF comes off the gate's table.
     """
     scan = probe_scan(7, 7, math.pi / 2.0)
     values = [h2_conditional(rho, _COARSE).value for rho in table_at(table, scan)]
@@ -403,12 +398,12 @@ def best_probe_h2(p: UnitaryParams) -> ProbeOptimum:
     answer takes one of two paths, picked by exact equality of the angles:
 
     - ax == ay or ay == az (the faces: IS, ID, DS, IC, CS and the vertices
-      I, S, D, C): the pole closed form (`h2_at_pole`) at the probe (0, 0),
-      from one isometry and one Choi state.  On IS every V (x) V commutes
-      with U = a I + b SWAP, so H2 is the same at every probe.  On a face
-      the z- (ax == ay) or x-rotations (ay == az) commute, H2 is constant on
-      their orbits, and the probes (phi1, 0), phi1 in [0, pi/2], meet every
-      orbit; H2 along them peaks at the pole.  That last fact is measured,
+      I, S, D, C): the closed branch of `h2_conditional` at the probe
+      (0, 0), from one isometry and one Choi state.  On IS every V (x) V
+      commutes with U = a I + b SWAP, so H2 is the same at every probe.  On
+      a face the z- (ax == ay) or x-rotations (ay == az) commute, H2 is
+      constant on their orbits, and the probes (phi1, 0), phi1 in
+      [0, pi/2], meet every orbit; H2 along them peaks at the pole.  That last fact is measured,
       not proven: on 120 random face gates neither a phi1 scan nor the 2-D
       search beat the pole by more than 1e-14, and
       `test_reduced_probe_search_against_the_sphere_search` holds it.
@@ -417,6 +412,6 @@ def best_probe_h2(p: UnitaryParams) -> ProbeOptimum:
     """
     if p.alpha_x == p.alpha_y or p.alpha_y == p.alpha_z:
         probe = ProbeState(0.0, 0.0)
-        final = h2_at_pole(choi_bf(stinespring_isometry(p, probe)))
+        final = h2_conditional(choi_bf(stinespring_isometry(p, probe)))
         return ProbeOptimum(h2=final.value, probe=probe, sigma=final.sigma, converged=final.converged)
     return _sphere_search(probe_table(lambda probe: choi_bf(stinespring_isometry(p, probe))))

@@ -59,6 +59,16 @@ def _diameter(verts: list) -> float:
     return max([math.sqrt(reduce(add, [d * d for d in map(sub, x, best)])) for _, x in verts[1:]])
 
 
+def check_settings(tol: float, max_iter: int) -> None:
+    """Raise ValueError unless nelder_mead can run with tol and max_iter: the
+    simplex stops when its diameter drops below tol, which a NaN or
+    non-positive tol never lets happen."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+
+
 def nelder_mead(f, x0, step: float, *, tol: float, max_iter: int, bounds: tuple) -> OptResult:
     """Minimize f from x0 with an axis-aligned initial simplex of size step.
 
@@ -70,12 +80,7 @@ def nelder_mead(f, x0, step: float, *, tol: float, max_iter: int, bounds: tuple)
     the array form's.  A one-coordinate x0 takes the float loop
     `_nelder_mead_1d`, with the same iterates.
     """
-    # the simplex stops when its diameter drops below tol, which a NaN or
-    # non-positive tol never lets happen
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    check_settings(tol, max_iter)
     lo, hi = bounds
     x0 = tuple(map(float, x0))
     if len(x0) == 1:

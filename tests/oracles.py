@@ -19,6 +19,9 @@ tests check the library against them.
 - `renyi2_divergence` evaluates the sandwiched divergence with matrix
   powers (`herm_power`), the route the Gram form of `qrl.capacity` replaced;
   `renyi2_divergence_grid` is the same formula over a batch of sigmas.
+  `h2_eigenbasis_blocks` is the value formula of `qrl.capacity.h2_conditional`
+  built from sigma's eigenprojectors, and `_inv_sqrt_coeffs` the Pauli form
+  c^T G c that the library evaluated its value by before.
 - `delta_star_golden` is the golden-section search for delta*, which the
   closed form `qrl.capacity.delta_star` replaced.
 - `magic_basis_reconstruction` builds the gate from its eigenphases in the
@@ -54,7 +57,6 @@ from qrl.capacity import (
     LAMBDA_FLOOR,
     H2Optimum,
     _collision_gram,
-    _inv_sqrt_coeffs,
     g_eps,
 )
 from qrl.channel import ANGLE_TOL, TWO_PI, apply_channel, stinespring_isometry
@@ -384,6 +386,27 @@ def renyi2_divergence(rho, bloch) -> float:
     return float(np.log2(np.trace(sandwich @ sandwich).real))
 
 
+def h2_eigenbasis_blocks(rho, bloch) -> float:
+    """-log2 of A/lam + B/mu + 2C/sqrt(lam mu) at the sigma with Bloch vector
+    `bloch`: lam, mu = (1 +- |p|)/2, and with P0, P1 = I (x) (I +- n.s)/2 the
+    eigenprojectors of I (x) sigma, n = p/|p| (z at p = 0), A = |P0 rho P0|^2,
+    B = |P1 rho P1|^2 and C the mean of |P0 rho P1|^2 and |P1 rho P0|^2,
+    each the sum of the squared moduli of a matrix's entries."""
+    p = np.asarray(bloch, dtype=float)
+    nrm = float(np.linalg.norm(p))
+    n = p / nrm if nrm > 0.0 else np.array([0.0, 0.0, 1.0])
+    r = np.asarray(rho, dtype=complex)
+    ns = n[0] * SX + n[1] * SY + n[2] * SZ
+    p0, p1 = kron(I2, 0.5 * (I2 + ns)), kron(I2, 0.5 * (I2 - ns))
+
+    def sq(m):
+        return float(np.sum(m.real**2 + m.imag**2))
+
+    lam, mu = (1.0 + nrm) / 2.0, (1.0 - nrm) / 2.0
+    a, b, c = sq(p0 @ r @ p0), sq(p1 @ r @ p1), 0.5 * (sq(p0 @ r @ p1) + sq(p1 @ r @ p0))
+    return -math.log2(a / lam + b / mu + 2.0 * c / math.sqrt(lam * mu))
+
+
 def renyi2_divergence_grid(rho, blochs) -> np.ndarray:
     """renyi2_divergence at each sigma Bloch vector, rows of `blochs`: one
     batched eigh of the sigmas, the same floored -1/4 power, applied as
@@ -398,14 +421,27 @@ def renyi2_divergence_grid(rho, blochs) -> np.ndarray:
     return np.log2(np.einsum("nij,nji->n", sandwich, sandwich).real)
 
 
+def _inv_sqrt_coeffs(p: np.ndarray) -> np.ndarray:
+    """Pauli coefficients of sigma^{-1/2} for |p| <= BLOCH_CAP, so that
+    c^T G c = Tr[rho s^{-1/2} rho s^{-1/2}], G = `qrl.capacity._collision_gram`."""
+    nrm = math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2])
+    a, b = ((1.0 + nrm) / 2.0) ** -0.5, ((1.0 - nrm) / 2.0) ** -0.5
+    mean, half_gap = (a + b) / 2.0, (a - b) / 2.0
+    if nrm < 1e-15:
+        return np.array([mean, 0.0, 0.0, 0.0])
+    s = half_gap / nrm
+    return np.array([mean, s * p[0], s * p[1], s * p[2]])
+
+
 def sigma_certificate(rho, opt: H2Optimum):
     """Upper bound on H2(B|F) from the end point of a sigma search, or None
     where it gives none.
 
-    The objective c^T G c of `qrl.capacity.h2_conditional` is convex in the
-    Pauli coefficients c of X = sigma^{-1/2}, so it lies above its tangent
-    plane at the end point's coefficients cb: c^T G c >= Tr[Y X] - f, with
-    f = cb^T G cb and Y = sum_k (G cb)_k s_k.  For Y > 0 the least of
+    The objective Tr[rho X rho X] = c^T G c of `qrl.capacity.h2_conditional`
+    is convex in the Pauli coefficients c of X = sigma^{-1/2}, so it lies
+    above its tangent plane at the end point's coefficients cb:
+    c^T G c >= Tr[Y X] - f, with f = cb^T G cb and Y = sum_k (G cb)_k s_k.
+    For Y > 0 the least of
     Tr[Y X] over Tr X^{-2} <= 1 is L = (sum_i y_i^{2/3})^{3/2} over the
     eigenvalues y_i of Y, at X proportional to Y^{-1/3}; hence
     H2 <= -log2(L - f), with equality at the optimum.

@@ -176,24 +176,30 @@ def _must_enter(workload: str) -> tuple:
 def test_benchmark_tracer_enters_every_h2_layer(monkeypatch):
     # a traced h2-sweep run is incorrect when a MUST_ENTER metric reads 0,
     # for instance when the sigma solve stops calling capacity.nelder_mead,
-    # or when a traced row differs from its untraced twin
+    # or when a traced row differs from its untraced twin.  A face row (IS,
+    # where H2 < 0 at t = 0.5) makes its one sigma solve through the traced
+    # h2_conditional too
     names = _must_enter("h2-sweep")
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracer
 
-    cfg = qrl.harness.SweepConfig(edge="CD", metric="h2", samples=2, workers=1)
-    plain = qrl.harness._eval_point(cfg, 0.5)
-    tr = tracer.Tracer()
-    tr.install(qrl)
-    try:
-        traced = qrl.harness._eval_point(cfg, 0.5)
-    finally:
-        tr.uninstall()
-    assert traced.status == "ok"
-    assert traced.csv_fields()[:-1] == plain.csv_fields()[:-1]  # all but wall_time_ms
     base = qrl.QuadSpec()
-    metrics, _, _ = tracer.analyse(tr.spans, 1, (base.nr, base.n_theta1, base.n_theta2), 0)
-    assert names and [n for n in names if not metrics[n][0] > 0] == []
+    for edge, status in (("CD", "ok"), ("IS", "clamped")):
+        cfg = qrl.harness.SweepConfig(edge=edge, metric="h2", samples=2, workers=1)
+        plain = qrl.harness._eval_point(cfg, 0.5)
+        tr = tracer.Tracer()
+        tr.install(qrl)
+        try:
+            traced = qrl.harness._eval_point(cfg, 0.5)
+        finally:
+            tr.uninstall()
+        assert traced.status == status, edge
+        assert traced.csv_fields()[:-1] == plain.csv_fields()[:-1], edge  # all but wall_time_ms
+        metrics, _, _ = tracer.analyse(tr.spans, 1, (base.nr, base.n_theta1, base.n_theta2), 0)
+        if edge == "CD":
+            assert names and [n for n in names if not metrics[n][0] > 0] == []
+        else:
+            assert metrics["capacity.h2_conditional.final.calls"][0] > 0
 
 
 def test_benchmark_tracer_enters_every_qfi_layer(monkeypatch):
